@@ -51,20 +51,31 @@ def _load(args) -> RunConfig:
     return scenario_config("fig1", seed=seed if seed is not None else 0)
 
 
+def _write_macro_rows(path: str, states, cfg: RunConfig, chash: str) -> None:
+    x = cfg.grid.x_nodes()
+    rows = []
+    for s in states:
+        u1 = unshifted_u1(s, cfg.params)
+        rows.extend((s.t, x[i], u1[i], s.u4[i]) for i in range(x.size))
+    _write_csv(path, ["t", "x", "u1", "u4"], rows, chash)
+
+
 def cmd_run(args) -> int:
     cfg = _load(args)
     os.makedirs(args.out, exist_ok=True)
     chash = cfg.config_hash()
     state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
-    traj = integrate(state0, cfg.params, cfg.grid, cfg.time)
+    try:
+        traj = integrate(state0, cfg.params, cfg.grid, cfg.time)
+    except DivergedError as err:
+        if err.last_state is not None:
+            _write_macro_rows(os.path.join(args.out, "diverged_state.csv"),
+                              [err.last_state], cfg, chash)
+        raise
 
     x = cfg.grid.x_nodes()
-    rows = []
-    for s in traj.snapshots:
-        u1 = unshifted_u1(s, cfg.params)
-        rows.extend((s.t, x[i], u1[i], s.u4[i]) for i in range(x.size))
-    _write_csv(os.path.join(args.out, "macro_profiles.csv"),
-               ["t", "x", "u1", "u4"], rows, chash)
+    _write_macro_rows(os.path.join(args.out, "macro_profiles.csv"),
+                      traj.snapshots, cfg, chash)
 
     if cfg.micro_slice_x is not None:
         i_star = int(np.argmin(np.abs(x - cfg.micro_slice_x)))

@@ -84,12 +84,6 @@ class GridSpec:
     def micro_field(self) -> np.ndarray:
         return np.zeros((self.n_x + 1, self.n_y + 1))
 
-    def macro_edge_field(self) -> np.ndarray:
-        return np.zeros(self.n_x)
-
-    def micro_edge_field(self) -> np.ndarray:
-        return np.zeros((self.n_x + 1, self.n_y))
-
     def refine(self, factor: int = 2) -> "GridSpec":
         """Same domain with both subinterval counts multiplied by factor."""
         return GridSpec(self.length, self.cell_length,

@@ -1,8 +1,11 @@
 """Method-of-lines time stepping for the semi-discrete system.
 
 Two explicit modes: classical fourth-order Runge-Kutta with a fixed step
-bounded by the diffusion stability limit, and an embedded 4(5) pair with
-proportional-integral step control.  Both modes shorten steps to land
+bounded by the diffusion stability limit, and the embedded Fehlberg 4(5)
+pair with proportional-integral step control.  One stage loop runs either
+Butcher tableau over the flat state vector: `rhs` fills the rows of one
+preallocated stage matrix in place, and every stage combination is one
+matrix-vector product with a tableau row.  Both modes shorten steps to land
 exactly on the requested snapshot times, so stored snapshots are states of
 the integrated trajectory, not interpolants; `Trajectory.sample` offers
 linear interpolation for times in between.
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec
-from .model import ModelParams, SourceTerms, State, rhs
+from .model import ModelParams, SourceTerms, State, Tendency, rhs
 
 SAFETY = 0.4          # margin applied to the explicit diffusion limit
 _RK_SAFETY = 0.9      # step controller safety factor
@@ -126,25 +129,25 @@ def _unpack(t: float, y: np.ndarray, grid: GridSpec) -> State:
     return State(t, u1, u2, u3, u4)
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
-                atol: float, rtol: float) -> float:
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
-
-
-# embedded Fehlberg 4(5) tableau; q (order 5) is propagated, q - w estimates
-# the local error of the order-4 solution w
-_FE_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-_FE_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_FE_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_FE_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+# Butcher tableaux (c, a, b, e): nodes, stage matrix, weights and, for an
+# embedded pair, the weight difference whose stage combination estimates
+# the local error.  Fehlberg 4(5) propagates its order-5 solution.
+_RK4 = (np.array([0.0, 0.5, 0.5, 1.0]),
+        np.array([[0.0, 0.0, 0.0, 0.0],
+                  [0.5, 0.0, 0.0, 0.0],
+                  [0.0, 0.5, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0]]),
+        np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6]), None)
+_FE_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
+_FE_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
+_FEHLBERG45 = (np.array([0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2]),
+               np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                         [1 / 4, 0.0, 0.0, 0.0, 0.0, 0.0],
+                         [3 / 32, 9 / 32, 0.0, 0.0, 0.0, 0.0],
+                         [1932 / 2197, -7200 / 2197, 7296 / 2197, 0.0, 0.0, 0.0],
+                         [439 / 216, -8.0, 3680 / 513, -845 / 4104, 0.0, 0.0],
+                         [-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40, 0.0]]),
+               _FE_B5, _FE_B5 - _FE_B4)
 
 
 def integrate(state0: State, params: ModelParams, grid: GridSpec,
@@ -152,24 +155,27 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
               include_diffusion: bool = True) -> Trajectory:
     """Advance the state to t_end, storing snapshots at the requested times.
 
-    In fixed mode a supplied dt must respect the stability limit.  Raises
-    DivergedError (carrying the last good state) on non-finite values or on
-    step-size underflow.
+    Fixed mode runs the RK4 tableau, adaptive mode the Fehlberg pair, both
+    through one stage loop.  In fixed mode a supplied dt must respect the
+    stability limit.  Raises DivergedError (carrying the last good state) on
+    non-finite values or on step-size underflow.
     """
     state0.validate(grid)
     stats = StepStats()
-
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        stats.rhs_evals += 1
-        tend = rhs(_unpack(t, y, grid), params, grid, sources=sources,
-                   include_diffusion=include_diffusion)
-        return np.concatenate([tend.u1, tend.u2.ravel(),
-                               tend.u3.ravel(), tend.u4])
+    adaptive = timespec.mode == "adaptive"
+    c, a, b, e = _FEHLBERG45 if adaptive else _RK4
 
     t = float(state0.t)
     y = _pack(state0)
     t_end = float(timespec.t_end)
     targets = [s for s in timespec.snapshots() if s >= t]
+
+    # stage buffers and the State / Tendency views into them, built once
+    K = np.empty((c.size, y.size))
+    Y, y_new, y_err = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    stage = _unpack(t, Y, grid)
+    k_views = [Tendency(v.u1, v.u2, v.u3, v.u4)
+               for v in (_unpack(0.0, k, grid) for k in K)]
 
     traj = Trajectory(stats=stats)
 
@@ -181,7 +187,7 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     record_due(t, y)
 
     limit = stability_dt(params, grid)
-    if timespec.mode == "fixed":
+    if not adaptive:
         h_base = limit if timespec.dt is None else float(timespec.dt)
         if h_base > limit * (1.0 + 1e-9):
             raise ValueError(
@@ -196,49 +202,45 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
         if targets:
             h = min(h, targets[0] - t)
         if h < 1e-14 * max(1.0, abs(t)):
-            raise DivergedError("step size underflow",
+            raise DivergedError(f"step size underflow at t={t:g}",
                                 last_state=_unpack(t, y.copy(), grid))
 
-        if timespec.mode == "fixed":
-            k1 = f(t, y)
-            k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = f(t + h, y + h * k3)
-            y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y_new)):
-                raise DivergedError(f"non-finite state at t={t + h:g}",
-                                    last_state=_unpack(t, y.copy(), grid))
-            t += h
-            y = y_new
-            y[0] = 0.0
-            stats.accepted += 1
-            stats.last_dt = h
-            record_due(t, y)
-            continue
-
-        # adaptive embedded pair
-        ks = [f(t, y)]
-        for i in range(1, 6):
-            yi = y + h * sum(a * k for a, k in zip(_FE_A[i], ks))
-            ks.append(f(t + _FE_C[i] * h, yi))
-        y5 = y + h * sum(b * k for b, k in zip(_FE_B5, ks))
-        y4 = y + h * sum(b * k for b, k in zip(_FE_B4, ks))
-        finite = np.all(np.isfinite(y5)) and np.all(np.isfinite(y4))
-        err = _error_norm(y5 - y4, y, y5, timespec.atol, timespec.rtol) \
-            if finite else np.inf
+        for i, k_view in enumerate(k_views):
+            np.dot(h * a[i, :i], K[:i], out=Y)
+            Y += y
+            stage.t = t + c[i] * h
+            stats.rhs_evals += 1
+            tend = rhs(stage, params, grid, sources=sources,
+                       include_diffusion=include_diffusion, out=k_view)
+            if tend is not k_view:
+                for name in ("u1", "u2", "u3", "u4"):
+                    getattr(k_view, name)[...] = getattr(tend, name)
+        np.dot(h * b, K, out=y_new)
+        y_new += y
+        finite = bool(np.isfinite(y_new).all())
+        err = 0.0
+        if not adaptive and not finite:
+            raise DivergedError(f"non-finite state at t={t + h:g}",
+                                last_state=_unpack(t, y.copy(), grid))
+        if adaptive and finite:
+            np.dot(h * e, K, out=y_err)
+            scale = timespec.atol + timespec.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.sqrt(np.mean((y_err / scale) ** 2)))
+            finite = np.isfinite(err)
 
         if finite and err <= 1.0:
             t += h
-            y = y5
+            y[:] = y_new
             y[0] = 0.0
             stats.accepted += 1
             stats.last_dt = h
             record_due(t, y)
-            e = max(err, 1e-10)
-            fac = _RK_SAFETY * e ** (-0.7 / _ERR_ORDER) * err_prev ** (0.4 / _ERR_ORDER)
-            h_base = h * min(facmax, max(_FACMIN, fac))
-            err_prev = e
-            facmax = _FACMAX
+            if adaptive:
+                err = max(err, 1e-10)
+                fac = _RK_SAFETY * err ** (-0.7 / _ERR_ORDER) * err_prev ** (0.4 / _ERR_ORDER)
+                h_base = h * min(facmax, max(_FACMIN, fac))
+                err_prev = err
+                facmax = _FACMAX
         else:
             stats.rejected += 1
             if not finite:

@@ -15,6 +15,10 @@ surfaces on rejection:
 * A3  surface-reaction kernel structure (rate constant, kernel bounds,
       monotonicity, sublinearity)
 * A4  initial data (finite, nonnegative)
+
+`rhs` writes into a caller-owned `Tendency`; `ghost_values`, `henry_flux`,
+`zeta`, `eta` and the `laplace_*` operators stay as the reference it is
+tested against.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from typing import Callable
 import numpy as np
 
 from .grids import GridSpec, check_macro, check_micro
-from .operators import laplace_macro, laplace_micro
 
 R_KINDS = ("identity", "capped")
 Q_KINDS = ("constant", "linear_cutoff")
@@ -252,43 +255,66 @@ class SourceTerms:
 
 def rhs(state: State, params: ModelParams, grid: GridSpec,
         sources: SourceTerms | None = None,
-        include_diffusion: bool = True) -> Tendency:
+        include_diffusion: bool = True,
+        out: Tendency | None = None) -> Tendency:
     """Time derivative of the semi-discrete system at the given state.
 
-    The gas tendency at the pinned node i = 0 is identically zero.  With
+    Fills `out` when given and returns the Tendency it filled.  The gas
+    tendency at the pinned node i = 0 is identically zero.  With
     include_diffusion=False the three Laplacian terms (and with them the
     boundary closures) are dropped; this test mode isolates the reaction
     pathways for conservation checks.
     """
     state.validate(grid)
-    alpha = params.alpha_row(grid)
-    beta = params.beta_row(grid)
+    u1, u2, u3, u4 = state.u1, state.u2, state.u3, state.u4
+    if out is None:
+        out = Tendency(*(np.empty(u.shape) for u in (u1, u2, u3, u4)))
+    du1, du2, du3, du4 = out.u1, out.u2, out.u3, out.u4
+    # scalars broadcast as they are; only sample vectors need the row check
+    alpha = params.alpha if isinstance(params.alpha, float) else params.alpha_row(grid)
+    beta = params.beta if isinstance(params.beta, float) else params.beta_row(grid)
 
-    coupling = henry_flux(state, params)
-    du1 = np.zeros_like(state.u1)
-    du1[1:] = -coupling[1:]
-
-    exchange = zeta(state.u2, state.u3, alpha, beta)
-    du2 = -exchange
-    du3 = exchange.copy()
-
+    flux = henry_flux(state, params)
+    surface = eta(u3[:, -1], u4, params)
+    np.negative(flux, out=du1)
+    np.multiply(u2, alpha, out=du3)
+    du3 -= beta * u3
+    np.negative(du3, out=du2)
+    du4[...] = surface
     if include_diffusion:
-        ghosts = ghost_values(state, params, grid)
-        du1[1:] += params.d1 * laplace_macro(grid, state.u1, ghosts.u1_right)
-        du2 += params.d2 * laplace_micro(grid, state.u2,
-                                         ghosts.u2_bottom, ghosts.u2_top)
-        du3 += params.d3 * laplace_micro(grid, state.u3,
-                                         ghosts.u3_bottom, ghosts.u3_top)
-
-    du4 = np.asarray(eta(state.u3[:, -1], state.u4, params), dtype=float)
+        h_y = grid.h_y
+        # gas field as one row; the pinned node's left ghost is immaterial
+        _add_diffusion(du1[None], u1[None], params.d1, grid.h_x, u1[1:2], u1[-2:-1])
+        _add_diffusion(du2, u2, params.d2, h_y,
+                       u2[:, 1] + (2.0 * h_y / params.d2) * flux, u2[:, -2])
+        _add_diffusion(du3, u3, params.d3, h_y,
+                       u3[:, 1], u3[:, -2] - (2.0 * h_y / params.d3) * surface)
+    du1[0] = 0.0
 
     if sources is not None:
         du1[1:] += np.asarray(sources.f1(state.t), dtype=float)[1:]
         du2 += np.asarray(sources.f2(state.t), dtype=float)
         du3 += np.asarray(sources.f3(state.t), dtype=float)
         du4 += np.asarray(sources.f4(state.t), dtype=float)
+    return out
 
-    return Tendency(du1, du2, du3, du4)
+
+def _add_diffusion(du: np.ndarray, u: np.ndarray, d: float, h: float,
+                   before: np.ndarray, after: np.ndarray) -> None:
+    """du += d * laplace_micro-style 3-point Laplacian of u along its rows,
+    as one slice stencil over the flattened field whose first and last
+    columns, straddling two rows, are redone with the ghost values."""
+    flat = u.reshape(-1)
+    lap = np.empty(u.shape)
+    inner = lap.reshape(-1)[1:-1]
+    np.multiply(flat[1:-1], -2.0, out=inner)
+    inner += flat[:-2]
+    inner += flat[2:]
+    lap[:, 0] = before - 2.0 * u[:, 0] + u[:, 1]
+    lap[:, -1] = u[:, -2] - 2.0 * u[:, -1] + after
+    lap /= h**2
+    lap *= d
+    du += lap
 
 
 @dataclass

@@ -129,7 +129,8 @@ def green_macro_residual(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
 
 
 def green_micro_residual(grid: GridSpec, u: np.ndarray, v: np.ndarray,
-                         delta1: np.ndarray, delta2: np.ndarray) -> float:
+                         delta1: np.ndarray, delta2: np.ndarray,
+                         ghost_offset: float = 0.0) -> float:
     """Residual of the micro summation-by-parts identity with flux data.
 
     delta1 and delta2 are the boundary flux densities at y = 0 and y = ell.
@@ -142,13 +143,15 @@ def green_micro_residual(grid: GridSpec, u: np.ndarray, v: np.ndarray,
 
         (u, div v) + (grad u, v) - (u|_{y=0}, delta1) - (u|_{y=ell}, delta2) = 0
 
-    holds exactly.  Returns the absolute residual.
+    holds exactly.  Returns the absolute residual.  A nonzero ghost_offset
+    shifts only the flux data of the bottom ghost edge, emulating a broken
+    closure (mutation check).
     """
     u = check_micro(grid, u)
     v = check_micro_edge(grid, v)
     delta1 = check_macro(grid, delta1)
     delta2 = check_macro(grid, delta2)
-    bottom = -2.0 * delta1 - v[:, 0]
+    bottom = -2.0 * (delta1 + ghost_offset) - v[:, 0]
     top = 2.0 * delta2 - v[:, -1]
     dv = div_micro(grid, v, bottom_ghost=bottom, top_ghost=top)
     res = (ip_micro(grid, u, dv)

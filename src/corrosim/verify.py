@@ -21,21 +21,16 @@ from .config import RunConfig, scenario_config
 from .diagnostics import energy_record, refinement_sweep
 from .grids import (
     GridSpec,
-    ip_macro,
     ip_micro,
-    ip_micro_edge,
     norm_macro,
     norm_macro_edge,
     norm_micro,
     norm_micro_edge,
-    trace,
 )
 from .integrator import integrate
 from .interpolation import extension_product_residuals
 from .model import project_initial, unshifted_u1
 from .operators import (
-    div_micro,
-    grad_micro,
     green_macro_residual,
     green_micro_residual,
     trace_inequality_check,
@@ -82,18 +77,6 @@ def suite_green_macro(rng: np.random.Generator) -> SuiteResult:
                        worst, IDENTITY_THRESHOLD)
 
 
-def _skewed_micro_residual(g: GridSpec, u, v, d1, d2, skew: float) -> float:
-    # ghost edges built from flux data offset by `skew`, while the boundary
-    # products keep the true data; emulates a broken boundary closure
-    bottom = -2.0 * (d1 + skew) - v[:, 0]
-    top = 2.0 * d2 - v[:, -1]
-    dv = div_micro(g, v, bottom_ghost=bottom, top_ghost=top)
-    return abs(ip_micro(g, u, dv)
-               + ip_micro_edge(g, grad_micro(g, u), v)
-               - ip_macro(g, trace(g, u, "y0"), d1)
-               - ip_macro(g, trace(g, u, "yell"), d2))
-
-
 def suite_green_micro(rng: np.random.Generator,
                       closure_skew: float = 0.0) -> SuiteResult:
     """A nonzero closure_skew mis-builds the ghost edges relative to the
@@ -106,10 +89,7 @@ def suite_green_micro(rng: np.random.Generator,
             v = rng.normal(size=(n + 1, n))
             d1 = rng.normal(size=n + 1)
             d2 = rng.normal(size=n + 1)
-            if closure_skew == 0.0:
-                res = green_micro_residual(g, u, v, d1, d2)
-            else:
-                res = _skewed_micro_residual(g, u, v, d1, d2, closure_skew)
+            res = green_micro_residual(g, u, v, d1, d2, ghost_offset=closure_skew)
             scale = 1.0 + norm_micro(g, u) * norm_micro_edge(g, v)
             worst = max(worst, res / scale)
     return SuiteResult("green_micro", worst <= IDENTITY_THRESHOLD,
@@ -145,10 +125,14 @@ def suite_extensions(rng: np.random.Generator) -> list[SuiteResult]:
             for name, val in worst.items()]
 
 
+def _trajectory(cfg: RunConfig):
+    state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
+    return integrate(state0, cfg.params, cfg.grid, cfg.time)
+
+
 def suite_dissipation() -> SuiteResult:
     cfg = scenario_config("dissipation")
-    state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
-    traj = integrate(state0, cfg.params, cfg.grid, cfg.time)
+    traj = _trajectory(cfg)
     energies = [energy_record(cfg.grid, s).field_total() for s in traj.snapshots]
     worst = max(b - a for a, b in zip(energies, energies[1:]))
     return SuiteResult("dissipation", worst <= MONOTONE_SLACK,
@@ -157,8 +141,7 @@ def suite_dissipation() -> SuiteResult:
 
 def suite_conservation() -> SuiteResult:
     cfg = scenario_config("conservation")
-    state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
-    traj = integrate(state0, cfg.params, cfg.grid, cfg.time)
+    traj = _trajectory(cfg)
     ones = np.ones((cfg.grid.n_x + 1, cfg.grid.n_y + 1))
     worst = 0.0
     for u_of in (lambda s: s.u2, lambda s: s.u3):
@@ -168,15 +151,10 @@ def suite_conservation() -> SuiteResult:
     return SuiteResult("conservation", worst <= MASS_SLACK, worst, MASS_SLACK)
 
 
-def _fig1_trajectory(cfg: RunConfig):
-    state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
-    return integrate(state0, cfg.params, cfg.grid, cfg.time)
-
-
 def suite_positivity_and_monotone(cfg: RunConfig | None = None) -> list[SuiteResult]:
     if cfg is None:
         cfg = scenario_config("fig1")
-    traj = _fig1_trajectory(cfg)
+    traj = _trajectory(cfg)
     low = 0.0
     for s in traj.snapshots:
         low = min(low, float(unshifted_u1(s, cfg.params).min()),

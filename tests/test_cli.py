@@ -104,6 +104,32 @@ class TestRunCommand:
                      "energy.csv", "summary.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_diverged_run_writes_last_state(self, tmp_path, monkeypatch, capsys):
+        from corrosim.integrator import DivergedError
+        from corrosim.model import project_initial
+
+        cfg = write_config(tmp_path / "f.ini", t_end=10.0, snapshots="0 10")
+        resolved = load_config(cfg)
+        last = project_initial(resolved.initial, resolved.params, resolved.grid)
+        last.t = 4.25
+        last.u4 += 0.5
+
+        def diverge(*args, **kwargs):
+            raise DivergedError("non-finite state at t=4.5", last_state=last)
+
+        monkeypatch.setattr(cli, "integrate", diverge)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+        assert "diverged: non-finite state at t=4.5" in capsys.readouterr().err
+        header, rows = read_csv(out / "diverged_state.csv")
+        assert header == ["t", "x", "u1", "u4"]
+        assert len(rows) == resolved.grid.n_x + 1
+        assert all(float(r[0]) == 4.25 for r in rows)
+        u1 = last.u1 + resolved.params.u1_d
+        assert [float(r[2]) for r in rows] == list(u1)
+        assert [float(r[3]) for r in rows] == list(last.u4)
+        assert not (out / "macro_profiles.csv").exists()
+
 
 class TestMmsCommand:
     def test_single_level_is_usage_error(self, tmp_path):

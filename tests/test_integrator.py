@@ -249,7 +249,7 @@ class TestDivergence:
             f3=lambda t: np.zeros((5, 5)),
             f4=lambda t: np.zeros(5),
         )
-        with pytest.raises(DivergedError):
+        with pytest.raises(DivergedError, match=r"underflow at t=0\b"):
             integrate(zero_state(g), params(), g,
                       TimeSpec(t_end=1.0, mode="adaptive"), sources=bomb)
 
@@ -271,3 +271,94 @@ class TestTrajectorySampling:
                                            np.zeros((2, 2)), np.zeros(2))])
         with pytest.raises(ValueError):
             traj.sample(1.0)
+
+
+def random_state(grid, seed):
+    rng = np.random.default_rng(seed)
+    st = zero_state(grid)
+    st.u1 = rng.uniform(size=grid.n_x + 1)
+    st.u1[0] = 0.0
+    st.u2 = rng.uniform(size=(grid.n_x + 1, grid.n_y + 1))
+    st.u3 = rng.uniform(size=(grid.n_x + 1, grid.n_y + 1))
+    st.u4 = rng.uniform(size=grid.n_x + 1)
+    return st
+
+
+def recording_sources(grid, times):
+    def f1(t):
+        times.append(t)
+        return np.zeros(grid.n_x + 1)
+    micro = lambda t: np.zeros((grid.n_x + 1, grid.n_y + 1))
+    return SourceTerms(f1=f1, f2=micro, f3=micro, f4=lambda t: np.zeros(grid.n_x + 1))
+
+
+class TestTableauLoop:
+    P = dict(d1=0.2, d2=0.3, d3=0.1, bi_m=0.4, u1_d=1.0, k=0.3,
+             alpha=0.3, beta=0.2)
+
+    def test_fixed_step_is_textbook_rk4(self):
+        from corrosim.model import rhs
+
+        g = make_grid(1.0, 1.0, 8, 6)
+        p = params(**self.P)
+        st = random_state(g, 3)
+        h = stability_dt(p, g)
+        traj = integrate(st.copy(), p, g, TimeSpec(t_end=h))
+        assert traj.stats.accepted == 1 and traj.stats.rhs_evals == 4
+
+        def shifted(c, k):
+            return State(st.t + c * h, *(getattr(st, f) + c * h * getattr(k, f)
+                                          for f in ("u1", "u2", "u3", "u4")))
+        k1 = rhs(st.copy(), p, g)
+        k2 = rhs(shifted(0.5, k1), p, g)
+        k3 = rhs(shifted(0.5, k2), p, g)
+        k4 = rhs(shifted(1.0, k3), p, g)
+        got = traj.snapshots[-1]
+        for f in ("u1", "u2", "u3", "u4"):
+            want = getattr(st, f) + (h / 6.0) * (
+                getattr(k1, f) + 2.0 * getattr(k2, f)
+                + 2.0 * getattr(k3, f) + getattr(k4, f))
+            assert np.max(np.abs(getattr(got, f) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("mode,nodes", [
+        ("fixed", (0.0, 0.5, 0.5, 1.0)),
+        ("adaptive", (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)),
+    ])
+    def test_sources_see_stage_times(self, mode, nodes):
+        g = make_grid(1.0, 1.0, 4, 4)
+        p = params()
+        st = zero_state(g)
+        st.t = 0.25
+        t_end = 0.25 + stability_dt(p, g)
+        times = []
+        traj = integrate(st, p, g, TimeSpec(t_end=t_end, mode=mode),
+                         sources=recording_sources(g, times))
+        assert traj.stats.accepted == 1
+        h = t_end - 0.25
+        assert times == pytest.approx([0.25 + c * h for c in nodes], rel=1e-15)
+
+    @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+    def test_uses_the_tendency_rhs_returns(self, mode, monkeypatch):
+        # a wrapper that fills `out` through the real rhs but returns a fresh,
+        # scaled Tendency: the integrator must step with what it returned
+        import corrosim.integrator as integrator
+        from corrosim.model import Tendency, rhs
+
+        g = make_grid(1.0, 1.0, 6, 4)
+        p = params(**self.P)
+        ts = TimeSpec(t_end=0.2, mode=mode)
+        plain = integrate(random_state(g, 5), p, g, ts).snapshots[-1]
+
+        def run(scale):
+            def scaled(*args, **kwargs):
+                tend = rhs(*args, **kwargs)
+                return Tendency(*(scale * getattr(tend, f)
+                                  for f in ("u1", "u2", "u3", "u4")))
+            monkeypatch.setattr(integrator, "rhs", scaled)
+            return integrate(random_state(g, 5), p, g, ts).snapshots[-1]
+
+        frozen = run(0.0)
+        start = random_state(g, 5)
+        for f in ("u1", "u2", "u3", "u4"):
+            assert np.array_equal(getattr(frozen, f), getattr(start, f))
+        assert np.max(np.abs(run(1.01).u2 - plain.u2)) > 1e-6

@@ -211,6 +211,22 @@ class TestGreenMicro:
         d1 = np.full(5, 0.7)
         assert green_micro_residual(g, u, v, d1, np.zeros(5)) == pytest.approx(0.0, abs=1e-15)
 
+    def test_ghost_offset_leaves_the_bottom_trace_product(self):
+        # offsetting the bottom ghost-edge data by delta shifts row j = 0 of
+        # the divergence by 2 delta / h_y; the residual is then
+        # |delta * (u|_{y=0}, 1)|
+        from corrosim.grids import ip_macro
+
+        rng = np.random.default_rng(9)
+        g = make_grid(1.0, 2.0, 5, 6)
+        u = rng.normal(size=(6, 7))
+        v = rng.normal(size=(6, 6))
+        d1, d2 = rng.normal(size=6), rng.normal(size=6)
+        delta = 0.05
+        res = green_micro_residual(g, u, v, d1, d2, ghost_offset=delta)
+        assert res == pytest.approx(abs(delta * ip_macro(g, u[:, 0], np.ones(6))),
+                                    rel=1e-10)
+
 
 class TestTraceInequality:
     def test_constant_field(self):
