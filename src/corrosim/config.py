@@ -3,7 +3,8 @@ the config hash echoed into every output file.
 
 A config file has the sections [run], [grid], [params], [time] and the
 optional [output].  The scenario named under [run] supplies defaults for
-everything else, so a minimal file is
+everything else; its default step dt applies only together with its default
+stepping mode.  A minimal file is
 
     [run]
     scenario = fig1
@@ -92,7 +93,7 @@ SCENARIOS = {
                            henry=1.0, u1_d=1.0, k=0.1, alpha=0.3, beta=0.01,
                            c_bar=1.0, r_kind="identity",
                            q_kind="linear_cutoff", m3=10.0, m4=0.5),
-            "time": dict(t_end=400.0, mode="fixed",
+            "time": dict(t_end=400.0, mode="rkc", dt=0.2,
                          snapshots="0 80 160 240 320 400"),
             "output": dict(micro_slice_x=0.5),
         },
@@ -218,6 +219,12 @@ def config_from_sections(sections: dict[str, dict[str, str]],
     _require(sections.get("time", {}), "t_end", "time")
     defaults, make_initial = SCENARIOS[scenario]
     merged = _merge(defaults, sections)
+    # a scenario's default step belongs to its default mode: a file choosing
+    # another mode without a step of its own gets that mode's default step
+    file_time = sections.get("time", {})
+    if "dt" not in file_time and "mode" in file_time \
+            and file_time["mode"] != defaults["time"].get("mode", "fixed"):
+        merged["time"].pop("dt", None)
     merged["run"].setdefault("seed", "0")
     merged["run"]["scenario"] = scenario
 

@@ -1,14 +1,29 @@
 """Method-of-lines time stepping for the semi-discrete system.
 
-Two explicit modes: classical fourth-order Runge-Kutta with a fixed step
-bounded by the diffusion stability limit, and the embedded Fehlberg 4(5)
-pair with proportional-integral step control.  One stage loop runs either
-Butcher tableau over the flat state vector: `rhs` fills the rows of one
-preallocated stage matrix in place, and every stage combination is one
-matrix-vector product with a tableau row.  Both modes shorten steps to land
-exactly on the requested snapshot times, so stored snapshots are states of
-the integrated trajectory, not interpolants; `Trajectory.sample` offers
-linear interpolation for times in between.
+Three explicit modes:
+
+* fixed     classical fourth-order Runge-Kutta with a fixed step bounded by
+            the diffusion stability limit; the reference mode,
+* adaptive  the embedded Fehlberg 4(5) pair with proportional-integral step
+            control,
+* rkc       the damped second-order Runge-Kutta-Chebyshev method
+            (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998)
+            with a fixed step dt.  Its stability interval grows with the
+            square of the stage count s, so the step is not tied to h_y^2:
+            s = max(2, 1 + floor(sqrt(1 + 1.54 dt rho))) with rho the
+            Gershgorin bound of `spectral_radius_bound`, chosen once per
+            integration.  The damping (eps = 2/13) shrinks stiff modes by
+            a factor of only about 0.95 per step, so rough data, or data
+            off the Robin closure, converges slowly in time; smooth,
+            transient-free data sees second order.  RK4 stays the
+            reference.
+
+One stage loop runs any of the Butcher tableaux over the flat state vector:
+`rhs` fills the rows of one preallocated stage matrix in place, and every
+stage combination is one matrix-vector product with a tableau row.  All
+modes shorten steps to land exactly on the requested snapshot times, so
+stored snapshots are states of the integrated trajectory, not interpolants;
+`Trajectory.sample` offers linear interpolation for times in between.
 
 The pinned gas node at x = 0 carries zero tendency, and the integrator
 re-asserts the pin after every accepted step.
@@ -27,6 +42,8 @@ SAFETY = 0.4          # margin applied to the explicit diffusion limit
 _RK_SAFETY = 0.9      # step controller safety factor
 _FACMIN, _FACMAX = 0.2, 5.0
 _ERR_ORDER = 5.0      # local error order of the embedded pair
+_RKC_DAMPING = 2.0 / 13.0
+_LANDING = 1e-9       # a step ending this close (relative to h) to a target lands on it
 
 
 class DivergedError(RuntimeError):
@@ -42,8 +59,8 @@ class TimeSpec:
     """Integration horizon, stepping mode and snapshot schedule."""
 
     t_end: float
-    mode: str = "fixed"                 # "fixed" | "adaptive"
-    dt: float | None = None             # fixed mode; None picks the stability limit
+    mode: str = "fixed"                 # "fixed" | "adaptive" | "rkc"
+    dt: float | None = None             # fixed: None picks the stability limit; rkc: required
     rtol: float = 1e-6
     atol: float = 1e-9
     snapshot_times: tuple[float, ...] | None = None
@@ -51,10 +68,13 @@ class TimeSpec:
     def __post_init__(self):
         if not (np.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.mode not in ("fixed", "adaptive"):
-            raise ValueError(f"mode must be 'fixed' or 'adaptive', got {self.mode!r}")
+        if self.mode not in ("fixed", "adaptive", "rkc"):
+            raise ValueError(
+                f"mode must be 'fixed', 'adaptive' or 'rkc', got {self.mode!r}")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.mode == "rkc" and self.dt is None:
+            raise ValueError("rkc mode needs a step dt")
         if self.mode == "adaptive" and not (self.rtol > 0.0 and self.atol > 0.0):
             raise ValueError("adaptive mode needs rtol > 0 and atol > 0")
         if self.snapshot_times is not None:
@@ -77,6 +97,7 @@ class StepStats:
     rejected: int = 0
     rhs_evals: int = 0
     last_dt: float = 0.0
+    stages: int = 0          # rhs evaluations per step attempt
 
 
 @dataclass
@@ -112,6 +133,35 @@ def stability_dt(params: ModelParams, grid: GridSpec) -> float:
     macro = grid.h_x**2 / (2.0 * params.d1)
     micro = grid.h_y**2 / (2.0 * max(params.d2, params.d3))
     return SAFETY * min(macro, micro)
+
+
+def spectral_radius_bound(params: ModelParams, grid: GridSpec) -> float:
+    """Gershgorin bound on the spectral radius of the linearised `rhs`.
+
+    The largest of four row bounds:
+
+    * macro gas       4 d1/h_x^2 + bi_m H
+    * dissolved gas   4 d2/h_y^2 + 2 bi_m (1 + H)/h_y + max alpha + max beta
+                      (the Robin exchange ghost at y = 0)
+    * acid            4 d3/h_y^2 + 2 k c_bar/h_y + max alpha + max beta
+                      (the surface-loss ghost at y = ell, R with slope 1)
+    * gypsum          k c_bar (1 + m3/m4 for the linear cutoff), the
+                      Lipschitz bound of eta on the admissible range
+    """
+    henry, bi_m, k, c_bar = params.henry, params.bi_m, params.k, params.c_bar
+    exchange = float(np.max(params.alpha) + np.max(params.beta))
+    h_y = grid.h_y
+    q_slope = c_bar / params.m4 if params.q_kind == "linear_cutoff" else 0.0
+    return max(4.0 * params.d1 / grid.h_x**2 + bi_m * henry,
+               4.0 * params.d2 / h_y**2 + 2.0 * bi_m * (1.0 + henry) / h_y + exchange,
+               4.0 * params.d3 / h_y**2 + 2.0 * k * c_bar / h_y + exchange,
+               k * (c_bar + params.m3 * q_slope))
+
+
+def _rkc_stages(dt: float, rho: float) -> int:
+    """Stage count whose damped stability interval, about 0.65 (s^2 - 1),
+    covers dt * rho."""
+    return max(2, 1 + int(np.sqrt(1.0 + 1.54 * dt * rho)))
 
 
 def _pack(state: State) -> np.ndarray:
@@ -150,20 +200,66 @@ _FEHLBERG45 = (np.array([0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2]),
                _FE_B5, _FE_B5 - _FE_B4)
 
 
+def _rkc_tableau(s: int):
+    """The s-stage damped RKC method as a Butcher tableau (c, a, b, None).
+
+    RKC builds its stages by the Chebyshev three-term recursion
+    Y_j = (1 - mu_j - nu_j) y + mu_j Y_{j-1} + nu_j Y_{j-2}
+          + mu~_j h F(Y_{j-1}) + gamma~_j h F(Y_0);
+    carrying each Y_j as its coefficient row over F(Y_0) ... F(Y_{s-1})
+    gives row j of `a`, and Y_s gives `b`.
+    """
+    w0 = 1.0 + _RKC_DAMPING / s**2
+    T, dT, ddT = np.zeros(s + 1), np.zeros(s + 1), np.zeros(s + 1)
+    T[0], T[1], dT[1] = 1.0, w0, 1.0
+    for j in range(2, s + 1):
+        T[j] = 2.0 * w0 * T[j - 1] - T[j - 2]
+        dT[j] = 2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2]
+        ddT[j] = 4.0 * dT[j - 1] + 2.0 * w0 * ddT[j - 1] - ddT[j - 2]
+    w1 = dT[s] / ddT[s]
+    beta = np.empty(s + 1)      # b_j of the recursion, b_0 = b_1 = b_2
+    beta[2:] = ddT[2:] / dT[2:] ** 2
+    beta[:2] = beta[2]
+    rows = np.zeros((s + 1, s))
+    rows[1, 0] = beta[1] * w1
+    for j in range(2, s + 1):
+        mu_tilde = 2.0 * beta[j] * w1 / beta[j - 1]
+        rows[j] = (2.0 * beta[j] * w0 / beta[j - 1]) * rows[j - 1] \
+            - (beta[j] / beta[j - 2]) * rows[j - 2]
+        rows[j, j - 1] += mu_tilde
+        rows[j, 0] -= (1.0 - beta[j - 1] * T[j - 1]) * mu_tilde
+    a = rows[:s]
+    return a.sum(axis=1), a, rows[s], None
+
+
 def integrate(state0: State, params: ModelParams, grid: GridSpec,
               timespec: TimeSpec, sources: SourceTerms | None = None,
               include_diffusion: bool = True) -> Trajectory:
     """Advance the state to t_end, storing snapshots at the requested times.
 
-    Fixed mode runs the RK4 tableau, adaptive mode the Fehlberg pair, both
-    through one stage loop.  In fixed mode a supplied dt must respect the
-    stability limit.  Raises DivergedError (carrying the last good state) on
-    non-finite values or on step-size underflow.
+    Fixed mode runs the RK4 tableau, adaptive mode the Fehlberg pair and rkc
+    mode the RKC tableau whose stage count covers dt times the spectral
+    radius bound, all through one stage loop.  In fixed mode a supplied dt
+    must respect the stability limit.  Raises DivergedError (carrying the
+    last good state) on non-finite values or on step-size underflow.
     """
     state0.validate(grid)
-    stats = StepStats()
     adaptive = timespec.mode == "adaptive"
-    c, a, b, e = _FEHLBERG45 if adaptive else _RK4
+    if timespec.mode == "rkc":
+        h_base = float(timespec.dt)
+        c, a, b, e = _rkc_tableau(
+            _rkc_stages(h_base, spectral_radius_bound(params, grid)))
+    elif adaptive:
+        h_base = stability_dt(params, grid)  # conservative start, the controller grows it
+        c, a, b, e = _FEHLBERG45
+    else:
+        limit = stability_dt(params, grid)
+        h_base = limit if timespec.dt is None else float(timespec.dt)
+        if h_base > limit * (1.0 + 1e-9):
+            raise ValueError(
+                f"fixed dt={h_base:g} exceeds the stability limit {limit:g}")
+        c, a, b, e = _RK4
+    stats = StepStats(stages=c.size)
 
     t = float(state0.t)
     y = _pack(state0)
@@ -186,69 +282,64 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
 
     record_due(t, y)
 
-    limit = stability_dt(params, grid)
-    if not adaptive:
-        h_base = limit if timespec.dt is None else float(timespec.dt)
-        if h_base > limit * (1.0 + 1e-9):
-            raise ValueError(
-                f"fixed dt={h_base:g} exceeds the stability limit {limit:g}")
-    else:
-        h_base = limit  # conservative start, the controller grows it
-
     err_prev = 1.0
     facmax = _FACMAX
-    while t < t_end * (1.0 - 1e-14) and (t_end - t) > 1e-15 * max(1.0, t_end):
-        h = min(h_base, t_end - t)
-        if targets:
-            h = min(h, targets[0] - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise DivergedError(f"step size underflow at t={t:g}",
-                                last_state=_unpack(t, y.copy(), grid))
+    # a diverging step overflows inside rhs and the stage sums; the checks
+    # below detect the non-finite result and raise, so numpy stays quiet
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while t < t_end * (1.0 - 1e-14) and (t_end - t) > 1e-15 * max(1.0, t_end):
+            goal = targets[0] if targets else t_end
+            h = min(h_base, goal - t)
+            if goal - (t + h) <= _LANDING * h:
+                h = goal - t  # no sliver step left over from rounding in t
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise DivergedError(f"step size underflow at t={t:g}",
+                                    last_state=_unpack(t, y.copy(), grid))
 
-        for i, k_view in enumerate(k_views):
-            np.dot(h * a[i, :i], K[:i], out=Y)
-            Y += y
-            stage.t = t + c[i] * h
-            stats.rhs_evals += 1
-            tend = rhs(stage, params, grid, sources=sources,
-                       include_diffusion=include_diffusion, out=k_view)
-            if tend is not k_view:
-                for name in ("u1", "u2", "u3", "u4"):
-                    getattr(k_view, name)[...] = getattr(tend, name)
-        np.dot(h * b, K, out=y_new)
-        y_new += y
-        finite = bool(np.isfinite(y_new).all())
-        err = 0.0
-        if not adaptive and not finite:
-            raise DivergedError(f"non-finite state at t={t + h:g}",
-                                last_state=_unpack(t, y.copy(), grid))
-        if adaptive and finite:
-            np.dot(h * e, K, out=y_err)
-            scale = timespec.atol + timespec.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((y_err / scale) ** 2)))
-            finite = np.isfinite(err)
+            for i, k_view in enumerate(k_views):
+                np.dot(h * a[i, :i], K[:i], out=Y)
+                Y += y
+                stage.t = t + c[i] * h
+                stats.rhs_evals += 1
+                tend = rhs(stage, params, grid, sources=sources,
+                           include_diffusion=include_diffusion, out=k_view)
+                if tend is not k_view:
+                    for name in ("u1", "u2", "u3", "u4"):
+                        getattr(k_view, name)[...] = getattr(tend, name)
+            np.dot(h * b, K, out=y_new)
+            y_new += y
+            finite = bool(np.isfinite(y_new).all())
+            err = 0.0
+            if not adaptive and not finite:
+                raise DivergedError(f"non-finite state at t={t + h:g}",
+                                    last_state=_unpack(t, y.copy(), grid))
+            if adaptive and finite:
+                np.dot(h * e, K, out=y_err)
+                scale = timespec.atol + timespec.rtol * np.maximum(np.abs(y), np.abs(y_new))
+                err = float(np.sqrt(np.mean((y_err / scale) ** 2)))
+                finite = np.isfinite(err)
 
-        if finite and err <= 1.0:
-            t += h
-            y[:] = y_new
-            y[0] = 0.0
-            stats.accepted += 1
-            stats.last_dt = h
-            record_due(t, y)
-            if adaptive:
-                err = max(err, 1e-10)
-                fac = _RK_SAFETY * err ** (-0.7 / _ERR_ORDER) * err_prev ** (0.4 / _ERR_ORDER)
-                h_base = h * min(facmax, max(_FACMIN, fac))
-                err_prev = err
-                facmax = _FACMAX
-        else:
-            stats.rejected += 1
-            if not finite:
-                h_base = 0.5 * h
+            if finite and err <= 1.0:
+                t += h
+                y[:] = y_new
+                y[0] = 0.0
+                stats.accepted += 1
+                stats.last_dt = h
+                record_due(t, y)
+                if adaptive:
+                    err = max(err, 1e-10)
+                    fac = _RK_SAFETY * err ** (-0.7 / _ERR_ORDER) * err_prev ** (0.4 / _ERR_ORDER)
+                    h_base = h * min(facmax, max(_FACMIN, fac))
+                    err_prev = err
+                    facmax = _FACMAX
             else:
-                fac = _RK_SAFETY * err ** (-0.7 / _ERR_ORDER)
-                h_base = h * min(1.0, max(_FACMIN, fac))
-            facmax = 1.0
+                stats.rejected += 1
+                if not finite:
+                    h_base = 0.5 * h
+                else:
+                    fac = _RK_SAFETY * err ** (-0.7 / _ERR_ORDER)
+                    h_base = h * min(1.0, max(_FACMIN, fac))
+                facmax = 1.0
 
     record_due(t_end, y)
     return traj

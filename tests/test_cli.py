@@ -56,6 +56,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="nope"):
             load_config(str(p))
 
+    def test_default_step_follows_default_mode(self, tmp_path):
+        assert (scenario_config("fig1").time.mode, scenario_config("fig1").time.dt) \
+            == ("rkc", 0.2)
+        fixed = scenario_config("fig1", mode="fixed")
+        assert fixed.time.dt is None and "dt" not in fixed.resolved["time"]
+        assert scenario_config("fig1", mode="fixed", dt=0.1).time.dt == 0.1
+        assert scenario_config("fig1", mode="rkc").time.dt == 0.2
+        p = tmp_path / "c.ini"
+        p.write_text("[run]\nscenario = fig1\n\n[time]\nt_end = 1\nmode = fixed\n")
+        assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+
+    def test_rkc_without_a_step_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "c.ini"
+        p.write_text("[run]\nscenario = zero\n\n[time]\nt_end = 1\nmode = rkc\n")
+        assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "rkc mode needs a step dt" in capsys.readouterr().err
+
     def test_hash_stable_under_key_order(self, tmp_path):
         a = tmp_path / "a.ini"
         a.write_text("[run]\nscenario = fig1\nseed = 3\n\n[time]\nt_end = 10\n")
@@ -81,6 +98,10 @@ class TestRunCommand:
         for name in ("macro_profiles.csv", "micro_slice_0.5.csv",
                      "energy.csv", "summary.txt"):
             assert (out / name).exists(), name
+        summary = (out / "summary.txt").read_text().splitlines()
+        # fig1 at 16^2 with rkc steps of 0.2: 3 stages, 500 steps to t = 100
+        assert "stages_per_step 3" in summary and "steps_accepted 500" in summary
+        assert "rhs_evaluations 1500" in summary
         header, rows = read_csv(out / "macro_profiles.csv")
         assert header == ["t", "x", "u1", "u4"]
         by_x: dict[str, list[float]] = {}

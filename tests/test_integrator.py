@@ -6,6 +6,7 @@ from corrosim.integrator import (
     DivergedError,
     TimeSpec,
     Trajectory,
+    _rkc_tableau,
     integrate,
     stability_dt,
 )
@@ -37,6 +38,11 @@ class TestTimeSpec:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             TimeSpec(t_end=1.0, mode="implicit")
+
+    def test_rkc_needs_a_step(self):
+        with pytest.raises(ValueError, match="rkc"):
+            TimeSpec(t_end=1.0, mode="rkc")
+        assert TimeSpec(t_end=1.0, mode="rkc", dt=0.1).dt == 0.1
 
     def test_snapshots_outside_range(self):
         with pytest.raises(ValueError):
@@ -170,6 +176,22 @@ class TestFixedStep:
             assert np.array_equal(sa.u4, sb.u4)
 
 
+class TestSnapshotLanding:
+    @pytest.mark.parametrize("mode", ["fixed", "rkc"])
+    @pytest.mark.parametrize("t_end,dt,steps", [(1.0, 0.1, 10), (400.0, 0.2, 2000)])
+    def test_no_sliver_step(self, mode, t_end, dt, steps):
+        # 0.2 is no binary fraction: summed 2000 times, t falls short of 400
+        # by about 1e-11, which used to cost one extra step of that size
+        g = make_grid(1.0, 1.0, 4, 4)
+        p = params(d1=0.01, d2=0.01, d3=0.01)
+        snaps = tuple(np.linspace(0.0, t_end, 6))
+        traj = integrate(zero_state(g), p, g,
+                         TimeSpec(t_end=t_end, mode=mode, dt=dt, snapshot_times=snaps))
+        assert traj.stats.accepted == steps and traj.stats.rejected == 0
+        assert traj.stats.last_dt == pytest.approx(dt, rel=1e-9)
+        assert tuple(traj.times()) == snaps
+
+
 class TestExchangeOnlyDynamics:
     def test_combined_micro_mass_conserved(self):
         # diffusion off, exchange on: the u2 + u3 sum is pointwise conserved,
@@ -253,6 +275,24 @@ class TestDivergence:
             integrate(zero_state(g), params(), g,
                       TimeSpec(t_end=1.0, mode="adaptive"), sources=bomb)
 
+    def test_diverging_run_raises_without_numpy_warnings(self):
+        # fig1 with a stiff exchange term, stepped by RK4 at the diffusion
+        # limit, overflows; the step check reports it, numpy stays silent
+        import warnings
+
+        from corrosim.config import config_from_sections
+        from corrosim.model import project_initial
+
+        cfg = config_from_sections({
+            "run": {"scenario": "fig1"}, "params": {"bi_m": "50"},
+            "time": {"t_end": "40", "mode": "fixed"}})
+        assert cfg.grid.n_x == 16
+        state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedError, match="non-finite state"):
+                integrate(state0, cfg.params, cfg.grid, cfg.time)
+
 
 class TestTrajectorySampling:
     def test_linear_interpolation_between_snapshots(self):
@@ -323,21 +363,25 @@ class TestTableauLoop:
     @pytest.mark.parametrize("mode,nodes", [
         ("fixed", (0.0, 0.5, 0.5, 1.0)),
         ("adaptive", (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)),
+        # rkc with h = 0.2 and spectral radius bound 64 takes 5 stages
+        ("rkc", tuple(_rkc_tableau(5)[0])),
     ])
     def test_sources_see_stage_times(self, mode, nodes):
         g = make_grid(1.0, 1.0, 4, 4)
         p = params()
         st = zero_state(g)
         st.t = 0.25
-        t_end = 0.25 + stability_dt(p, g)
+        h = 0.2 if mode == "rkc" else stability_dt(p, g)
         times = []
-        traj = integrate(st, p, g, TimeSpec(t_end=t_end, mode=mode),
+        traj = integrate(st, p, g,
+                         TimeSpec(t_end=0.25 + h, mode=mode,
+                                  dt=h if mode == "rkc" else None),
                          sources=recording_sources(g, times))
-        assert traj.stats.accepted == 1
-        h = t_end - 0.25
+        assert traj.stats.accepted == 1 and traj.stats.stages == len(nodes)
+        h = traj.stats.last_dt
         assert times == pytest.approx([0.25 + c * h for c in nodes], rel=1e-15)
 
-    @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("mode", ["fixed", "adaptive", "rkc"])
     def test_uses_the_tendency_rhs_returns(self, mode, monkeypatch):
         # a wrapper that fills `out` through the real rhs but returns a fresh,
         # scaled Tendency: the integrator must step with what it returned
@@ -346,7 +390,7 @@ class TestTableauLoop:
 
         g = make_grid(1.0, 1.0, 6, 4)
         p = params(**self.P)
-        ts = TimeSpec(t_end=0.2, mode=mode)
+        ts = TimeSpec(t_end=0.2, mode=mode, dt=0.05 if mode == "rkc" else None)
         plain = integrate(random_state(g, 5), p, g, ts).snapshots[-1]
 
         def run(scale):

@@ -1,0 +1,185 @@
+"""The damped Runge-Kutta-Chebyshev mode: its tableau, its stability
+polynomial, its temporal order, the invariants it must keep, and its
+agreement with the RK4 reference on fig1, the condition under which fig1
+defaults to it."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from corrosim.config import config_from_sections, scenario_config
+from corrosim.diagnostics import energy_record
+from corrosim.grids import GridSpec, ip_micro, make_grid, norm_macro, norm_micro
+from corrosim.integrator import (
+    TimeSpec,
+    _rkc_stages,
+    _rkc_tableau,
+    integrate,
+    spectral_radius_bound,
+)
+from corrosim.interpolation import manufactured_default
+from corrosim.model import ModelParams, State, project_initial, unshifted_u1
+
+POSITIVITY_SLACK = 1e-8
+ENERGY_SLACK = 1e-9
+MASS_SLACK = 1e-9
+ORDER_FLOOR = 1.9
+AGREEMENT_RTOL = 1e-5
+
+
+def fig1(**sections):
+    raw = {"run": {"scenario": "fig1"}}
+    raw.update({sec: {k: str(v) for k, v in entries.items()}
+                for sec, entries in sections.items()})
+    return config_from_sections(raw)
+
+
+def run(cfg):
+    state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
+    return integrate(state0, cfg.params, cfg.grid, cfg.time)
+
+
+class TestTableau:
+    @pytest.mark.parametrize("s", range(2, 101))
+    def test_second_order_conditions(self, s):
+        c, a, b, e = _rkc_tableau(s)
+        assert e is None and a.shape == (s, s) and b.shape == (s,)
+        assert np.all(np.triu(a) == 0.0)
+        assert np.allclose(c, a.sum(axis=1), rtol=0.0, atol=1e-13)
+        assert abs(b.sum() - 1.0) <= 1e-13
+        assert abs(b @ c - 0.5) <= 1e-13
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 7, 16, 40])
+    def test_stability_polynomial_bounded_on_interval(self, s):
+        # R(z) = 1 + z b (I - z a)^{-1} 1, exact for the explicit tableau
+        c, a, b, _ = _rkc_tableau(s)
+        ones = np.ones(s)
+        for z in np.linspace(-0.65 * (s * s - 1), 0.0, 801):
+            r = 1.0 + z * b @ np.linalg.solve(np.eye(s) - z * a, ones)
+            assert abs(r) <= 1.0 + 1e-12, (s, z, r)
+
+    def test_stage_count_covers_the_spectral_radius(self):
+        for dt_rho in (0.0, 0.5, 3.0, 40.0, 1e3, 1e4):
+            s = _rkc_stages(dt_rho, 1.0)
+            assert s >= 2 and 0.65 * (s * s - 1) >= dt_rho
+
+    def test_spectral_radius_bound_rows(self):
+        g = make_grid(1.0, 1.0, 32, 32)
+        p = scenario_config("fig1").params
+        gas = 4 * p.d2 * 32**2 + 2 * p.bi_m * (1 + p.henry) * 32 + p.alpha + p.beta
+        assert spectral_radius_bound(p, g) == pytest.approx(gas, rel=1e-14)
+        assert _rkc_stages(0.2, spectral_radius_bound(p, g)) == 4
+        stiff = ModelParams(d1=1e-3, d2=1e-3, d3=1e-3, bi_m=0.0, henry=1.0,
+                            u1_d=1.0, k=5.0, alpha=0.0, beta=0.0,
+                            q_kind="linear_cutoff", m3=10.0, m4=0.5)
+        coarse = make_grid(1.0, 1.0, 2, 2)
+        # the gypsum row, k c_bar (1 + m3/m4), binds on a coarse grid
+        assert spectral_radius_bound(stiff, coarse) == pytest.approx(5.0 * 21.0)
+
+
+def half_sine(grid):
+    st = State(0.0, grid.macro_field(), grid.micro_field(), grid.micro_field(),
+               grid.macro_field())
+    st.u1 = np.sin(0.5 * np.pi * grid.x_nodes())
+    return st
+
+
+class TestTemporalOrder:
+    @pytest.mark.parametrize("dts,stages", [((0.016, 0.008), 2),
+                                            ((0.05, 0.025), 3)])
+    def test_second_order_on_the_eigenmode(self, dts, stages):
+        # the discrete half-sine is an exact eigenvector of the pinned and
+        # reflected gas Laplacian (see test_eigenmode_decay_rate), so the
+        # data carry no transient and the error is the stepper's alone;
+        # the step pairs keep the stage count, and with it the error
+        # constant, fixed
+        g = make_grid(1.0, 1.0, 16, 2)
+        p = ModelParams(d1=0.1, d2=0.1, d3=0.1, bi_m=0.0, henry=1.0, u1_d=0.0,
+                        k=0.0, alpha=0.0, beta=0.0)
+        lam = p.d1 * 4.0 / g.h_x**2 * np.sin(0.25 * np.pi * g.h_x) ** 2
+        t_end = 2.0
+        errors = []
+        for dt in dts:
+            st = half_sine(g)
+            traj = integrate(st.copy(), p, g, TimeSpec(t_end=t_end, mode="rkc", dt=dt))
+            assert traj.stats.stages == stages
+            exact = np.exp(-lam * t_end) * st.u1
+            errors.append(np.max(np.abs(traj.snapshots[-1].u1 - exact)))
+        assert np.log2(errors[0] / errors[1]) >= ORDER_FLOOR
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("dt", [0.1, 0.5])
+    def test_dissipation(self, dt):
+        cfg = scenario_config("dissipation", mode="rkc", dt=dt)
+        traj = run(cfg)
+        energies = [energy_record(cfg.grid, s).field_total() for s in traj.snapshots]
+        assert max(b - a for a, b in zip(energies, energies[1:])) <= ENERGY_SLACK
+
+    @pytest.mark.parametrize("dt", [0.1, 0.5])
+    def test_conservation(self, dt):
+        cfg = scenario_config("conservation", mode="rkc", dt=dt)
+        traj = run(cfg)
+        ones = np.ones((cfg.grid.n_x + 1, cfg.grid.n_y + 1))
+        for pick in (lambda s: s.u2, lambda s: s.u3):
+            masses = [ip_micro(cfg.grid, pick(s), ones) for s in traj.snapshots]
+            drift = max(abs(m - masses[0]) for m in masses) / abs(masses[0])
+            assert drift <= MASS_SLACK
+
+    def test_mms_spatial_order(self):
+        # mms_convergence runs the RK4 reference; the same levels under rkc
+        # need a step small enough that the time error stays below the 32^2
+        # spatial error
+        solution = manufactured_default()
+        errors = []
+        for n in (8, 16, 32):
+            g = GridSpec(1.0, 1.0, n, n)
+            state0 = project_initial(solution.initial_data(), solution.params, g)
+            traj = integrate(state0, solution.params, g,
+                             TimeSpec(t_end=0.5, mode="rkc", dt=0.005,
+                                      snapshot_times=(0.5,)),
+                             sources=solution.sources(g))
+            final, exact = traj.snapshots[-1], solution.exact_state(g, 0.5)
+            errors.append([norm_macro(g, final.u1 - exact.u1),
+                           norm_micro(g, final.u2 - exact.u2),
+                           norm_micro(g, final.u3 - exact.u3)])
+        errors = np.array(errors)
+        orders = np.log2(errors[:-1] / errors[1:])
+        assert np.all(orders >= ORDER_FLOOR), orders
+
+
+def relative_l2(grid, got, want):
+    norm = norm_micro if got.ndim == 2 else norm_macro
+    return norm(grid, got - want) / norm(grid, want)
+
+
+class TestFig1Default:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_agrees_with_rk4(self, n):
+        grid = {"nx": n, "ny": n}
+        time = {"t_end": 80, "snapshots": "0 40 80"}
+        rkc = fig1(grid=grid, time=time)
+        rk4 = fig1(grid=grid, time={**time, "mode": "fixed"})
+        assert rk4.time.dt is None
+        a, b = run(rkc).snapshots[-1], run(rk4).snapshots[-1]
+        assert a.t == b.t == 80.0
+        u1 = lambda s: unshifted_u1(s, rkc.params)
+        for field in (u1, lambda s: s.u2, lambda s: s.u3, lambda s: s.u4):
+            assert relative_l2(rkc.grid, field(a), field(b)) <= AGREEMENT_RTOL
+
+    @pytest.mark.parametrize("bi_m,k,n",
+                             list(itertools.product((2, 20, 50), (0.1, 2), (16, 64))))
+    def test_stiff_corners_stay_nonnegative_and_bounded(self, bi_m, k, n):
+        # fixed RK4 at the diffusion limit exits with a non-finite state, or
+        # (bi_m = 2 at 64^2) ends near 1e217, on each of these to t = 20;
+        # rkc takes as many stages as the exchange and surface terms need
+        cfg = fig1(grid={"nx": n, "ny": n}, params={"bi_m": bi_m, "k": k},
+                   time={"t_end": 20, "snapshots": "0 5 10 15 20"})
+        traj = run(cfg)
+        low = min(min(float(unshifted_u1(s, cfg.params).min()), float(s.u2.min()),
+                      float(s.u3.min()), float(s.u4.min())) for s in traj.snapshots)
+        high = max(max(float(unshifted_u1(s, cfg.params).max()), float(s.u2.max()),
+                       float(s.u3.max()), float(s.u4.max())) for s in traj.snapshots)
+        assert low >= -POSITIVITY_SLACK
+        assert high <= 10.0
