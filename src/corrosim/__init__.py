@@ -11,7 +11,7 @@ difference operators and their exact summation-by-parts identities
 harness (`interpolation`), and a config-driven CLI (`cli`).
 """
 
-from .grids import GridSpec, QuadWeights, make_grid
+from .grids import GridSpec, QuadWeights
 from .integrator import DivergedError, TimeSpec, Trajectory, integrate, stability_dt
 from .model import (
     AssumptionError,
@@ -42,7 +42,6 @@ __all__ = [
     "eta",
     "ghost_values",
     "integrate",
-    "make_grid",
     "project_initial",
     "rhs",
     "stability_dt",

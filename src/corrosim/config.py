@@ -252,7 +252,7 @@ def config_from_sections(sections: dict[str, dict[str, str]],
         m3=_floatval(p, "m3", "params"), m4=_floatval(p, "m4", "params"))
 
     t = merged["time"]
-    t_end = float(_require(t, "t_end", "time"))
+    t_end = _floatval(t, "t_end", "time")
     if sections.get("time", {}).get("snapshots"):
         snapshots = _parse_snapshots(sections["time"]["snapshots"], t_end)
     else:
@@ -263,14 +263,14 @@ def config_from_sections(sections: dict[str, dict[str, str]],
             snapshots = snapshots + (t_end,)
     merged["time"]["snapshots"] = " ".join(_fmt_snap(s) for s in snapshots)
     mode = t.get("mode", "fixed")
-    dt = float(t["dt"]) if t.get("dt") else None
-    time = TimeSpec(t_end=t_end, mode=mode, dt=dt,
-                    rtol=float(t.get("rtol", 1e-6)),
-                    atol=float(t.get("atol", 1e-9)),
-                    snapshot_times=snapshots)
+    dt = _floatval(t, "dt", "time") if t.get("dt") else None
+    tolerances = {key: _floatval(t, key, "time") for key in ("rtol", "atol") if key in t}
+    time = TimeSpec(t_end=t_end, mode=mode, dt=dt, snapshot_times=snapshots,
+                    **tolerances)
 
     out = merged["output"]
-    slice_x = float(out["micro_slice_x"]) if out.get("micro_slice_x") else None
+    slice_x = (_floatval(out, "micro_slice_x", "output")
+               if out.get("micro_slice_x") else None)
     if slice_x is not None and not (0.0 <= slice_x <= grid.length):
         raise ConfigError("output.micro_slice_x must lie inside the domain")
 
@@ -293,9 +293,9 @@ def load_config(path: str, seed_override: int | None = None) -> RunConfig:
     return config_from_sections(sections, seed_override=seed_override)
 
 
-def scenario_config(name: str, seed: int = 0, **time_overrides) -> RunConfig:
+def scenario_config(name: str, **time_overrides) -> RunConfig:
     """Built-in scenario with optional time-section overrides (floats)."""
-    sections: dict[str, dict[str, str]] = {"run": {"scenario": name, "seed": str(seed)}}
+    sections: dict[str, dict[str, str]] = {"run": {"scenario": name}}
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario '{name}'")
     defaults, _ = SCENARIOS[name]

@@ -35,6 +35,8 @@ MONITORED = (
     "xdiff_sup",             # sup_t of the squared forward x-quotients (2, 3)
     "mixed_integral",        # time integral of the squared mixed quotients
 )
+# largest growth ratio of a monitored quantity between consecutive levels
+RATIO_THRESHOLD = 1.25
 
 
 @dataclass(frozen=True)
@@ -177,12 +179,11 @@ class SweepResult:
 
 
 def refinement_sweep(grid: GridSpec, params: ModelParams, initial: InitialData,
-                     timespec: TimeSpec, levels: int = 3,
-                     ratio_threshold: float = 1.25) -> SweepResult:
+                     timespec: TimeSpec, levels: int = 3) -> SweepResult:
     """Integrate the scenario on `levels` nested grids and compare the
     monitored quantities level to level.
 
-    The ratio threshold is artifact policy (recorded in the result); the
+    RATIO_THRESHOLD is artifact policy (recorded in the result); the
     bounded quantities of a resolved scenario should not grow systematically
     under refinement.
     """
@@ -205,4 +206,4 @@ def refinement_sweep(grid: GridSpec, params: ModelParams, initial: InitialData,
             else:
                 worst = max(worst, cur / prev)
         ratios[name] = worst
-    return SweepResult(rows, ratios, ratio_threshold)
+    return SweepResult(rows, ratios, RATIO_THRESHOLD)

@@ -114,11 +114,6 @@ def quad_weights(grid: GridSpec) -> QuadWeights:
     return QuadWeights(_trapezoid_weights(grid.n_x), _trapezoid_weights(grid.n_y))
 
 
-def make_grid(length: float, cell_length: float, n_x: int, n_y: int) -> GridSpec:
-    """Construct a grid spec, validating lengths and subinterval counts."""
-    return GridSpec(length, cell_length, n_x, n_y)
-
-
 def _check_shape(u: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != shape:
@@ -185,8 +180,8 @@ def ip_micro_edge(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
     return grid.h_x * grid.h_y * float(np.sum(g1[:, None] * u * v))
 
 
-def norm_macro(grid: GridSpec, u: np.ndarray, restricted: bool = False) -> float:
-    return float(np.sqrt(ip_macro(grid, u, u, restricted=restricted)))
+def norm_macro(grid: GridSpec, u: np.ndarray) -> float:
+    return float(np.sqrt(ip_macro(grid, u, u)))
 
 
 def norm_micro(grid: GridSpec, u: np.ndarray) -> float:

@@ -22,11 +22,14 @@ One stage loop runs any of the Butcher tableaux over the flat state vector:
 `rhs` fills the rows of one preallocated stage matrix in place, and every
 stage combination is one matrix-vector product with a tableau row.  All
 modes shorten steps to land exactly on the requested snapshot times, so
-stored snapshots are states of the integrated trajectory, not interpolants;
-`Trajectory.sample` offers linear interpolation for times in between.
+stored snapshots are states of the integrated trajectory, not interpolants.
 
 The pinned gas node at x = 0 carries zero tendency, and the integrator
-re-asserts the pin after every accepted step.
+re-asserts the pin after every accepted step.  A step is admissible only
+if every concentration (the gas field with its inlet value added back)
+stays finite and above -POSITIVITY_SLACK: fixed and rkc stepping raise
+DivergedError on the first step that is not, adaptive stepping rejects it
+and halves the step.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec
-from .model import ModelParams, SourceTerms, State, Tendency, rhs
+from .model import ModelParams, SourceTerms, State, Tendency, rhs, unshifted_u1
 
 SAFETY = 0.4          # margin applied to the explicit diffusion limit
 _RK_SAFETY = 0.9      # step controller safety factor
@@ -44,12 +47,14 @@ _FACMIN, _FACMAX = 0.2, 5.0
 _ERR_ORDER = 5.0      # local error order of the embedded pair
 _RKC_DAMPING = 2.0 / 13.0
 _LANDING = 1e-9       # a step ending this close (relative to h) to a target lands on it
+POSITIVITY_SLACK = 1e-8  # lowest concentration a step may leave behind is -POSITIVITY_SLACK
 
 
 class DivergedError(RuntimeError):
-    """The trajectory left the finite range or the step size underflowed."""
+    """The trajectory left the finite or nonnegative range, or the step size
+    underflowed; last_state is the last accepted state."""
 
-    def __init__(self, message: str, last_state: State | None = None):
+    def __init__(self, message: str, last_state: State):
         super().__init__(message)
         self.last_state = last_state
 
@@ -75,12 +80,14 @@ class TimeSpec:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.mode == "rkc" and self.dt is None:
             raise ValueError("rkc mode needs a step dt")
+        if self.mode == "adaptive" and self.dt is not None:
+            raise ValueError("adaptive mode chooses its own steps and takes no dt")
         if self.mode == "adaptive" and not (self.rtol > 0.0 and self.atol > 0.0):
             raise ValueError("adaptive mode needs rtol > 0 and atol > 0")
         if self.snapshot_times is not None:
             times = tuple(float(t) for t in self.snapshot_times)
-            if any(t < 0.0 or t > self.t_end for t in times):
-                raise ValueError("snapshot times must lie within [0, t_end]")
+            if not all(0.0 <= t <= self.t_end for t in times):
+                raise ValueError("snapshot times must be finite and lie within [0, t_end]")
             if list(times) != sorted(times):
                 raise ValueError("snapshot times must be sorted")
             object.__setattr__(self, "snapshot_times", times)
@@ -107,22 +114,6 @@ class Trajectory:
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
-
-    def sample(self, t: float) -> State:
-        """Linear interpolation between the two bracketing snapshots."""
-        times = self.times()
-        if not (times[0] <= t <= times[-1]):
-            raise ValueError(f"t={t} outside stored range [{times[0]}, {times[-1]}]")
-        j = int(np.searchsorted(times, t, side="right"))
-        if j == len(times):
-            return self.snapshots[-1].copy()
-        if times[j - 1] == t or j == 0:
-            return self.snapshots[max(j - 1, 0)].copy()
-        a, b = self.snapshots[j - 1], self.snapshots[j]
-        lam = (t - a.t) / (b.t - a.t)
-        mix = lambda p, q: (1.0 - lam) * p + lam * q
-        return State(t, mix(a.u1, b.u1), mix(a.u2, b.u2),
-                     mix(a.u3, b.u3), mix(a.u4, b.u4))
 
 
 def stability_dt(params: ModelParams, grid: GridSpec) -> float:
@@ -162,6 +153,16 @@ def _rkc_stages(dt: float, rho: float) -> int:
     """Stage count whose damped stability interval, about 0.65 (s^2 - 1),
     covers dt * rho."""
     return max(2, 1 + int(np.sqrt(1.0 + 1.54 * dt * rho)))
+
+
+def _lowest(state: State, params: ModelParams) -> str:
+    """The most negative concentration of a state: field, node and value."""
+    fields = {"u1": unshifted_u1(state, params), "u2": state.u2,
+              "u3": state.u3, "u4": state.u4}
+    name = min(fields, key=lambda f: fields[f].min())
+    u = fields[name]
+    node = tuple(int(i) for i in np.unravel_index(np.argmin(u), u.shape))
+    return f"{name} = {u[node]:.6g} at node {node}"
 
 
 def _pack(state: State) -> np.ndarray:
@@ -233,15 +234,16 @@ def _rkc_tableau(s: int):
 
 
 def integrate(state0: State, params: ModelParams, grid: GridSpec,
-              timespec: TimeSpec, sources: SourceTerms | None = None,
-              include_diffusion: bool = True) -> Trajectory:
+              timespec: TimeSpec, sources: SourceTerms | None = None) -> Trajectory:
     """Advance the state to t_end, storing snapshots at the requested times.
 
     Fixed mode runs the RK4 tableau, adaptive mode the Fehlberg pair and rkc
     mode the RKC tableau whose stage count covers dt times the spectral
     radius bound, all through one stage loop.  In fixed mode a supplied dt
     must respect the stability limit.  Raises DivergedError (carrying the
-    last good state) on non-finite values or on step-size underflow.
+    last good state) on non-finite values, on a concentration below
+    -POSITIVITY_SLACK (adaptive mode rejects such steps instead) or on
+    step-size underflow.
     """
     state0.validate(grid)
     adaptive = timespec.mode == "adaptive"
@@ -267,6 +269,7 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     targets = [s for s in timespec.snapshots() if s >= t]
 
     # stage buffers and the State / Tendency views into them, built once
+    n_macro = grid.n_x + 1      # y[:n_macro] is the shifted gas field
     K = np.empty((c.size, y.size))
     Y, y_new, y_err = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     stage = _unpack(t, Y, grid)
@@ -294,32 +297,35 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 h = goal - t  # no sliver step left over from rounding in t
             if h < 1e-14 * max(1.0, abs(t)):
                 raise DivergedError(f"step size underflow at t={t:g}",
-                                    last_state=_unpack(t, y.copy(), grid))
+                                    _unpack(t, y.copy(), grid))
 
             for i, k_view in enumerate(k_views):
                 np.dot(h * a[i, :i], K[:i], out=Y)
                 Y += y
                 stage.t = t + c[i] * h
                 stats.rhs_evals += 1
-                tend = rhs(stage, params, grid, sources=sources,
-                           include_diffusion=include_diffusion, out=k_view)
+                tend = rhs(stage, params, grid, sources=sources, out=k_view)
                 if tend is not k_view:
                     for name in ("u1", "u2", "u3", "u4"):
                         getattr(k_view, name)[...] = getattr(tend, name)
             np.dot(h * b, K, out=y_new)
             y_new += y
             finite = bool(np.isfinite(y_new).all())
+            admissible = finite and min(
+                float(y_new[:n_macro].min()) + params.u1_d,
+                float(y_new[n_macro:].min())) >= -POSITIVITY_SLACK
             err = 0.0
-            if not adaptive and not finite:
-                raise DivergedError(f"non-finite state at t={t + h:g}",
-                                    last_state=_unpack(t, y.copy(), grid))
-            if adaptive and finite:
+            if not adaptive and not admissible:
+                reason = "non-finite state" if not finite else \
+                    f"negative concentration {_lowest(_unpack(t + h, y_new, grid), params)}"
+                raise DivergedError(f"{reason} at t={t + h:g}", _unpack(t, y.copy(), grid))
+            if adaptive and admissible:
                 np.dot(h * e, K, out=y_err)
                 scale = timespec.atol + timespec.rtol * np.maximum(np.abs(y), np.abs(y_new))
                 err = float(np.sqrt(np.mean((y_err / scale) ** 2)))
-                finite = np.isfinite(err)
+                admissible = np.isfinite(err)
 
-            if finite and err <= 1.0:
+            if admissible and err <= 1.0:
                 t += h
                 y[:] = y_new
                 y[0] = 0.0
@@ -334,7 +340,7 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                     facmax = _FACMAX
             else:
                 stats.rejected += 1
-                if not finite:
+                if not admissible:
                     h_base = 0.5 * h
                 else:
                     fac = _RK_SAFETY * err ** (-0.7 / _ERR_ORDER)

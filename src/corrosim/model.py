@@ -255,15 +255,11 @@ class SourceTerms:
 
 def rhs(state: State, params: ModelParams, grid: GridSpec,
         sources: SourceTerms | None = None,
-        include_diffusion: bool = True,
         out: Tendency | None = None) -> Tendency:
     """Time derivative of the semi-discrete system at the given state.
 
     Fills `out` when given and returns the Tendency it filled.  The gas
-    tendency at the pinned node i = 0 is identically zero.  With
-    include_diffusion=False the three Laplacian terms (and with them the
-    boundary closures) are dropped; this test mode isolates the reaction
-    pathways for conservation checks.
+    tendency at the pinned node i = 0 is identically zero.
     """
     state.validate(grid)
     u1, u2, u3, u4 = state.u1, state.u2, state.u3, state.u4
@@ -281,14 +277,13 @@ def rhs(state: State, params: ModelParams, grid: GridSpec,
     du3 -= beta * u3
     np.negative(du3, out=du2)
     du4[...] = surface
-    if include_diffusion:
-        h_y = grid.h_y
-        # gas field as one row; the pinned node's left ghost is immaterial
-        _add_diffusion(du1[None], u1[None], params.d1, grid.h_x, u1[1:2], u1[-2:-1])
-        _add_diffusion(du2, u2, params.d2, h_y,
-                       u2[:, 1] + (2.0 * h_y / params.d2) * flux, u2[:, -2])
-        _add_diffusion(du3, u3, params.d3, h_y,
-                       u3[:, 1], u3[:, -2] - (2.0 * h_y / params.d3) * surface)
+    h_y = grid.h_y
+    # gas field as one row; the pinned node's left ghost is immaterial
+    _add_diffusion(du1[None], u1[None], params.d1, grid.h_x, u1[1:2], u1[-2:-1])
+    _add_diffusion(du2, u2, params.d2, h_y,
+                   u2[:, 1] + (2.0 * h_y / params.d2) * flux, u2[:, -2])
+    _add_diffusion(du3, u3, params.d3, h_y,
+                   u3[:, 1], u3[:, -2] - (2.0 * h_y / params.d3) * surface)
     du1[0] = 0.0
 
     if sources is not None:
@@ -343,13 +338,12 @@ def _sample_micro(f, x, y, name):
     return vals
 
 
-def project_initial(initial: InitialData, params: ModelParams, grid: GridSpec,
-                    require_nonnegative: bool = True) -> State:
+def project_initial(initial: InitialData, params: ModelParams,
+                    grid: GridSpec) -> State:
     """Sample the initial profiles at the grid nodes.
 
     The gas field is shifted by the inlet value and forced to zero at the
-    pinned node.  Negative concentrations are rejected unless
-    require_nonnegative is switched off.
+    pinned node.  Negative concentrations are rejected.
     """
     x = grid.x_nodes()
     y = grid.y_nodes()
@@ -357,11 +351,9 @@ def project_initial(initial: InitialData, params: ModelParams, grid: GridSpec,
     u2 = _sample_micro(initial.u2, x, y, "u2")
     u3 = _sample_micro(initial.u3, x, y, "u3")
     u4 = _sample_macro(initial.u4, x, "u4")
-    if require_nonnegative:
-        for name, vals in (("u1", u1), ("u2", u2), ("u3", u3), ("u4", u4)):
-            if np.any(vals < 0.0):
-                raise AssumptionError(
-                    "A4", f"initial {name} must be nonnegative")
+    for name, vals in (("u1", u1), ("u2", u2), ("u3", u3), ("u4", u4)):
+        if np.any(vals < 0.0):
+            raise AssumptionError("A4", f"initial {name} must be nonnegative")
     u1_shifted = u1 - params.u1_d
     u1_shifted[0] = 0.0
     return State(t=0.0, u1=u1_shifted, u2=u2, u3=u3, u4=u4)

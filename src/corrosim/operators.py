@@ -31,10 +31,6 @@ from .grids import (
 )
 
 
-class GridClosureError(ValueError):
-    """A boundary stencil was evaluated without its ghost values."""
-
-
 def grad_macro(grid: GridSpec, u: np.ndarray) -> np.ndarray:
     """Forward difference (u_{i+1} - u_i)/h_x on the staggered macro grid."""
     u = check_macro(grid, u)
@@ -47,60 +43,48 @@ def grad_micro(grid: GridSpec, u: np.ndarray) -> np.ndarray:
     return np.diff(u, axis=1) / grid.h_y
 
 
-def div_macro(grid: GridSpec, v: np.ndarray,
-              right_ghost: float | None = None) -> np.ndarray:
+def div_macro(grid: GridSpec, v: np.ndarray, right_ghost: float) -> np.ndarray:
     """Centered divergence (v_{i+1/2} - v_{i-1/2})/h_x at nodes i = 1..n_x.
 
     The node i = n_x needs the out-of-grid edge value v_{n_x+1/2}, passed as
     right_ghost.
     """
     v = check_macro_edge(grid, v)
-    if right_ghost is None:
-        raise GridClosureError("divergence at x = L needs a ghost edge value")
     ext = np.concatenate([v, [right_ghost]])
     return np.diff(ext) / grid.h_x
 
 
 def div_micro(grid: GridSpec, v: np.ndarray,
-              bottom_ghost: np.ndarray | None = None,
-              top_ghost: np.ndarray | None = None) -> np.ndarray:
+              bottom_ghost: np.ndarray, top_ghost: np.ndarray) -> np.ndarray:
     """Centered divergence along y at all nodes j = 0..n_y.
 
     Rows j = 0 and j = n_y need the ghost edge values v_{i,-1/2} and
     v_{i,n_y+1/2}, passed as macro-field-shaped vectors.
     """
     v = check_micro_edge(grid, v)
-    if bottom_ghost is None or top_ghost is None:
-        raise GridClosureError("divergence at y = 0 and y = ell needs ghost edges")
     bottom = check_macro(grid, bottom_ghost)
     top = check_macro(grid, top_ghost)
     ext = np.concatenate([bottom[:, None], v, top[:, None]], axis=1)
     return np.diff(ext, axis=1) / grid.h_y
 
 
-def laplace_macro(grid: GridSpec, u: np.ndarray,
-                  right_ghost: float | None = None) -> np.ndarray:
+def laplace_macro(grid: GridSpec, u: np.ndarray, right_ghost: float) -> np.ndarray:
     """3-point stencil (u_{i-1} - 2u_i + u_{i+1})/h_x^2 at nodes i = 1..n_x.
 
     right_ghost supplies u_{n_x+1}; the no-flux closure uses u_{n_x-1}.
     """
     u = check_macro(grid, u)
-    if right_ghost is None:
-        raise GridClosureError("Laplacian at x = L needs a ghost node value")
     ext = np.concatenate([u, [right_ghost]])
     return (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / grid.h_x**2
 
 
 def laplace_micro(grid: GridSpec, u: np.ndarray,
-                  bottom_ghost: np.ndarray | None = None,
-                  top_ghost: np.ndarray | None = None) -> np.ndarray:
+                  bottom_ghost: np.ndarray, top_ghost: np.ndarray) -> np.ndarray:
     """3-point stencil along y at all nodes j = 0..n_y.
 
     bottom_ghost and top_ghost supply the rows u_{i,-1} and u_{i,n_y+1}.
     """
     u = check_micro(grid, u)
-    if bottom_ghost is None or top_ghost is None:
-        raise GridClosureError("Laplacian at y = 0 and y = ell needs ghost rows")
     bottom = check_macro(grid, bottom_ghost)
     top = check_macro(grid, top_ghost)
     ext = np.concatenate([bottom[:, None], u, top[:, None]], axis=1)
@@ -129,8 +113,7 @@ def green_macro_residual(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
 
 
 def green_micro_residual(grid: GridSpec, u: np.ndarray, v: np.ndarray,
-                         delta1: np.ndarray, delta2: np.ndarray,
-                         ghost_offset: float = 0.0) -> float:
+                         delta1: np.ndarray, delta2: np.ndarray) -> float:
     """Residual of the micro summation-by-parts identity with flux data.
 
     delta1 and delta2 are the boundary flux densities at y = 0 and y = ell.
@@ -143,15 +126,13 @@ def green_micro_residual(grid: GridSpec, u: np.ndarray, v: np.ndarray,
 
         (u, div v) + (grad u, v) - (u|_{y=0}, delta1) - (u|_{y=ell}, delta2) = 0
 
-    holds exactly.  Returns the absolute residual.  A nonzero ghost_offset
-    shifts only the flux data of the bottom ghost edge, emulating a broken
-    closure (mutation check).
+    holds exactly.  Returns the absolute residual.
     """
     u = check_micro(grid, u)
     v = check_micro_edge(grid, v)
     delta1 = check_macro(grid, delta1)
     delta2 = check_macro(grid, delta2)
-    bottom = -2.0 * (delta1 + ghost_offset) - v[:, 0]
+    bottom = -2.0 * delta1 - v[:, 0]
     top = 2.0 * delta2 - v[:, -1]
     dv = div_micro(grid, v, bottom_ghost=bottom, top_ghost=top)
     res = (ip_micro(grid, u, dv)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, scenario_config
-from .diagnostics import energy_record, refinement_sweep
+from .diagnostics import RATIO_THRESHOLD, energy_record, refinement_sweep
 from .grids import (
     GridSpec,
     ip_micro,
@@ -27,7 +27,7 @@ from .grids import (
     norm_micro,
     norm_micro_edge,
 )
-from .integrator import integrate
+from .integrator import POSITIVITY_SLACK, integrate
 from .interpolation import extension_product_residuals
 from .model import project_initial, unshifted_u1
 from .operators import (
@@ -42,11 +42,11 @@ TRACE_FIELDS = 1000
 TRACE_GRID_SIZE = 16
 EXTENSION_GRID_SIZES = (4, 8, 16)
 EXTENSION_PAIRS = 100
+BOUNDEDNESS_GRID_SIZE = 8
+BOUNDEDNESS_T_END = 100.0
 IDENTITY_THRESHOLD = 1e-12
 MONOTONE_SLACK = 1e-9
-POSITIVITY_SLACK = 1e-8
 MASS_SLACK = 1e-9
-RATIO_THRESHOLD = 1.25
 
 
 @dataclass
@@ -77,10 +77,7 @@ def suite_green_macro(rng: np.random.Generator) -> SuiteResult:
                        worst, IDENTITY_THRESHOLD)
 
 
-def suite_green_micro(rng: np.random.Generator,
-                      closure_skew: float = 0.0) -> SuiteResult:
-    """A nonzero closure_skew mis-builds the ghost edges relative to the
-    boundary flux data and must make the suite fail (mutation check)."""
+def suite_green_micro(rng: np.random.Generator) -> SuiteResult:
     worst = 0.0
     for n in GREEN_GRID_SIZES:
         g = GridSpec(1.0, 1.0, n, n)
@@ -89,7 +86,7 @@ def suite_green_micro(rng: np.random.Generator,
             v = rng.normal(size=(n + 1, n))
             d1 = rng.normal(size=n + 1)
             d2 = rng.normal(size=n + 1)
-            res = green_micro_residual(g, u, v, d1, d2, ghost_offset=closure_skew)
+            res = green_micro_residual(g, u, v, d1, d2)
             scale = 1.0 + norm_micro(g, u) * norm_micro_edge(g, v)
             worst = max(worst, res / scale)
     return SuiteResult("green_micro", worst <= IDENTITY_THRESHOLD,
@@ -168,23 +165,22 @@ def suite_positivity_and_monotone(cfg: RunConfig | None = None) -> list[SuiteRes
     ]
 
 
-def suite_boundedness(base_n: int = 8, t_end: float = 100.0) -> SuiteResult:
+def suite_boundedness() -> SuiteResult:
+    t_end, n = BOUNDEDNESS_T_END, BOUNDEDNESS_GRID_SIZE
     cfg = scenario_config("fig1", t_end=t_end,
                           snapshots=" ".join(str(v) for v in
                                              np.linspace(0.0, t_end, 11)))
-    grid = GridSpec(cfg.grid.length, cfg.grid.cell_length, base_n, base_n)
-    res = refinement_sweep(grid, cfg.params, cfg.initial, cfg.time,
-                           levels=3, ratio_threshold=RATIO_THRESHOLD)
+    grid = GridSpec(cfg.grid.length, cfg.grid.cell_length, n, n)
+    res = refinement_sweep(grid, cfg.params, cfg.initial, cfg.time, levels=3)
     worst = max(res.ratios.values())
     return SuiteResult("boundedness", res.passed(), worst, RATIO_THRESHOLD)
 
 
-def run_all(seed: int, fig1_cfg: RunConfig | None = None,
-            closure_skew: float = 0.0) -> list[SuiteResult]:
+def run_all(seed: int, fig1_cfg: RunConfig | None = None) -> list[SuiteResult]:
     """All suites in a fixed order with one seeded generator."""
     rng = np.random.default_rng(seed)
     results = [suite_green_macro(rng),
-               suite_green_micro(rng, closure_skew=closure_skew),
+               suite_green_micro(rng),
                suite_trace(rng)]
     results.extend(suite_extensions(rng))
     results.append(suite_dissipation())

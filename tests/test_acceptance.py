@@ -162,12 +162,11 @@ def test_07_boundedness_sweep():
     cfg = scenario_config(
         "fig1", snapshots=" ".join(str(v) for v in np.linspace(0.0, 400.0, 21)))
     start = time.perf_counter()
-    res = refinement_sweep(cfg.grid, cfg.params, cfg.initial, cfg.time,
-                           levels=3, ratio_threshold=RATIO_LIMIT)
+    res = refinement_sweep(cfg.grid, cfg.params, cfg.initial, cfg.time, levels=3)
     elapsed = time.perf_counter() - start
     worst = max(res.ratios.values())
     report(7, "a-priori boundedness sweep",
-           res.passed() and elapsed < 120.0,
+           worst <= RATIO_LIMIT and elapsed < 120.0,
            f"worst growth ratio {worst:.4f} <= {RATIO_LIMIT} over "
            f"levels 16/32/64, {elapsed:.1f}s")
 

@@ -7,7 +7,7 @@ from corrosim.diagnostics import (
     mixed_quotient_record,
     refinement_sweep,
 )
-from corrosim.grids import make_grid
+from corrosim.grids import GridSpec
 from corrosim.integrator import TimeSpec
 from corrosim.model import InitialData, ModelParams, State
 
@@ -30,12 +30,12 @@ def gamma(n, i):
 
 class TestEnergyRecord:
     def test_zero_state(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         rec = energy_record(g, zero_state(g))
         assert rec.field_total() == 0.0 and rec.grad_total() == 0.0
 
     def test_constant_micro_field(self):
-        g = make_grid(2.0, 3.0, 6, 6)
+        g = GridSpec(2.0, 3.0, 6, 6)
         st = zero_state(g)
         st.u2[:] = 1.0
         rec = energy_record(g, st)
@@ -43,7 +43,7 @@ class TestEnergyRecord:
         assert rec.g2 == 0.0
 
     def test_linear_in_y(self):
-        g = make_grid(1.0, 1.0, 8, 8)
+        g = GridSpec(1.0, 1.0, 8, 8)
         st = zero_state(g)
         st.u2 = np.tile(g.y_nodes(), (9, 1))
         rec = energy_record(g, st)
@@ -61,13 +61,13 @@ class TestEnergyRecord:
 
 class TestDerivativeRecord:
     def test_zero_state(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         rec = derivative_record(g, zero_state(g), params())
         assert rec.rate_total() == 0.0 and rec.rate_grad_total() == 0.0
 
     def test_surface_rate_only(self):
         # frozen acid trace: the gypsum rate norm equals the kernel norm
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         p = params(k=0.5)
         st = zero_state(g)
         st.u3[:, -1] = 2.0
@@ -75,7 +75,7 @@ class TestDerivativeRecord:
         assert rec.d4n == pytest.approx(g.length * 1.0**2, rel=1e-13)
 
     def test_exchange_rate_norm(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         p = params(alpha=0.3, beta=0.0)
         st = zero_state(g)
         st.u2[:] = 2.0
@@ -87,14 +87,14 @@ class TestDerivativeRecord:
 
 class TestMixedQuotients:
     def test_y_only_field_has_no_x_quotients(self):
-        g = make_grid(1.0, 1.0, 6, 6)
+        g = GridSpec(1.0, 1.0, 6, 6)
         st = zero_state(g)
         st.u2 = np.tile(g.y_nodes() ** 2, (7, 1))
         rec = mixed_quotient_record(g, st)
         assert rec.mx2 == 0.0 and rec.mxy2 == 0.0
 
     def test_linear_in_x(self):
-        g = make_grid(1.5, 0.8, 5, 4)
+        g = GridSpec(1.5, 0.8, 5, 4)
         st = zero_state(g)
         st.u2 = np.tile(g.x_nodes()[:, None], (1, g.n_y + 1))
         rec = mixed_quotient_record(g, st)
@@ -108,7 +108,7 @@ class TestMixedQuotients:
         assert rec.mxy2 == 0.0
 
     def test_bilinear_field(self):
-        g = make_grid(2.0, 3.0, 4, 5)
+        g = GridSpec(2.0, 3.0, 4, 5)
         st = zero_state(g)
         st.u3 = g.x_nodes()[:, None] * g.y_nodes()[None, :]
         rec = mixed_quotient_record(g, st)
@@ -120,7 +120,7 @@ class TestMixedQuotients:
 
 class TestRefinementSweep:
     def test_zero_data_all_zero(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         initial = InitialData(
             u1=lambda x: 0.0 * x, u2=lambda x, y: 0.0 * x * y,
             u3=lambda x, y: 0.0 * x * y, u4=lambda x: 0.0 * x)
@@ -131,7 +131,7 @@ class TestRefinementSweep:
         assert res.passed()
 
     def test_requires_three_levels(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         initial = InitialData(
             u1=lambda x: 0.0 * x, u2=lambda x, y: 0.0 * x * y,
             u3=lambda x, y: 0.0 * x * y, u4=lambda x: 0.0 * x)
@@ -141,7 +141,7 @@ class TestRefinementSweep:
     def test_decoupled_heat_is_bounded(self):
         # smooth decoupled diffusion: nothing may grow materially under
         # refinement
-        g = make_grid(1.0, 1.0, 8, 8)
+        g = GridSpec(1.0, 1.0, 8, 8)
         initial = InitialData(
             u1=lambda x: np.sin(np.pi * x / 2.0),
             u2=lambda x, y: (1.0 + 0.0 * x) * np.cos(np.pi * y) ** 2,

@@ -8,7 +8,6 @@ from corrosim.grids import (
     ip_macro_edge,
     ip_micro,
     ip_micro_edge,
-    make_grid,
     norm_macro,
     norm_micro,
     quad_weights,
@@ -56,27 +55,27 @@ def random_grid(rng):
 
 class TestMakeGrid:
     def test_step_sizes(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         assert g.h_x == 0.25
         assert g.h_y == 0.25
 
     def test_step_sizes_anisotropic(self):
-        g = make_grid(2.0, 0.5, 10, 5)
+        g = GridSpec(2.0, 0.5, 10, 5)
         assert g.h_x == pytest.approx(0.2)
         assert g.h_y == pytest.approx(0.1)
 
     def test_too_few_subintervals(self):
         with pytest.raises(GridError):
-            make_grid(1.0, 1.0, 1, 4)
+            GridSpec(1.0, 1.0, 1, 4)
 
     def test_nonpositive_length(self):
         with pytest.raises(GridError):
-            make_grid(-1.0, 1.0, 4, 4)
+            GridSpec(-1.0, 1.0, 4, 4)
         with pytest.raises(GridError):
-            make_grid(1.0, 0.0, 4, 4)
+            GridSpec(1.0, 0.0, 4, 4)
 
     def test_nodes_and_edges(self):
-        g = make_grid(1.0, 2.0, 4, 2)
+        g = GridSpec(1.0, 2.0, 4, 2)
         assert np.allclose(g.x_nodes(), [0, 0.25, 0.5, 0.75, 1.0])
         assert np.allclose(g.y_nodes(), [0, 1.0, 2.0])
         assert np.allclose(g.x_edges(), [0.125, 0.375, 0.625, 0.875])
@@ -85,7 +84,7 @@ class TestMakeGrid:
 
 class TestWeights:
     def test_endpoint_halves(self):
-        w = quad_weights(make_grid(1.0, 1.0, 5, 3))
+        w = quad_weights(GridSpec(1.0, 1.0, 5, 3))
         assert w.gamma1[0] == 0.5 and w.gamma1[-1] == 0.5
         assert np.all(w.gamma1[1:-1] == 1.0)
         assert w.gamma2[0] == 0.5 and w.gamma2[-1] == 0.5
@@ -101,42 +100,42 @@ class TestWeights:
 
 class TestMacroProduct:
     def test_constant_gives_length(self):
-        g = make_grid(3.0, 1.0, 6, 2)
+        g = GridSpec(3.0, 1.0, 6, 2)
         ones = np.ones(g.n_x + 1)
         assert ip_macro(g, ones, ones) == pytest.approx(3.0, rel=1e-15)
 
     def test_restricted_drops_left_endpoint(self):
-        g = make_grid(3.0, 1.0, 6, 2)
+        g = GridSpec(3.0, 1.0, 6, 2)
         ones = np.ones(g.n_x + 1)
         got = ip_macro(g, ones, ones, restricted=True)
         assert got == pytest.approx(ip_macro_oracle(g, ones, ones, restricted=True))
         assert got == pytest.approx(2.75)
 
     def test_zero_annihilates(self):
-        g = make_grid(3.0, 1.0, 6, 2)
+        g = GridSpec(3.0, 1.0, 6, 2)
         v = np.linspace(-1, 5, g.n_x + 1)
         assert ip_macro(g, np.zeros(g.n_x + 1), v) == 0.0
 
     def test_shape_mismatch(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         with pytest.raises(GridError):
             ip_macro(g, np.ones(3), np.ones(5))
 
 
 class TestMicroProduct:
     def test_constant_gives_area(self):
-        g = make_grid(2.0, 3.0, 5, 4)
+        g = GridSpec(2.0, 3.0, 5, 4)
         ones = np.ones((g.n_x + 1, g.n_y + 1))
         assert ip_micro(g, ones, ones) == pytest.approx(6.0, rel=1e-15)
 
     def test_single_interior_node(self):
-        g = make_grid(2.0, 3.0, 5, 4)
+        g = GridSpec(2.0, 3.0, 5, 4)
         u = np.zeros((g.n_x + 1, g.n_y + 1))
         u[2, 2] = 1.7
         assert ip_micro(g, u, u) == pytest.approx(g.h_x * g.h_y * 1.7**2, rel=1e-15)
 
     def test_corner_node_quarter_weight(self):
-        g = make_grid(2.0, 3.0, 5, 4)
+        g = GridSpec(2.0, 3.0, 5, 4)
         u = np.zeros((g.n_x + 1, g.n_y + 1))
         u[0, 0] = 1.7
         expected = ip_micro_oracle(g, u, u)
@@ -146,42 +145,42 @@ class TestMicroProduct:
 
 class TestEdgeProducts:
     def test_macro_edge_constant(self):
-        g = make_grid(5.0, 1.0, 8, 2)
+        g = GridSpec(5.0, 1.0, 8, 2)
         ones = np.ones(g.n_x)
         assert ip_macro_edge(g, ones, ones) == pytest.approx(5.0, rel=1e-15)
 
     def test_micro_edge_constant(self):
-        g = make_grid(2.0, 3.0, 5, 4)
+        g = GridSpec(2.0, 3.0, 5, 4)
         ones = np.ones((g.n_x + 1, g.n_y))
         got = ip_micro_edge(g, ones, ones)
         assert got == pytest.approx(ip_micro_edge_oracle(g, ones, ones), rel=1e-14)
         assert got == pytest.approx(2.0 * 3.0, rel=1e-14)
 
     def test_zero_field(self):
-        g = make_grid(2.0, 3.0, 5, 4)
+        g = GridSpec(2.0, 3.0, 5, 4)
         assert ip_micro_edge(g, np.zeros((6, 4)), np.ones((6, 4))) == 0.0
 
 
 class TestTrace:
     def test_linear_in_y(self):
-        g = make_grid(1.0, 2.0, 4, 5)
+        g = GridSpec(1.0, 2.0, 4, 5)
         u = np.tile(g.y_nodes(), (g.n_x + 1, 1))
         assert np.allclose(trace(g, u, "yell"), 2.0)
         assert np.allclose(trace(g, u, "y0"), 0.0)
 
     def test_constant(self):
-        g = make_grid(1.0, 2.0, 4, 5)
+        g = GridSpec(1.0, 2.0, 4, 5)
         u = np.full((g.n_x + 1, g.n_y + 1), 3.3)
         assert np.allclose(trace(g, u, "y0"), 3.3)
         assert np.allclose(trace(g, u, "yell"), 3.3)
 
     def test_bad_side(self):
-        g = make_grid(1.0, 2.0, 4, 5)
+        g = GridSpec(1.0, 2.0, 4, 5)
         with pytest.raises(ValueError):
             trace(g, g.micro_field(), "top")
 
     def test_trace_is_a_copy(self):
-        g = make_grid(1.0, 2.0, 4, 5)
+        g = GridSpec(1.0, 2.0, 4, 5)
         u = g.micro_field()
         t = trace(g, u, "y0")
         t[0] = 99.0

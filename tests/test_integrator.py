@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from corrosim.grids import make_grid
+from corrosim.grids import GridSpec
 from corrosim.integrator import (
+    POSITIVITY_SLACK,
     DivergedError,
     TimeSpec,
-    Trajectory,
     _rkc_tableau,
     integrate,
     stability_dt,
@@ -48,6 +48,14 @@ class TestTimeSpec:
         with pytest.raises(ValueError):
             TimeSpec(t_end=1.0, snapshot_times=(0.0, 2.0))
 
+    def test_snapshots_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            TimeSpec(t_end=10.0, snapshot_times=(0.0, float("nan"), 10.0))
+
+    def test_adaptive_takes_no_step(self):
+        with pytest.raises(ValueError, match="adaptive"):
+            TimeSpec(t_end=1.0, mode="adaptive", dt=0.1)
+
     def test_snapshots_unsorted(self):
         with pytest.raises(ValueError):
             TimeSpec(t_end=1.0, snapshot_times=(0.5, 0.2))
@@ -55,16 +63,16 @@ class TestTimeSpec:
 
 class TestStabilityLimit:
     def test_reference_value(self):
-        g = make_grid(1.0, 1.0, 10, 10)  # h = 0.1
+        g = GridSpec(1.0, 1.0, 10, 10)  # h = 0.1
         assert stability_dt(params(), g) == pytest.approx(0.002)
 
     def test_micro_diffusivity_binds(self):
-        g = make_grid(1.0, 1.0, 10, 10)
+        g = GridSpec(1.0, 1.0, 10, 10)
         base = stability_dt(params(), g)
         assert stability_dt(params(d2=10.0), g) == pytest.approx(base / 10.0)
 
     def test_quadratic_in_step(self):
-        g = make_grid(1.0, 1.0, 10, 10)
+        g = GridSpec(1.0, 1.0, 10, 10)
         fine = g.refine(2)
         assert stability_dt(params(), fine) == pytest.approx(
             stability_dt(params(), g) / 4.0)
@@ -72,29 +80,28 @@ class TestStabilityLimit:
 
 class TestFixedStep:
     def test_zero_state_stays_zero(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         traj = integrate(zero_state(g), params(), g,
                          TimeSpec(t_end=1.0, snapshot_times=(0.0, 0.5, 1.0)))
         assert [s.t for s in traj.snapshots] == [0.0, 0.5, 1.0]
         for s in traj.snapshots:
             assert np.all(s.u1 == 0.0) and np.all(s.u2 == 0.0)
 
-    def test_gypsum_ode_linear_growth(self):
+    def test_gypsum_ode_linear_growth(self, no_diffusion):
         # frozen acid trace (diffusion off), identity kernel, constant q:
         # the gypsum field grows exactly linearly
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         p = params(k=1.0)
         st = zero_state(g)
         st.u3[:] = 1.0
         traj = integrate(st, p, g,
-                         TimeSpec(t_end=2.0, snapshot_times=(0.0, 1.0, 2.0)),
-                         include_diffusion=False)
+                         TimeSpec(t_end=2.0, snapshot_times=(0.0, 1.0, 2.0)))
         for s in traj.snapshots:
             assert np.allclose(s.u4, s.t, rtol=1e-12, atol=1e-12)
             assert np.allclose(s.u3, 1.0)
 
     def test_dirichlet_pin_held(self):
-        g = make_grid(1.0, 1.0, 8, 4)
+        g = GridSpec(1.0, 1.0, 8, 4)
         p = params(bi_m=0.5, u1_d=1.0, alpha=0.2, beta=0.1, k=0.1)
         st = zero_state(g)
         st.u1 = np.sin(np.pi * g.x_nodes())
@@ -107,7 +114,7 @@ class TestFixedStep:
         # closures, so its amplitude decays at the discrete rate, which is
         # within 1% of d1*(pi/2L)^2 at this resolution
         L = 1.0
-        g = make_grid(L, 1.0, 16, 2)
+        g = GridSpec(L, 1.0, 16, 2)
         p = params(d1=0.1, d2=0.1, d3=0.1)
         st = zero_state(g)
         st.u1 = np.sin(np.pi * g.x_nodes() / (2 * L))
@@ -126,7 +133,7 @@ class TestFixedStep:
         from corrosim.integrator import _pack, _unpack
         from corrosim.model import rhs
 
-        g = make_grid(1.0, 1.0, 8, 8)
+        g = GridSpec(1.0, 1.0, 8, 8)
         p = params(d1=0.2, d2=0.3, d3=0.1, bi_m=0.4, henry=1.0,
                    alpha=0.3, beta=0.2)
         dim = (g.n_x + 1) * 2 + 2 * (g.n_x + 1) * (g.n_y + 1)
@@ -151,7 +158,7 @@ class TestFixedStep:
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
     def test_rejects_unstable_step(self):
-        g = make_grid(1.0, 1.0, 8, 8)
+        g = GridSpec(1.0, 1.0, 8, 8)
         p = params()
         limit = stability_dt(p, g)
         with pytest.raises(ValueError):
@@ -159,7 +166,7 @@ class TestFixedStep:
                       TimeSpec(t_end=1.0, dt=2.0 * limit))
 
     def test_snapshots_are_deterministic(self):
-        g = make_grid(1.0, 1.0, 8, 4)
+        g = GridSpec(1.0, 1.0, 8, 4)
         p = params(bi_m=0.3, u1_d=1.0, alpha=0.2, beta=0.1, k=0.2)
         ts = TimeSpec(t_end=1.0, snapshot_times=(0.0, 0.3, 1.0))
 
@@ -182,7 +189,7 @@ class TestSnapshotLanding:
     def test_no_sliver_step(self, mode, t_end, dt, steps):
         # 0.2 is no binary fraction: summed 2000 times, t falls short of 400
         # by about 1e-11, which used to cost one extra step of that size
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         p = params(d1=0.01, d2=0.01, d3=0.01)
         snaps = tuple(np.linspace(0.0, t_end, 6))
         traj = integrate(zero_state(g), p, g,
@@ -193,12 +200,12 @@ class TestSnapshotLanding:
 
 
 class TestExchangeOnlyDynamics:
-    def test_combined_micro_mass_conserved(self):
+    def test_combined_micro_mass_conserved(self, no_diffusion):
         # diffusion off, exchange on: the u2 + u3 sum is pointwise conserved,
         # so its weighted mass stays constant along the trajectory
         from corrosim.grids import ip_micro
 
-        g = make_grid(1.0, 1.0, 6, 6)
+        g = GridSpec(1.0, 1.0, 6, 6)
         p = params(alpha=0.4, beta=0.15)
         rng = np.random.default_rng(12)
         st = zero_state(g)
@@ -207,8 +214,7 @@ class TestExchangeOnlyDynamics:
         ones = np.ones((7, 7))
         m0 = ip_micro(g, st.u2 + st.u3, ones)
         traj = integrate(st, p, g,
-                         TimeSpec(t_end=5.0, snapshot_times=(0.0, 2.5, 5.0)),
-                         include_diffusion=False)
+                         TimeSpec(t_end=5.0, snapshot_times=(0.0, 2.5, 5.0)))
         for s in traj.snapshots:
             m = ip_micro(g, s.u2 + s.u3, ones)
             assert m == pytest.approx(m0, rel=1e-12)
@@ -216,7 +222,7 @@ class TestExchangeOnlyDynamics:
 
 class TestAdaptive:
     def test_agrees_with_fixed_mode(self):
-        g = make_grid(1.0, 1.0, 8, 8)
+        g = GridSpec(1.0, 1.0, 8, 8)
         p = params(d1=0.05, d2=0.05, d3=0.05, bi_m=0.2, u1_d=1.0,
                    alpha=0.2, beta=0.05, k=0.1, q_kind="linear_cutoff", m4=1.0)
         st = zero_state(g)
@@ -236,7 +242,7 @@ class TestAdaptive:
                 assert np.all(np.abs(uf - ua) <= 10.0 * (atol + rtol * np.abs(uf)))
 
     def test_controller_grows_step(self):
-        g = make_grid(1.0, 1.0, 8, 8)
+        g = GridSpec(1.0, 1.0, 8, 8)
         p = params(d1=0.05, d2=0.05, d3=0.05)
         st = zero_state(g)
         st.u2[:] = 1.0
@@ -249,7 +255,7 @@ class TestAdaptive:
 
 class TestDivergence:
     def test_nonfinite_source_detected(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         bomb = SourceTerms(
             f1=lambda t: np.full(5, np.inf if t > 0.5 else 0.0),
             f2=lambda t: np.zeros((5, 5)),
@@ -263,8 +269,48 @@ class TestDivergence:
         # last good state precedes the step whose stages saw the blow-up
         assert 0.4 <= err.value.last_state.t <= 0.5
 
+    @pytest.mark.parametrize("mode,message", [
+        ("fixed", r"negative concentration u4 = -0\.0125 at node \(0,\) at t=0\.5125"),
+        ("rkc", r"negative concentration u4 = -0\.05 at node \(0,\) at t=0\.55"),
+        # adaptive stepping rejects the negative steps and halves the step
+        # until it underflows
+        ("adaptive", r"step size underflow at t=0\.5\b"),
+    ])
+    def test_negative_state_stops_the_run(self, mode, message):
+        # a sink drains the gypsum field through zero at t = 0.5
+        g = GridSpec(1.0, 1.0, 4, 4)
+        drain = SourceTerms(
+            f1=lambda t: np.zeros(5),
+            f2=lambda t: np.zeros((5, 5)),
+            f3=lambda t: np.zeros((5, 5)),
+            f4=lambda t: np.full(5, -1.0),
+        )
+        st = zero_state(g)
+        st.u4[:] = 0.5
+        ts = TimeSpec(t_end=1.0, mode=mode, dt=0.05 if mode == "rkc" else None)
+        with pytest.raises(DivergedError, match=message) as err:
+            integrate(st, params(), g, ts, sources=drain)
+        last = err.value.last_state
+        assert last.t == pytest.approx(0.5, abs=1e-7)
+        assert last.u4.min() >= -POSITIVITY_SLACK
+
+    def test_negative_gas_counts_the_inlet_value(self):
+        # the gas field is stored shifted by u1_d = 0.5: a sink of rate 1
+        # empties the physical field at t = 0.5, not at once
+        g = GridSpec(1.0, 1.0, 4, 4)
+        drain = SourceTerms(
+            f1=lambda t: np.full(5, -1.0),
+            f2=lambda t: np.zeros((5, 5)),
+            f3=lambda t: np.zeros((5, 5)),
+            f4=lambda t: np.zeros(5),
+        )
+        with pytest.raises(DivergedError, match=r"negative concentration u1 = "
+                           r"-0\.0125 at node \(3,\) at t=0\.5125"):
+            integrate(zero_state(g), params(d1=1e-6, u1_d=0.5), g,
+                      TimeSpec(t_end=1.0), sources=drain)
+
     def test_adaptive_underflow(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         bomb = SourceTerms(
             f1=lambda t: np.full(5, np.nan),
             f2=lambda t: np.zeros((5, 5)),
@@ -277,7 +323,8 @@ class TestDivergence:
 
     def test_diverging_run_raises_without_numpy_warnings(self):
         # fig1 with a stiff exchange term, stepped by RK4 at the diffusion
-        # limit, overflows; the step check reports it, numpy stays silent
+        # limit, oscillates into negative values and then overflows; the step
+        # check reports it, numpy stays silent
         import warnings
 
         from corrosim.config import config_from_sections
@@ -290,27 +337,9 @@ class TestDivergence:
         state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DivergedError, match="non-finite state"):
+            with pytest.raises(DivergedError,
+                               match="non-finite state|negative concentration"):
                 integrate(state0, cfg.params, cfg.grid, cfg.time)
-
-
-class TestTrajectorySampling:
-    def test_linear_interpolation_between_snapshots(self):
-        g = make_grid(1.0, 1.0, 4, 4)
-        p = params(k=1.0)
-        st = zero_state(g)
-        st.u3[:] = 1.0
-        traj = integrate(st, p, g,
-                         TimeSpec(t_end=2.0, snapshot_times=(0.0, 2.0)),
-                         include_diffusion=False)
-        mid = traj.sample(1.0)
-        assert np.allclose(mid.u4, 1.0, rtol=1e-12)
-
-    def test_out_of_range_rejected(self):
-        traj = Trajectory(snapshots=[State(0.0, np.zeros(2), np.zeros((2, 2)),
-                                           np.zeros((2, 2)), np.zeros(2))])
-        with pytest.raises(ValueError):
-            traj.sample(1.0)
 
 
 def random_state(grid, seed):
@@ -339,7 +368,7 @@ class TestTableauLoop:
     def test_fixed_step_is_textbook_rk4(self):
         from corrosim.model import rhs
 
-        g = make_grid(1.0, 1.0, 8, 6)
+        g = GridSpec(1.0, 1.0, 8, 6)
         p = params(**self.P)
         st = random_state(g, 3)
         h = stability_dt(p, g)
@@ -367,7 +396,7 @@ class TestTableauLoop:
         ("rkc", tuple(_rkc_tableau(5)[0])),
     ])
     def test_sources_see_stage_times(self, mode, nodes):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         p = params()
         st = zero_state(g)
         st.t = 0.25
@@ -388,7 +417,7 @@ class TestTableauLoop:
         import corrosim.integrator as integrator
         from corrosim.model import Tendency, rhs
 
-        g = make_grid(1.0, 1.0, 6, 4)
+        g = GridSpec(1.0, 1.0, 6, 4)
         p = params(**self.P)
         ts = TimeSpec(t_end=0.2, mode=mode, dt=0.05 if mode == "rkc" else None)
         plain = integrate(random_state(g, 5), p, g, ts).snapshots[-1]

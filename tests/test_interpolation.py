@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corrosim.grids import GridSpec, ip_macro, make_grid
+from corrosim.grids import GridSpec, ip_macro
 from corrosim.interpolation import (
     dual_cell_bounds,
     extension_product_residuals,
@@ -18,7 +18,7 @@ from corrosim.interpolation import (
 
 class TestDualCells:
     def test_measures_match_weights(self):
-        g = make_grid(2.0, 1.5, 5, 4)
+        g = GridSpec(2.0, 1.5, 5, 4)
         bx = dual_cell_bounds(g, "x")
         measures = bx[:, 1] - bx[:, 0]
         expected = np.full(6, g.h_x)
@@ -27,7 +27,7 @@ class TestDualCells:
         assert np.sum(measures) == pytest.approx(g.length, rel=1e-15)
 
     def test_cells_tile_domain(self):
-        g = make_grid(1.0, 1.0, 7, 3)
+        g = GridSpec(1.0, 1.0, 7, 3)
         by = dual_cell_bounds(g, "y")
         assert by[0, 0] == 0.0 and by[-1, 1] == g.cell_length
         assert np.allclose(by[1:, 0], by[:-1, 1])
@@ -35,19 +35,19 @@ class TestDualCells:
 
 class TestPwcEval:
     def test_nodes_take_nodal_values(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         rng = np.random.default_rng(0)
         u = rng.normal(size=5)
         assert np.allclose(pwc_eval_macro(g, u, g.x_nodes()), u)
 
     def test_constant_everywhere(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         u = np.full(5, 2.2)
         x = np.random.default_rng(1).uniform(0, 1, 50)
         assert np.allclose(pwc_eval_macro(g, u, x), 2.2)
 
     def test_tie_goes_to_lower_index(self):
-        g = make_grid(1.0, 1.0, 4, 4)  # cell boundary at exactly 0.125
+        g = GridSpec(1.0, 1.0, 4, 4)  # cell boundary at exactly 0.125
         u = np.arange(5.0)
         assert pwc_eval_macro(g, u, np.array([0.125]))[0] == 0.0
         assert pwc_eval_macro(g, u, np.array([0.1250001]))[0] == 1.0
@@ -55,7 +55,7 @@ class TestPwcEval:
     def test_ties_are_measure_zero(self):
         # a Riemann sum through the evaluation map converges to the weighted
         # product no matter how boundary ties break
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         rng = np.random.default_rng(2)
         u = rng.normal(size=5)
         v = rng.normal(size=5)
@@ -64,26 +64,26 @@ class TestPwcEval:
         assert riemann == pytest.approx(ip_macro(g, u, v), abs=2e-4)
 
     def test_micro_outside_domain_rejected(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         with pytest.raises(ValueError):
             pwc_eval_micro(g, g.micro_field(), np.array([0.5]), np.array([1.5]))
 
 
 class TestPwlEval:
     def test_macro_affine_reproduction(self):
-        g = make_grid(2.0, 1.0, 5, 2)
+        g = GridSpec(2.0, 1.0, 5, 2)
         u = 0.7 + 1.3 * g.x_nodes()
         x = np.random.default_rng(3).uniform(0, 2, 100)
         assert np.allclose(pwl_eval_macro(g, u, x), 0.7 + 1.3 * x, rtol=1e-13)
 
     def test_macro_midpoint_average(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         u = np.array([0.0, 1.0, 3.0, 2.0, 5.0])
         mids = g.x_edges()
         assert np.allclose(pwl_eval_macro(g, u, mids), 0.5 * (u[:-1] + u[1:]))
 
     def test_micro_affine_reproduction(self):
-        g = make_grid(2.0, 1.5, 5, 4)
+        g = GridSpec(2.0, 1.5, 5, 4)
         X = g.x_nodes()[:, None]
         Y = g.y_nodes()[None, :]
         u = 1.0 + 2.0 * X + 3.0 * Y + 0.0 * X * Y
@@ -96,7 +96,7 @@ class TestPwlEval:
     def test_micro_matches_barycentric_oracle(self):
         # affine interpolation on each triangle, checked against barycentric
         # coordinates computed from the vertex geometry
-        g = make_grid(1.0, 1.0, 2, 2)
+        g = GridSpec(1.0, 1.0, 2, 2)
         rng = np.random.default_rng(5)
         u = rng.normal(size=(3, 3))
         for _ in range(100):
@@ -117,7 +117,7 @@ class TestPwlEval:
             assert got == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
     def test_micro_continuous_across_edges(self):
-        g = make_grid(1.0, 1.0, 5, 5)
+        g = GridSpec(1.0, 1.0, 5, 5)
         rng = np.random.default_rng(6)
         u = rng.normal(size=(6, 6))
         # points on shared rectangle edges and on the anti-diagonals
@@ -131,7 +131,7 @@ class TestPwlEval:
             assert left == pytest.approx(right, abs=1e-7)
 
     def test_nodes_exact(self):
-        g = make_grid(1.0, 1.0, 5, 4)
+        g = GridSpec(1.0, 1.0, 5, 4)
         rng = np.random.default_rng(7)
         u = rng.normal(size=(6, 5))
         X, Y = np.meshgrid(g.x_nodes(), g.y_nodes(), indexing="ij")
@@ -141,7 +141,7 @@ class TestPwlEval:
 
 class TestExtensionProducts:
     def test_constant_fields(self):
-        g = make_grid(2.0, 1.5, 4, 4)
+        g = GridSpec(2.0, 1.5, 4, 4)
         ones_g = np.ones(5)
         ones_f = np.ones((5, 5))
         pairs = extension_products(g, ones_g, ones_g, ones_f, ones_f)
@@ -151,7 +151,7 @@ class TestExtensionProducts:
         assert pairs["micro_gradients"] == (0.0, 0.0)
 
     def test_affine_gradient_products_exact(self):
-        g = make_grid(1.0, 1.0, 6, 6)
+        g = GridSpec(1.0, 1.0, 6, 6)
         u = 2.0 * g.x_nodes()
         v = -0.5 * g.x_nodes() + 1.0
         pairs = extension_products(g, u, v, np.ones((7, 7)), np.ones((7, 7)))
@@ -162,7 +162,7 @@ class TestExtensionProducts:
     @pytest.mark.parametrize("n", [4, 8, 16, 64])
     def test_random_fields_all_identities(self, n):
         rng = np.random.default_rng(100 + n)
-        g = make_grid(1.3, 0.7, n, n)
+        g = GridSpec(1.3, 0.7, n, n)
         for _ in range(5):
             res = extension_product_residuals(
                 g,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corrosim.grids import ip_micro, make_grid
+from corrosim.grids import GridSpec, ip_micro
 from corrosim.model import (
     AssumptionError,
     InitialData,
@@ -94,7 +94,7 @@ class TestKernels:
 
 class TestGhostValues:
     def test_zero_state_mirrors(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         st = zero_state(g)
         st.u2 = np.arange(25.0).reshape(5, 5)
         st.u3 = np.arange(25.0).reshape(5, 5) * 0.5
@@ -106,7 +106,7 @@ class TestGhostValues:
 
     def test_henry_term(self):
         # u2 = 0, u1 = 1, H = 1, bi_m = 1, d2 = 1, h_y = 0.1 -> bottom ghost 0.2
-        g = make_grid(1.0, 0.4, 4, 4)
+        g = GridSpec(1.0, 0.4, 4, 4)
         st = zero_state(g)
         st.u1 = np.ones(5)
         gh = ghost_values(st, params(), g)
@@ -114,7 +114,7 @@ class TestGhostValues:
 
     def test_surface_term(self):
         # eta = r with k=1, identity kernel, constant q; d3 = 2, h_y = 0.1
-        g = make_grid(1.0, 0.4, 4, 4)
+        g = GridSpec(1.0, 0.4, 4, 4)
         st = zero_state(g)
         r = 0.8
         st.u3[:, -1] = r
@@ -124,7 +124,7 @@ class TestGhostValues:
 
 class TestRhs:
     def test_zero_state_is_stationary(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         t = rhs(zero_state(g), params(), g)
         assert np.all(t.u1 == 0.0) and np.all(t.u2 == 0.0)
         assert np.all(t.u3 == 0.0) and np.all(t.u4 == 0.0)
@@ -134,7 +134,7 @@ class TestRhs:
         # dissolved-gas row at y = 0 moves, at rate -2*bi_m*c/h_y
         c = 0.5
         bi_m = 1.0
-        g = make_grid(1.0, 0.2, 2, 2)  # h_y = 0.1
+        g = GridSpec(1.0, 0.2, 2, 2)  # h_y = 0.1
         p = params(bi_m=bi_m, k=0.0, alpha=0.3, beta=0.3)
         st = zero_state(g)
         st.u2[:] = c
@@ -147,16 +147,15 @@ class TestRhs:
         assert np.allclose(t.u2[:, 1:], 0.0)
         assert np.allclose(t.u3, 0.0)
 
-    def test_gypsum_rate_is_surface_kernel(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+    def test_gypsum_rate_is_surface_kernel(self, no_diffusion):
+        g = GridSpec(1.0, 1.0, 4, 4)
         st = zero_state(g)
         st.u3[:, -1] = 1.0
-        t = rhs(st, params(bi_m=0.0, alpha=0.0, beta=0.0),
-                g, include_diffusion=False)
+        t = rhs(st, params(bi_m=0.0, alpha=0.0, beta=0.0), g)
         assert np.allclose(t.u4, 1.0)
 
     def test_pinned_node_keeps_zero_tendency(self):
-        g = make_grid(1.0, 1.0, 6, 4)
+        g = GridSpec(1.0, 1.0, 6, 4)
         rng = np.random.default_rng(1)
         st = zero_state(g)
         st.u1 = rng.uniform(size=7)
@@ -167,19 +166,18 @@ class TestRhs:
         t = rhs(st, params(u1_d=0.3), g)
         assert t.u1[0] == 0.0
 
-    def test_exchange_cancels_pointwise(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+    def test_exchange_cancels_pointwise(self, no_diffusion):
+        g = GridSpec(1.0, 1.0, 4, 4)
         rng = np.random.default_rng(2)
         st = zero_state(g)
         st.u2 = rng.uniform(size=(5, 5))
         st.u3 = rng.uniform(size=(5, 5))
-        t = rhs(st, params(bi_m=0.0, k=0.0, alpha=0.4, beta=0.2),
-                g, include_diffusion=False)
+        t = rhs(st, params(bi_m=0.0, k=0.0, alpha=0.4, beta=0.2), g)
         assert np.allclose(t.u2 + t.u3, 0.0)
 
     def test_micro_mass_flat_without_coupling(self):
         # decoupled cells with reflecting closures conserve each micro mass
-        g = make_grid(1.0, 1.0, 5, 6)
+        g = GridSpec(1.0, 1.0, 5, 6)
         rng = np.random.default_rng(3)
         st = zero_state(g)
         st.u2 = rng.uniform(size=(6, 7))
@@ -192,7 +190,7 @@ class TestRhs:
     def test_quasi_positive_at_zero_boundary(self):
         # at u2 = 0 the dissolved-gas tendency is nonnegative when the other
         # fields are nonnegative, and symmetrically for the acid
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         rng = np.random.default_rng(4)
         st = zero_state(g)
         st.u3 = rng.uniform(size=(5, 5))
@@ -204,7 +202,7 @@ class TestRhs:
         assert np.all(t2.u3 >= 0.0)
 
     def test_sources_added(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         src = SourceTerms(
             f1=lambda t: np.full(5, 2.0),
             f2=lambda t: np.full((5, 5), 3.0),
@@ -219,7 +217,7 @@ class TestRhs:
 
 class TestProjection:
     def test_inlet_matching_data_shifts_to_zero(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         p = params(u1_d=0.7)
         st = project_initial(InitialData(
             u1=lambda x: np.full_like(x, 0.7),
@@ -231,7 +229,7 @@ class TestProjection:
         assert np.allclose(unshifted_u1(st, p), 0.7)
 
     def test_pointwise_sampling(self):
-        g = make_grid(1.0, 1.0, 2, 2)
+        g = GridSpec(1.0, 1.0, 2, 2)
         st = project_initial(InitialData(
             u1=lambda x: x,
             u2=lambda x, y: x * y,
@@ -244,7 +242,7 @@ class TestProjection:
         assert st.u1[0] == 0.0  # forced at the pinned node
 
     def test_negative_data_rejected(self):
-        g = make_grid(1.0, 1.0, 4, 4)
+        g = GridSpec(1.0, 1.0, 4, 4)
         bad = InitialData(
             u1=lambda x: 0.0 * x,
             u2=lambda x, y: 0.0 * x * y,
@@ -254,5 +252,3 @@ class TestProjection:
         with pytest.raises(AssumptionError) as err:
             project_initial(bad, params(), g)
         assert err.value.label == "A4"
-        st = project_initial(bad, params(), g, require_nonnegative=False)
-        assert st.u4[0] == -0.5

@@ -1,0 +1,52 @@
+"""Property: over a box of fig1 configurations, a run either stays finite and
+nonnegative at every snapshot, or stops with DivergedError whose last state
+is nonnegative.  It never returns finite garbage."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from corrosim.config import config_from_sections  # noqa: E402
+from corrosim.integrator import POSITIVITY_SLACK, DivergedError, integrate  # noqa: E402
+from corrosim.model import project_initial, unshifted_u1  # noqa: E402
+
+
+def lowest(state, params):
+    return min(float(unshifted_u1(state, params).min()), float(state.u2.min()),
+               float(state.u3.min()), float(state.u4.min()))
+
+
+# Bounded so that dt times the spectral radius bound, and with it the rkc
+# stage count, stays small: at most about 140 stages at 16^2 with bi_m = 50.
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(
+    n=st.sampled_from([4, 8, 16]),
+    bi_m=st.floats(0.0, 50.0),
+    k=st.floats(0.0, 2.0),
+    alpha=st.floats(0.0, 1.0),
+    beta=st.floats(0.0, 1.0),
+    mode=st.sampled_from(["fixed", "adaptive", "rkc"]),
+    dt=st.floats(0.05, 4.0),
+    t_end=st.floats(0.2, 4.0),
+)
+def test_run_is_nonnegative_or_raises(n, bi_m, k, alpha, beta, mode, dt, t_end):
+    time = {"t_end": repr(t_end), "mode": mode}
+    if mode == "rkc":
+        time["dt"] = repr(dt)
+    cfg = config_from_sections({
+        "run": {"scenario": "fig1"},
+        "grid": {"nx": str(n), "ny": str(n)},
+        "params": {"bi_m": repr(bi_m), "k": repr(k),
+                   "alpha": repr(alpha), "beta": repr(beta)},
+        "time": time})
+    state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
+    try:
+        states = integrate(state0, cfg.params, cfg.grid, cfg.time).snapshots
+    except DivergedError as err:
+        states = [err.last_state]
+    for s in states:
+        assert all(np.isfinite(u).all() for u in (s.u1, s.u2, s.u3, s.u4))
+        assert lowest(s, cfg.params) >= -POSITIVITY_SLACK

@@ -5,7 +5,7 @@ pieces: `ghost_values` closing `laplace_macro`/`laplace_micro`, plus
 import numpy as np
 import pytest
 
-from corrosim.grids import make_grid
+from corrosim.grids import GridSpec
 from corrosim.model import (
     ModelParams,
     SourceTerms,
@@ -82,21 +82,23 @@ def assert_close(got, want):
 @pytest.mark.parametrize("include_diffusion", [True, False],
                          ids=["diffusion", "reactions"])
 @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
-def test_matches_reference(n_x, n_y, sampled, include_diffusion, forced):
-    g = make_grid(1.0, 0.5, n_x, n_y)
+def test_matches_reference(n_x, n_y, sampled, include_diffusion, forced, request):
+    if not include_diffusion:
+        request.getfixturevalue("no_diffusion")
+    g = GridSpec(1.0, 0.5, n_x, n_y)
     rng = np.random.default_rng(n_x * 100 + n_y)
     p = make_params(g, rng, sampled)
     src = make_sources(g, rng) if forced else None
     for _ in range(3):
         st = random_state(g, rng)
-        assert_close(rhs(st, p, g, sources=src, include_diffusion=include_diffusion),
+        assert_close(rhs(st, p, g, sources=src),
                      reference_rhs(st, p, g, sources=src,
                                    include_diffusion=include_diffusion))
 
 
 @pytest.mark.parametrize("n_x,n_y", GRIDS)
 def test_out_filled_in_place(n_x, n_y):
-    g = make_grid(1.0, 0.5, n_x, n_y)
+    g = GridSpec(1.0, 0.5, n_x, n_y)
     rng = np.random.default_rng(7)
     p = make_params(g, rng, sampled=False)
     st = random_state(g, rng)

@@ -10,7 +10,7 @@ import pytest
 
 from corrosim.config import config_from_sections, scenario_config
 from corrosim.diagnostics import energy_record
-from corrosim.grids import GridSpec, ip_micro, make_grid, norm_macro, norm_micro
+from corrosim.grids import GridSpec, ip_micro, norm_macro, norm_micro
 from corrosim.integrator import (
     TimeSpec,
     _rkc_stages,
@@ -65,7 +65,7 @@ class TestTableau:
             assert s >= 2 and 0.65 * (s * s - 1) >= dt_rho
 
     def test_spectral_radius_bound_rows(self):
-        g = make_grid(1.0, 1.0, 32, 32)
+        g = GridSpec(1.0, 1.0, 32, 32)
         p = scenario_config("fig1").params
         gas = 4 * p.d2 * 32**2 + 2 * p.bi_m * (1 + p.henry) * 32 + p.alpha + p.beta
         assert spectral_radius_bound(p, g) == pytest.approx(gas, rel=1e-14)
@@ -73,7 +73,7 @@ class TestTableau:
         stiff = ModelParams(d1=1e-3, d2=1e-3, d3=1e-3, bi_m=0.0, henry=1.0,
                             u1_d=1.0, k=5.0, alpha=0.0, beta=0.0,
                             q_kind="linear_cutoff", m3=10.0, m4=0.5)
-        coarse = make_grid(1.0, 1.0, 2, 2)
+        coarse = GridSpec(1.0, 1.0, 2, 2)
         # the gypsum row, k c_bar (1 + m3/m4), binds on a coarse grid
         assert spectral_radius_bound(stiff, coarse) == pytest.approx(5.0 * 21.0)
 
@@ -94,7 +94,7 @@ class TestTemporalOrder:
         # data carry no transient and the error is the stepper's alone;
         # the step pairs keep the stage count, and with it the error
         # constant, fixed
-        g = make_grid(1.0, 1.0, 16, 2)
+        g = GridSpec(1.0, 1.0, 16, 2)
         p = ModelParams(d1=0.1, d2=0.1, d3=0.1, bi_m=0.0, henry=1.0, u1_d=0.0,
                         k=0.0, alpha=0.0, beta=0.0)
         lam = p.d1 * 4.0 / g.h_x**2 * np.sin(0.25 * np.pi * g.h_x) ** 2
