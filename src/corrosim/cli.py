@@ -103,6 +103,7 @@ def cmd_run(args) -> int:
               f"steps_accepted {stats.accepted}",
               f"steps_rejected {stats.rejected}",
               f"rhs_evaluations {stats.rhs_evals}",
+              f"method {stats.method}",
               f"stages_per_step {stats.stages}",
               f"last_dt {_fmt(stats.last_dt)}",
               f"snapshots {len(traj.snapshots)}"]

@@ -3,8 +3,8 @@ the config hash echoed into every output file.
 
 A config file has the sections [run], [grid], [params], [time] and the
 optional [output].  The scenario named under [run] supplies defaults for
-everything else; its default step dt applies only together with its default
-stepping mode.  A minimal file is
+everything else; a file that sets the stepping mode without a step dt
+drops the scenario's default dt.  A minimal file is
 
     [run]
     scenario = fig1
@@ -93,7 +93,7 @@ SCENARIOS = {
                            henry=1.0, u1_d=1.0, k=0.1, alpha=0.3, beta=0.01,
                            c_bar=1.0, r_kind="identity",
                            q_kind="linear_cutoff", m3=10.0, m4=0.5),
-            "time": dict(t_end=400.0, mode="rkc", dt=0.2,
+            "time": dict(t_end=400.0, mode="fixed", dt=0.2,
                          snapshots="0 80 160 240 320 400"),
             "output": dict(micro_slice_x=0.5),
         },
@@ -219,11 +219,10 @@ def config_from_sections(sections: dict[str, dict[str, str]],
     _require(sections.get("time", {}), "t_end", "time")
     defaults, make_initial = SCENARIOS[scenario]
     merged = _merge(defaults, sections)
-    # a scenario's default step belongs to its default mode: a file choosing
-    # another mode without a step of its own gets that mode's default step
+    # a file that picks the mode without a step of its own drops the
+    # scenario's step: fixed mode then runs RK4 at its reach, adaptive takes none
     file_time = sections.get("time", {})
-    if "dt" not in file_time and "mode" in file_time \
-            and file_time["mode"] != defaults["time"].get("mode", "fixed"):
+    if "mode" in file_time and "dt" not in file_time:
         merged["time"].pop("dt", None)
     merged["run"].setdefault("seed", "0")
     merged["run"]["scenario"] = scenario

@@ -1,22 +1,21 @@
 """Method-of-lines time stepping for the semi-discrete system.
 
-Three explicit modes:
+Two explicit modes:
 
-* fixed     classical fourth-order Runge-Kutta with a fixed step bounded by
-            the diffusion stability limit; the reference mode,
-* adaptive  the embedded Fehlberg 4(5) pair with proportional-integral step
-            control,
-* rkc       the damped second-order Runge-Kutta-Chebyshev method
-            (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998)
-            with a fixed step dt.  Its stability interval grows with the
-            square of the stage count s, so the step is not tied to h_y^2:
+* fixed     a fixed step dt, RK4's reach `stability_dt` when none is given.
+            Up to that reach it runs classical fourth-order Runge-Kutta, the
+            reference; beyond it the damped second-order Runge-Kutta-Chebyshev
+            method (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88,
+            1998), whose stability interval grows with the square of the
+            stage count s, so the step is not tied to h_y^2:
             s = max(2, 1 + floor(sqrt(1 + 1.54 dt rho))) with rho the
             Gershgorin bound of `spectral_radius_bound`, chosen once per
             integration.  The damping (eps = 2/13) shrinks stiff modes by
             a factor of only about 0.95 per step, so rough data, or data
             off the Robin closure, converges slowly in time; smooth,
-            transient-free data sees second order.  RK4 stays the
-            reference.
+            transient-free data sees second order.
+* adaptive  the embedded Fehlberg 4(5) pair with proportional-integral step
+            control, starting from RK4's reach.
 
 One stage loop runs any of the Butcher tableaux over the flat state vector:
 `rhs` fills the rows of one preallocated stage matrix in place, and every
@@ -27,7 +26,7 @@ stored snapshots are states of the integrated trajectory, not interpolants.
 The pinned gas node at x = 0 carries zero tendency, and the integrator
 re-asserts the pin after every accepted step.  A step is admissible only
 if every concentration (the gas field with its inlet value added back)
-stays finite and above -POSITIVITY_SLACK: fixed and rkc stepping raise
+stays finite and above -POSITIVITY_SLACK: fixed stepping raises
 DivergedError on the first step that is not, adaptive stepping rejects it
 and halves the step.
 """
@@ -64,8 +63,8 @@ class TimeSpec:
     """Integration horizon, stepping mode and snapshot schedule."""
 
     t_end: float
-    mode: str = "fixed"                 # "fixed" | "adaptive" | "rkc"
-    dt: float | None = None             # fixed: None picks the stability limit; rkc: required
+    mode: str = "fixed"                 # "fixed" | "adaptive"
+    dt: float | None = None             # fixed: None picks RK4's reach
     rtol: float = 1e-6
     atol: float = 1e-9
     snapshot_times: tuple[float, ...] | None = None
@@ -73,13 +72,10 @@ class TimeSpec:
     def __post_init__(self):
         if not (np.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.mode not in ("fixed", "adaptive", "rkc"):
-            raise ValueError(
-                f"mode must be 'fixed', 'adaptive' or 'rkc', got {self.mode!r}")
+        if self.mode not in ("fixed", "adaptive"):
+            raise ValueError(f"mode must be 'fixed' or 'adaptive', got {self.mode!r}")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.mode == "rkc" and self.dt is None:
-            raise ValueError("rkc mode needs a step dt")
         if self.mode == "adaptive" and self.dt is not None:
             raise ValueError("adaptive mode chooses its own steps and takes no dt")
         if self.mode == "adaptive" and not (self.rtol > 0.0 and self.atol > 0.0):
@@ -105,6 +101,7 @@ class StepStats:
     rhs_evals: int = 0
     last_dt: float = 0.0
     stages: int = 0          # rhs evaluations per step attempt
+    method: str = ""         # "rk4" | "rkc" | "fehlberg45"
 
 
 @dataclass
@@ -117,13 +114,14 @@ class Trajectory:
 
 
 def stability_dt(params: ModelParams, grid: GridSpec) -> float:
-    """Safe explicit step for the diffusion stencils.
-
-    SAFETY * min(h_x^2 / (2 d1), h_y^2 / (2 max(d2, d3))).
+    """RK4's reach, the largest fixed step RK4 takes:
+    min(SAFETY * min(h_x^2 / (2 d1), h_y^2 / (2 max(d2, d3))), 2 / rho),
+    with rho from `spectral_radius_bound`; RK4 is stable on the disc
+    |z + 1| <= 1, which holds dt * rho <= 2.
     """
     macro = grid.h_x**2 / (2.0 * params.d1)
     micro = grid.h_y**2 / (2.0 * max(params.d2, params.d3))
-    return SAFETY * min(macro, micro)
+    return min(SAFETY * min(macro, micro), 2.0 / spectral_radius_bound(params, grid))
 
 
 def spectral_radius_bound(params: ModelParams, grid: GridSpec) -> float:
@@ -155,14 +153,18 @@ def _rkc_stages(dt: float, rho: float) -> int:
     return max(2, 1 + int(np.sqrt(1.0 + 1.54 * dt * rho)))
 
 
-def _lowest(state: State, params: ModelParams) -> str:
-    """The most negative concentration of a state: field, node and value."""
+def _inadmissible(state: State, params: ModelParams) -> str:
+    """Why a state fails the step check, with field and node: its first
+    non-finite concentration, else its most negative one."""
     fields = {"u1": unshifted_u1(state, params), "u2": state.u2,
               "u3": state.u3, "u4": state.u4}
-    name = min(fields, key=lambda f: fields[f].min())
+    ranked = {f: np.where(np.isfinite(u), u, -np.inf) for f, u in fields.items()}
+    name = min(ranked, key=lambda f: ranked[f].min())
     u = fields[name]
-    node = tuple(int(i) for i in np.unravel_index(np.argmin(u), u.shape))
-    return f"{name} = {u[node]:.6g} at node {node}"
+    at = tuple(int(i) for i in np.unravel_index(np.argmin(ranked[name]), u.shape))
+    if np.isfinite(u[at]):
+        return f"negative concentration {name} = {u[at]:.6g} at node {at}"
+    return f"non-finite state {name} at node {at}"
 
 
 def _pack(state: State) -> np.ndarray:
@@ -237,31 +239,26 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
               timespec: TimeSpec, sources: SourceTerms | None = None) -> Trajectory:
     """Advance the state to t_end, storing snapshots at the requested times.
 
-    Fixed mode runs the RK4 tableau, adaptive mode the Fehlberg pair and rkc
-    mode the RKC tableau whose stage count covers dt times the spectral
-    radius bound, all through one stage loop.  In fixed mode a supplied dt
-    must respect the stability limit.  Raises DivergedError (carrying the
-    last good state) on non-finite values, on a concentration below
-    -POSITIVITY_SLACK (adaptive mode rejects such steps instead) or on
+    Fixed mode runs the RK4 tableau up to RK4's reach (`stability_dt`, also
+    the step when dt is None) and the RKC tableau whose stage count covers
+    dt times the spectral radius bound beyond it; adaptive mode runs the
+    Fehlberg pair; all through one stage loop.  Raises DivergedError
+    (carrying the last good state) on non-finite values, on a concentration
+    below -POSITIVITY_SLACK (adaptive mode rejects such steps instead) or on
     step-size underflow.
     """
     state0.validate(grid)
     adaptive = timespec.mode == "adaptive"
-    if timespec.mode == "rkc":
-        h_base = float(timespec.dt)
-        c, a, b, e = _rkc_tableau(
-            _rkc_stages(h_base, spectral_radius_bound(params, grid)))
-    elif adaptive:
-        h_base = stability_dt(params, grid)  # conservative start, the controller grows it
-        c, a, b, e = _FEHLBERG45
+    reach = stability_dt(params, grid)
+    h_base = reach if timespec.dt is None else float(timespec.dt)
+    if adaptive:  # a conservative start, the controller grows it
+        method, (c, a, b, e) = "fehlberg45", _FEHLBERG45
+    elif h_base <= reach:
+        method, (c, a, b, e) = "rk4", _RK4
     else:
-        limit = stability_dt(params, grid)
-        h_base = limit if timespec.dt is None else float(timespec.dt)
-        if h_base > limit * (1.0 + 1e-9):
-            raise ValueError(
-                f"fixed dt={h_base:g} exceeds the stability limit {limit:g}")
-        c, a, b, e = _RK4
-    stats = StepStats(stages=c.size)
+        method = "rkc"
+        c, a, b, e = _rkc_tableau(_rkc_stages(h_base, spectral_radius_bound(params, grid)))
+    stats = StepStats(stages=c.size, method=method)
 
     t = float(state0.t)
     y = _pack(state0)
@@ -310,14 +307,12 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                         getattr(k_view, name)[...] = getattr(tend, name)
             np.dot(h * b, K, out=y_new)
             y_new += y
-            finite = bool(np.isfinite(y_new).all())
-            admissible = finite and min(
+            admissible = bool(np.isfinite(y_new).all()) and min(
                 float(y_new[:n_macro].min()) + params.u1_d,
                 float(y_new[n_macro:].min())) >= -POSITIVITY_SLACK
             err = 0.0
             if not adaptive and not admissible:
-                reason = "non-finite state" if not finite else \
-                    f"negative concentration {_lowest(_unpack(t + h, y_new, grid), params)}"
+                reason = _inadmissible(_unpack(t + h, y_new, grid), params)
                 raise DivergedError(f"{reason} at t={t + h:g}", _unpack(t, y.copy(), grid))
             if adaptive and admissible:
                 np.dot(h * e, K, out=y_err)

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from corrosim import cli
 from corrosim.config import ConfigError, load_config, scenario_config
 from corrosim.verify import suite_green_micro
+
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
 
 
 def write_config(path, scenario="fig1", t_end=100.0,
@@ -57,21 +61,32 @@ class TestConfig:
             load_config(str(p))
 
     def test_default_step_follows_default_mode(self, tmp_path):
+        # the scenario's default dt holds only while the file leaves the
+        # mode alone; a file that sets the mode without a dt drops it
         assert (scenario_config("fig1").time.mode, scenario_config("fig1").time.dt) \
-            == ("rkc", 0.2)
+            == ("fixed", 0.2)
         fixed = scenario_config("fig1", mode="fixed")
         assert fixed.time.dt is None and "dt" not in fixed.resolved["time"]
         assert scenario_config("fig1", mode="fixed", dt=0.1).time.dt == 0.1
-        assert scenario_config("fig1", mode="rkc").time.dt == 0.2
+        adaptive = scenario_config("fig1", mode="adaptive")
+        assert adaptive.time.dt is None and "dt" not in adaptive.resolved["time"]
         p = tmp_path / "c.ini"
         p.write_text("[run]\nscenario = fig1\n\n[time]\nt_end = 1\nmode = fixed\n")
-        assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 0
+        assert "method rk4" in (out / "summary.txt").read_text().splitlines()
 
-    def test_rkc_without_a_step_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("extra", ["", "dt = 0.2\n"], ids=["no-dt", "with-dt"])
+    def test_rkc_mode_exits_2(self, tmp_path, capsys, extra):
         p = tmp_path / "c.ini"
-        p.write_text("[run]\nscenario = zero\n\n[time]\nt_end = 1\nmode = rkc\n")
+        p.write_text(f"[run]\nscenario = zero\n\n[time]\nt_end = 1\nmode = rkc\n{extra}")
         assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-        assert "rkc mode needs a step dt" in capsys.readouterr().err
+        assert "mode must be 'fixed' or 'adaptive', got 'rkc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        cfg = load_config(str(path))
+        assert cfg.scenario == path.stem and cfg.time.mode == "fixed"
 
     @pytest.mark.parametrize("key,config", [
         ("time.t_end", dict(t_end="fast")),
@@ -129,9 +144,10 @@ class TestRunCommand:
                      "energy.csv", "summary.txt"):
             assert (out / name).exists(), name
         summary = (out / "summary.txt").read_text().splitlines()
-        # fig1 at 16^2 with rkc steps of 0.2: 3 stages, 500 steps to t = 100
-        assert "stages_per_step 3" in summary and "steps_accepted 500" in summary
-        assert "rhs_evaluations 1500" in summary
+        # fig1 at 16^2 with steps of 0.2, beyond RK4's reach (0.133): rkc
+        # with 3 stages, 500 steps to t = 100
+        assert "method rkc" in summary and "stages_per_step 3" in summary
+        assert "steps_accepted 500" in summary and "rhs_evaluations 1500" in summary
         header, rows = read_csv(out / "macro_profiles.csv")
         assert header == ["t", "x", "u1", "u4"]
         by_x: dict[str, list[float]] = {}
@@ -182,9 +198,9 @@ class TestRunCommand:
         assert not (out / "macro_profiles.csv").exists()
 
     @pytest.mark.parametrize("extra", [
-        # RK4 at its diffusion limit against a stiff exchange term: the
-        # state oscillates negative, later overflows
-        "mode = fixed\n\n[params]\nbi_m = 50\n",
+        # fixed steps of 20 against a stiff exchange term: rkc with 315
+        # stages is stable there, but undershoots in the acid field
+        "mode = fixed\ndt = 20\n\n[params]\nbi_m = 50\n",
         # rkc far beyond its accuracy range: undershoots in the acid field
         "dt = 20\n",
     ], ids=["fixed-stiff-exchange", "rkc-large-dt"])
@@ -198,6 +214,22 @@ class TestRunCommand:
         _, rows = read_csv(out / "diverged_state.csv")
         assert min(float(v) for row in rows for v in row[2:]) >= 0.0
         assert not (out / "macro_profiles.csv").exists()
+
+
+    @pytest.mark.parametrize("bi_m", [0.3, 0.5, 1.0, 2.0])
+    def test_coarse_stiff_exchange_finishes_under_rk4(self, tmp_path, bi_m):
+        # at 8^2 the exchange row of the Gershgorin bound, not diffusion,
+        # limits RK4's step; with the diffusion limit alone these runs go
+        # negative at t = 0.625
+        cfg = write_config(tmp_path / "f.ini", t_end=2.0, snapshots="0 1 2",
+                           extra=f"mode = fixed\n\n[grid]\nnx = 8\nny = 8\n\n"
+                                 f"[params]\nbi_m = {bi_m}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert "method rk4" in (out / "summary.txt").read_text().splitlines()
+        for name in ("macro_profiles.csv", "micro_slice_0.5.csv"):
+            _, rows = read_csv(out / name)
+            assert min(float(v) for row in rows for v in row[2:]) >= 0.0
 
 
 class TestMmsCommand:

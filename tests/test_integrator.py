@@ -6,8 +6,10 @@ from corrosim.integrator import (
     POSITIVITY_SLACK,
     DivergedError,
     TimeSpec,
+    _rkc_stages,
     _rkc_tableau,
     integrate,
+    spectral_radius_bound,
     stability_dt,
 )
 from corrosim.model import ModelParams, SourceTerms, State
@@ -26,6 +28,18 @@ def zero_state(grid):
                  grid.micro_field(), grid.macro_field())
 
 
+# stepper cases by label: "fixed" is RK4 within its reach, "adaptive" the
+# Fehlberg pair, "rkc" fixed steps beyond RK4's reach
+METHOD = {"fixed": "rk4", "adaptive": "fehlberg45", "rkc": "rkc"}
+
+
+def case_timespec(case, t_end, rkc_dt, **kwargs):
+    """The TimeSpec of a stepper case; rkc_dt must lie beyond RK4's reach."""
+    if case == "adaptive":
+        return TimeSpec(t_end=t_end, mode="adaptive", **kwargs)
+    return TimeSpec(t_end=t_end, dt=rkc_dt if case == "rkc" else None, **kwargs)
+
+
 class TestTimeSpec:
     def test_defaults(self):
         ts = TimeSpec(t_end=2.0)
@@ -39,10 +53,11 @@ class TestTimeSpec:
         with pytest.raises(ValueError):
             TimeSpec(t_end=1.0, mode="implicit")
 
-    def test_rkc_needs_a_step(self):
-        with pytest.raises(ValueError, match="rkc"):
-            TimeSpec(t_end=1.0, mode="rkc")
-        assert TimeSpec(t_end=1.0, mode="rkc", dt=0.1).dt == 0.1
+    def test_rkc_is_no_mode(self):
+        # RKC runs as the fixed mode's method beyond RK4's reach
+        for dt in (None, 0.1):
+            with pytest.raises(ValueError, match="'fixed' or 'adaptive'"):
+                TimeSpec(t_end=1.0, mode="rkc", dt=dt)
 
     def test_snapshots_outside_range(self):
         with pytest.raises(ValueError):
@@ -76,6 +91,42 @@ class TestStabilityLimit:
         fine = g.refine(2)
         assert stability_dt(params(), fine) == pytest.approx(
             stability_dt(params(), g) / 4.0)
+
+    def test_exchange_binds(self):
+        # a stiff Robin exchange: the gas row of the Gershgorin bound,
+        # 4 d2/h_y^2 + 2 bi_m (1 + H)/h_y = 400 + 4000, binds, not diffusion
+        g = GridSpec(1.0, 1.0, 10, 10)
+        p = params(bi_m=100.0)
+        assert spectral_radius_bound(p, g) == pytest.approx(4400.0)
+        assert stability_dt(p, g) == pytest.approx(2.0 / 4400.0)
+        assert stability_dt(p, g) < stability_dt(params(), g)
+
+
+class TestMethodSelection:
+    P = dict(d1=0.2, d2=0.3, d3=0.1, bi_m=0.4, u1_d=1.0, k=0.3,
+             alpha=0.3, beta=0.2)
+
+    @pytest.mark.parametrize("factor,method", [(1.0, "rk4"), (1.01, "rkc")])
+    def test_reach_is_the_boundary(self, factor, method):
+        g = GridSpec(1.0, 1.0, 8, 6)
+        p = params(**self.P)
+        dt = factor * stability_dt(p, g)
+        traj = integrate(random_state(g, 3), p, g, TimeSpec(t_end=3 * dt, dt=dt))
+        stages = 4 if method == "rk4" else _rkc_stages(dt, spectral_radius_bound(p, g))
+        assert traj.stats.method == method and traj.stats.stages == stages
+        assert traj.stats.accepted == 3 and traj.stats.rhs_evals == 3 * stages
+
+    def test_no_step_is_rk4_at_its_reach(self):
+        g = GridSpec(1.0, 1.0, 8, 6)
+        p = params(**self.P)
+        traj = integrate(random_state(g, 3), p, g, TimeSpec(t_end=1.0))
+        assert traj.stats.method == "rk4"
+        assert traj.stats.accepted == int(np.ceil(1.0 / stability_dt(p, g)))
+
+    def test_adaptive_is_fehlberg(self):
+        g = GridSpec(1.0, 1.0, 4, 4)
+        traj = integrate(zero_state(g), params(), g, TimeSpec(t_end=0.1, mode="adaptive"))
+        assert (traj.stats.method, traj.stats.stages) == ("fehlberg45", 6)
 
 
 class TestFixedStep:
@@ -157,13 +208,16 @@ class TestFixedStep:
         want = expm(A * t_end) @ _pack(st)
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
-    def test_rejects_unstable_step(self):
+    def test_step_beyond_reach_runs_rkc(self):
+        # twice RK4's reach runs RKC, which keeps the decaying data bounded
         g = GridSpec(1.0, 1.0, 8, 8)
         p = params()
-        limit = stability_dt(p, g)
-        with pytest.raises(ValueError):
-            integrate(zero_state(g), p, g,
-                      TimeSpec(t_end=1.0, dt=2.0 * limit))
+        st = zero_state(g)
+        st.u2[:] = 1.0
+        traj = integrate(st, p, g, TimeSpec(t_end=1.0, dt=2.0 * stability_dt(p, g)))
+        assert traj.stats.method == "rkc"
+        final = traj.snapshots[-1]
+        assert np.all(np.isfinite(final.u2)) and final.u2.max() <= 1.0 + 1e-12
 
     def test_snapshots_are_deterministic(self):
         g = GridSpec(1.0, 1.0, 8, 4)
@@ -189,11 +243,15 @@ class TestSnapshotLanding:
     def test_no_sliver_step(self, mode, t_end, dt, steps):
         # 0.2 is no binary fraction: summed 2000 times, t falls short of 400
         # by about 1e-11, which used to cost one extra step of that size
+        # the diffusivity puts both steps within RK4's reach on this grid
+        # (1.25) for "fixed" and beyond it (0.0125) for "rkc"
         g = GridSpec(1.0, 1.0, 4, 4)
-        p = params(d1=0.01, d2=0.01, d3=0.01)
+        d = {"fixed": 0.01, "rkc": 1.0}[mode]
+        p = params(d1=d, d2=d, d3=d)
         snaps = tuple(np.linspace(0.0, t_end, 6))
         traj = integrate(zero_state(g), p, g,
-                         TimeSpec(t_end=t_end, mode=mode, dt=dt, snapshot_times=snaps))
+                         TimeSpec(t_end=t_end, dt=dt, snapshot_times=snaps))
+        assert traj.stats.method == METHOD[mode]
         assert traj.stats.accepted == steps and traj.stats.rejected == 0
         assert traj.stats.last_dt == pytest.approx(dt, rel=1e-9)
         assert tuple(traj.times()) == snaps
@@ -262,7 +320,9 @@ class TestDivergence:
             f3=lambda t: np.zeros((5, 5)),
             f4=lambda t: np.zeros(5),
         )
-        with pytest.raises(DivergedError) as err:
+        # the pinned node 0 carries no tendency, node 1 is the first to blow up
+        with pytest.raises(DivergedError, match=r"^non-finite state u1 at node "
+                           r"\(1,\) at t=0\.5") as err:
             integrate(zero_state(g), params(), g, TimeSpec(t_end=1.0),
                       sources=bomb)
         assert err.value.last_state is not None
@@ -287,7 +347,7 @@ class TestDivergence:
         )
         st = zero_state(g)
         st.u4[:] = 0.5
-        ts = TimeSpec(t_end=1.0, mode=mode, dt=0.05 if mode == "rkc" else None)
+        ts = case_timespec(mode, 1.0, 0.05)
         with pytest.raises(DivergedError, match=message) as err:
             integrate(st, params(), g, ts, sources=drain)
         last = err.value.last_state
@@ -322,24 +382,26 @@ class TestDivergence:
                       TimeSpec(t_end=1.0, mode="adaptive"), sources=bomb)
 
     def test_diverging_run_raises_without_numpy_warnings(self):
-        # fig1 with a stiff exchange term, stepped by RK4 at the diffusion
-        # limit, oscillates into negative values and then overflows; the step
-        # check reports it, numpy stays silent
+        # fig1 under its default RKC steps with a gas source that turns
+        # infinite at t = 1: the stencils subtract infinities inside rhs and
+        # the stage sums carry NaN; the step check reports it, numpy stays
+        # silent
         import warnings
 
-        from corrosim.config import config_from_sections
+        from corrosim.config import scenario_config
         from corrosim.model import project_initial
 
-        cfg = config_from_sections({
-            "run": {"scenario": "fig1"}, "params": {"bi_m": "50"},
-            "time": {"t_end": "40", "mode": "fixed"}})
-        assert cfg.grid.n_x == 16
+        cfg = scenario_config("fig1", t_end=2.0)
+        n = cfg.grid.n_x + 1
+        micro = np.zeros((n, cfg.grid.n_y + 1))
+        bomb = SourceTerms(f1=lambda t: np.full(n, np.inf if t > 1.0 else 0.0),
+                           f2=lambda t: micro, f3=lambda t: micro,
+                           f4=lambda t: np.zeros(n))
         state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DivergedError,
-                               match="non-finite state|negative concentration"):
-                integrate(state0, cfg.params, cfg.grid, cfg.time)
+            with pytest.raises(DivergedError, match=r"^non-finite state u\d at node"):
+                integrate(state0, cfg.params, cfg.grid, cfg.time, sources=bomb)
 
 
 def random_state(grid, seed):
@@ -402,10 +464,9 @@ class TestTableauLoop:
         st.t = 0.25
         h = 0.2 if mode == "rkc" else stability_dt(p, g)
         times = []
-        traj = integrate(st, p, g,
-                         TimeSpec(t_end=0.25 + h, mode=mode,
-                                  dt=h if mode == "rkc" else None),
+        traj = integrate(st, p, g, case_timespec(mode, 0.25 + h, h),
                          sources=recording_sources(g, times))
+        assert traj.stats.method == METHOD[mode]
         assert traj.stats.accepted == 1 and traj.stats.stages == len(nodes)
         h = traj.stats.last_dt
         assert times == pytest.approx([0.25 + c * h for c in nodes], rel=1e-15)
@@ -419,8 +480,10 @@ class TestTableauLoop:
 
         g = GridSpec(1.0, 1.0, 6, 4)
         p = params(**self.P)
-        ts = TimeSpec(t_end=0.2, mode=mode, dt=0.05 if mode == "rkc" else None)
-        plain = integrate(random_state(g, 5), p, g, ts).snapshots[-1]
+        ts = case_timespec(mode, 0.2, 0.05)
+        plain = integrate(random_state(g, 5), p, g, ts)
+        assert plain.stats.method == METHOD[mode]
+        plain = plain.snapshots[-1]
 
         def run(scale):
             def scaled(*args, **kwargs):

@@ -1,7 +1,7 @@
-"""The damped Runge-Kutta-Chebyshev mode: its tableau, its stability
-polynomial, its temporal order, the invariants it must keep, and its
-agreement with the RK4 reference on fig1, the condition under which fig1
-defaults to it."""
+"""The damped Runge-Kutta-Chebyshev method, which fixed steps beyond RK4's
+reach run: its tableau, its stability polynomial, its temporal order, the
+invariants it must keep, and its agreement with the RK4 reference on fig1,
+whose default step is beyond that reach."""
 
 import itertools
 
@@ -17,6 +17,7 @@ from corrosim.integrator import (
     _rkc_tableau,
     integrate,
     spectral_radius_bound,
+    stability_dt,
 )
 from corrosim.interpolation import manufactured_default
 from corrosim.model import ModelParams, State, project_initial, unshifted_u1
@@ -35,9 +36,11 @@ def fig1(**sections):
     return config_from_sections(raw)
 
 
-def run(cfg):
+def run(cfg, method="rkc"):
     state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
-    return integrate(state0, cfg.params, cfg.grid, cfg.time)
+    traj = integrate(state0, cfg.params, cfg.grid, cfg.time)
+    assert traj.stats.method == method
+    return traj
 
 
 class TestTableau:
@@ -102,8 +105,8 @@ class TestTemporalOrder:
         errors = []
         for dt in dts:
             st = half_sine(g)
-            traj = integrate(st.copy(), p, g, TimeSpec(t_end=t_end, mode="rkc", dt=dt))
-            assert traj.stats.stages == stages
+            traj = integrate(st.copy(), p, g, TimeSpec(t_end=t_end, dt=dt))
+            assert traj.stats.method == "rkc" and traj.stats.stages == stages
             exact = np.exp(-lam * t_end) * st.u1
             errors.append(np.max(np.abs(traj.snapshots[-1].u1 - exact)))
         assert np.log2(errors[0] / errors[1]) >= ORDER_FLOOR
@@ -112,14 +115,14 @@ class TestTemporalOrder:
 class TestInvariants:
     @pytest.mark.parametrize("dt", [0.1, 0.5])
     def test_dissipation(self, dt):
-        cfg = scenario_config("dissipation", mode="rkc", dt=dt)
+        cfg = scenario_config("dissipation", dt=dt)
         traj = run(cfg)
         energies = [energy_record(cfg.grid, s).field_total() for s in traj.snapshots]
         assert max(b - a for a, b in zip(energies, energies[1:])) <= ENERGY_SLACK
 
     @pytest.mark.parametrize("dt", [0.1, 0.5])
     def test_conservation(self, dt):
-        cfg = scenario_config("conservation", mode="rkc", dt=dt)
+        cfg = scenario_config("conservation", dt=dt)
         traj = run(cfg)
         ones = np.ones((cfg.grid.n_x + 1, cfg.grid.n_y + 1))
         for pick in (lambda s: s.u2, lambda s: s.u3):
@@ -129,17 +132,19 @@ class TestInvariants:
 
     def test_mms_spatial_order(self):
         # mms_convergence runs the RK4 reference; the same levels under rkc
-        # need a step small enough that the time error stays below the 32^2
-        # spatial error
+        # take steps 1.6 times RK4's reach (0.031, 0.0078 and 0.0020), cut
+        # by 4 per level like h^2, so that the second-order time error
+        # falls like h^4, faster than the spatial error
         solution = manufactured_default()
         errors = []
-        for n in (8, 16, 32):
+        for n, dt in ((8, 0.05), (16, 0.0125), (32, 0.003125)):
             g = GridSpec(1.0, 1.0, n, n)
+            assert dt >= 1.5 * stability_dt(solution.params, g)
             state0 = project_initial(solution.initial_data(), solution.params, g)
             traj = integrate(state0, solution.params, g,
-                             TimeSpec(t_end=0.5, mode="rkc", dt=0.005,
-                                      snapshot_times=(0.5,)),
+                             TimeSpec(t_end=0.5, dt=dt, snapshot_times=(0.5,)),
                              sources=solution.sources(g))
+            assert traj.stats.method == "rkc"
             final, exact = traj.snapshots[-1], solution.exact_state(g, 0.5)
             errors.append([norm_macro(g, final.u1 - exact.u1),
                            norm_micro(g, final.u2 - exact.u2),
@@ -162,7 +167,7 @@ class TestFig1Default:
         rkc = fig1(grid=grid, time=time)
         rk4 = fig1(grid=grid, time={**time, "mode": "fixed"})
         assert rk4.time.dt is None
-        a, b = run(rkc).snapshots[-1], run(rk4).snapshots[-1]
+        a, b = run(rkc).snapshots[-1], run(rk4, "rk4").snapshots[-1]
         assert a.t == b.t == 80.0
         u1 = lambda s: unshifted_u1(s, rkc.params)
         for field in (u1, lambda s: s.u2, lambda s: s.u3, lambda s: s.u4):
@@ -171,7 +176,7 @@ class TestFig1Default:
     @pytest.mark.parametrize("bi_m,k,n",
                              list(itertools.product((2, 20, 50), (0.1, 2), (16, 64))))
     def test_stiff_corners_stay_nonnegative_and_bounded(self, bi_m, k, n):
-        # fixed RK4 at the diffusion limit exits with a non-finite state, or
+        # RK4 at the diffusion limit alone exits with a non-finite state, or
         # (bi_m = 2 at 64^2) ends near 1e217, on each of these to t = 20;
         # rkc takes as many stages as the exchange and surface terms need
         cfg = fig1(grid={"nx": n, "ny": n}, params={"bi_m": bi_m, "k": k},
