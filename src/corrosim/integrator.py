@@ -14,14 +14,14 @@ Two explicit modes:
             a factor of only about 0.95 per step, so rough data, or data
             off the Robin closure, converges slowly in time; smooth,
             transient-free data sees second order.
-* adaptive  the embedded Fehlberg 4(5) pair with proportional-integral step
-            control, starting from RK4's reach.
+* adaptive  RK4 with proportional-integral step control, starting from
+            RK4's reach; its first-same-as-last evaluation F(y_new) gives
+            the error estimate and is the next step's first stage.
 
-One stage loop runs any of the Butcher tableaux over the flat state vector:
-`rhs` fills the rows of one preallocated stage matrix in place, and every
-stage combination is one matrix-vector product with a tableau row.  All
-modes shorten steps to land exactly on the requested snapshot times, so
-stored snapshots are states of the integrated trajectory, not interpolants.
+One stage loop runs both as rows of RKC's three-term recursion in increment
+form, on a handful of flat state vectors for any stage count.  All modes
+shorten steps to land exactly on the requested snapshot times, so stored
+snapshots are states of the integrated trajectory, not interpolants.
 
 The pinned gas node at x = 0 carries zero tendency, and the integrator
 re-asserts the pin after every accepted step.  A step is admissible only
@@ -43,7 +43,7 @@ from .model import ModelParams, SourceTerms, State, Tendency, rhs, unshifted_u1
 SAFETY = 0.4          # margin applied to the explicit diffusion limit
 _RK_SAFETY = 0.9      # step controller safety factor
 _FACMIN, _FACMAX = 0.2, 5.0
-_ERR_ORDER = 5.0      # local error order of the embedded pair
+_ERR_ORDER = 4.0      # local error order of RK4's FSAL companion
 _RKC_DAMPING = 2.0 / 13.0
 _LANDING = 1e-9       # a step ending this close (relative to h) to a target lands on it
 POSITIVITY_SLACK = 1e-8  # lowest concentration a step may leave behind is -POSITIVITY_SLACK
@@ -101,7 +101,7 @@ class StepStats:
     rhs_evals: int = 0
     last_dt: float = 0.0
     stages: int = 0          # rhs evaluations per step attempt
-    method: str = ""         # "rk4" | "rkc" | "fehlberg45"
+    method: str = ""         # "rk4" | "rkc"
 
 
 @dataclass
@@ -182,96 +182,89 @@ def _unpack(t: float, y: np.ndarray, grid: GridSpec) -> State:
     return State(t, u1, u2, u3, u4)
 
 
-# Butcher tableaux (c, a, b, e): nodes, stage matrix, weights and, for an
-# embedded pair, the weight difference whose stage combination estimates
-# the local error.  Fehlberg 4(5) propagates its order-5 solution.
-_RK4 = (np.array([0.0, 0.5, 0.5, 1.0]),
-        np.array([[0.0, 0.0, 0.0, 0.0],
-                  [0.5, 0.0, 0.0, 0.0],
-                  [0.0, 0.5, 0.0, 0.0],
-                  [0.0, 0.0, 1.0, 0.0]]),
-        np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6]), None)
-_FE_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
-_FE_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
-_FEHLBERG45 = (np.array([0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2]),
-               np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-                         [1 / 4, 0.0, 0.0, 0.0, 0.0, 0.0],
-                         [3 / 32, 9 / 32, 0.0, 0.0, 0.0, 0.0],
-                         [1932 / 2197, -7200 / 2197, 7296 / 2197, 0.0, 0.0, 0.0],
-                         [439 / 216, -8.0, 3680 / 513, -845 / 4104, 0.0, 0.0],
-                         [-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40, 0.0]]),
-               _FE_B5, _FE_B5 - _FE_B4)
+# Recursion rows (mu_j, nu_j, mu~_j, gamma~_j), j = 1 .. s.  Stage j builds
+# the increment D_j = Y_j - y from D_{j-1}, D_{j-2} and D_0 = 0:
+#   D_j = mu_j D_{j-1} + nu_j D_{j-2} + h (mu~_j F(Y_{j-1}) + gamma~_j F(Y_0)),
+# and the step ends at y + D_s.  Classical RK4 is the four-row member: its
+# last row is y + D_3/3 + 2 D_2/3 + h (F(Y_3) + F(Y_0))/6.
+_RK4 = ((0.0, 0.0, 0.5, 0.0), (0.0, 0.0, 0.5, 0.0), (0.0, 0.0, 1.0, 0.0),
+        (1 / 3, 2 / 3, 1 / 6, 1 / 6))
 
 
-def _rkc_tableau(s: int):
-    """The s-stage damped RKC method as a Butcher tableau (c, a, b, None).
-
-    RKC builds its stages by the Chebyshev three-term recursion
-    Y_j = (1 - mu_j - nu_j) y + mu_j Y_{j-1} + nu_j Y_{j-2}
-          + mu~_j h F(Y_{j-1}) + gamma~_j h F(Y_0);
-    carrying each Y_j as its coefficient row over F(Y_0) ... F(Y_{s-1})
-    gives row j of `a`, and Y_s gives `b`.
-    """
+def _rkc_coefficients(s: int) -> list[tuple[float, float, float, float]]:
+    """Recursion rows of the s-stage damped RKC method, from the Chebyshev
+    polynomials T_j(w0) and their derivatives (Sommeijer et al. 1998)."""
     w0 = 1.0 + _RKC_DAMPING / s**2
-    T, dT, ddT = np.zeros(s + 1), np.zeros(s + 1), np.zeros(s + 1)
-    T[0], T[1], dT[1] = 1.0, w0, 1.0
+    T, dT, ddT = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
     for j in range(2, s + 1):
-        T[j] = 2.0 * w0 * T[j - 1] - T[j - 2]
-        dT[j] = 2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2]
-        ddT[j] = 4.0 * dT[j - 1] + 2.0 * w0 * ddT[j - 1] - ddT[j - 2]
+        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
+        dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
+        ddT.append(4.0 * dT[j - 1] + 2.0 * w0 * ddT[j - 1] - ddT[j - 2])
     w1 = dT[s] / ddT[s]
-    beta = np.empty(s + 1)      # b_j of the recursion, b_0 = b_1 = b_2
-    beta[2:] = ddT[2:] / dT[2:] ** 2
-    beta[:2] = beta[2]
-    rows = np.zeros((s + 1, s))
-    rows[1, 0] = beta[1] * w1
+    beta = [ddT[max(j, 2)] / dT[max(j, 2)] ** 2 for j in range(s + 1)]  # b_0 = b_1 = b_2
+    rows = [(0.0, 0.0, beta[1] * w1, 0.0)]
     for j in range(2, s + 1):
         mu_tilde = 2.0 * beta[j] * w1 / beta[j - 1]
-        rows[j] = (2.0 * beta[j] * w0 / beta[j - 1]) * rows[j - 1] \
-            - (beta[j] / beta[j - 2]) * rows[j - 2]
-        rows[j, j - 1] += mu_tilde
-        rows[j, 0] -= (1.0 - beta[j - 1] * T[j - 1]) * mu_tilde
-    a = rows[:s]
-    return a.sum(axis=1), a, rows[s], None
+        nu = -beta[j] / beta[j - 2] if j > 2 else 0.0   # nu_2 multiplies D_0 = 0
+        rows.append((2.0 * beta[j] * w0 / beta[j - 1], nu,
+                     mu_tilde, -(1.0 - beta[j - 1] * T[j - 1]) * mu_tilde))
+    return rows
 
 
 def integrate(state0: State, params: ModelParams, grid: GridSpec,
               timespec: TimeSpec, sources: SourceTerms | None = None) -> Trajectory:
     """Advance the state to t_end, storing snapshots at the requested times.
 
-    Fixed mode runs the RK4 tableau up to RK4's reach (`stability_dt`, also
-    the step when dt is None) and the RKC tableau whose stage count covers
-    dt times the spectral radius bound beyond it; adaptive mode runs the
-    Fehlberg pair; all through one stage loop.  Raises DivergedError
-    (carrying the last good state) on non-finite values, on a concentration
-    below -POSITIVITY_SLACK (adaptive mode rejects such steps instead) or on
-    step-size underflow.
+    Fixed mode runs RK4 up to RK4's reach (`stability_dt`, also the step
+    when dt is None) and RKC with the stages dt times the spectral radius
+    bound needs beyond it; adaptive mode runs RK4 with its FSAL error
+    estimate.  Raises DivergedError (carrying the last good state) on
+    non-finite values, on a concentration below -POSITIVITY_SLACK (adaptive
+    mode rejects such steps instead) or on step-size underflow.
     """
     state0.validate(grid)
     adaptive = timespec.mode == "adaptive"
     reach = stability_dt(params, grid)
     h_base = reach if timespec.dt is None else float(timespec.dt)
-    if adaptive:  # a conservative start, the controller grows it
-        method, (c, a, b, e) = "fehlberg45", _FEHLBERG45
-    elif h_base <= reach:
-        method, (c, a, b, e) = "rk4", _RK4
+    if adaptive or h_base <= reach:  # adaptive: a conservative start, the controller grows it
+        method, rows = "rk4", _RK4
     else:
         method = "rkc"
-        c, a, b, e = _rkc_tableau(_rkc_stages(h_base, spectral_radius_bound(params, grid)))
-    stats = StepStats(stages=c.size, method=method)
+        rows = _rkc_coefficients(_rkc_stages(h_base, spectral_radius_bound(params, grid)))
+    stats = StepStats(stages=len(rows), method=method)
 
     t = float(state0.t)
     y = _pack(state0)
     t_end = float(timespec.t_end)
     targets = [s for s in timespec.snapshots() if s >= t]
 
-    # stage buffers and the State / Tendency views into them, built once
+    # stage buffers and views, built once: D_j = W[j] @ inputs[lo:hi], W = A + h B,
+    # over F(Y_0), F(Y_{j-1}) and two slots, D_j replacing D_{j-2}; lo:hi spans
+    # only rows written in the same attempt, so no 0 * inf from a rejected one
     n_macro = grid.n_x + 1      # y[:n_macro] is the shifted gas field
-    K = np.empty((c.size, y.size))
-    Y, y_new, y_err = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    stage = _unpack(t, Y, grid)
-    k_views = [Tendency(v.u1, v.u2, v.u3, v.u4)
-               for v in (_unpack(0.0, k, grid) for k in K)]
+    inputs = np.empty((4, y.size))
+    d, Y, f_new = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    current, stage = _unpack(t, y, grid), _unpack(t, Y, grid)
+    f0_out, f_out, f_new_out = (Tendency(v.u1, v.u2, v.u3, v.u4) for v in
+                                (_unpack(0.0, b, grid) for b in (inputs[0], inputs[1], f_new)))
+    A, B, W = np.zeros((len(rows), 4)), np.zeros((len(rows), 4)), np.empty((len(rows), 4))
+    c = [0.0, 0.0]              # nodes c_{j-1}, c_j: the rows applied to y' = 1
+    plan = []
+    for j, (mu, nu, mu_t, gamma_t) in enumerate(rows):  # 0-based: D_{j+1}
+        A[j, 2 + (j + 1) % 2], A[j, 2 + j % 2] = mu, nu
+        B[j, 0] = gamma_t
+        B[j, min(j, 1)] += mu_t
+        lo, hi = np.flatnonzero(A[j] + B[j])[[0, -1]] + [0, 1]
+        plan.append((W[j, lo:hi], inputs[lo:hi], inputs[2 + j % 2], c[-1]))
+        c.append(mu * c[-1] + nu * c[-2] + mu_t + gamma_t)
+
+    def evaluate(state: State, time: float, out: Tendency):
+        state.t = time
+        stats.rhs_evals += 1
+        tend = rhs(state, params, grid, sources=sources, out=out)
+        if tend is not out:
+            for name in ("u1", "u2", "u3", "u4"):
+                getattr(out, name)[...] = getattr(tend, name)
 
     traj = Trajectory(stats=stats)
 
@@ -296,38 +289,45 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 raise DivergedError(f"step size underflow at t={t:g}",
                                     _unpack(t, y.copy(), grid))
 
-            for i, k_view in enumerate(k_views):
-                np.dot(h * a[i, :i], K[:i], out=Y)
-                Y += y
-                stage.t = t + c[i] * h
-                stats.rhs_evals += 1
-                tend = rhs(stage, params, grid, sources=sources, out=k_view)
-                if tend is not k_view:
-                    for name in ("u1", "u2", "u3", "u4"):
-                        getattr(k_view, name)[...] = getattr(tend, name)
-            np.dot(h * b, K, out=y_new)
-            y_new += y
-            admissible = bool(np.isfinite(y_new).all()) and min(
-                float(y_new[:n_macro].min()) + params.u1_d,
-                float(y_new[n_macro:].min())) >= -POSITIVITY_SLACK
+            if not adaptive or stats.rhs_evals == 0:  # else F(y_new) is F(Y_0)
+                evaluate(current, t, f0_out)
+            np.multiply(B, h, out=W)
+            W += A
+            for j, (w, span, keep, node) in enumerate(plan):
+                if j:
+                    evaluate(stage, t + node * h, f_out)
+                np.dot(w, span, out=d)
+                keep[...] = d
+                np.add(y, d, out=Y)
+            admissible = bool(np.isfinite(Y).all()) and min(
+                float(Y[:n_macro].min()) + params.u1_d,
+                float(Y[n_macro:].min())) >= -POSITIVITY_SLACK
             err = 0.0
             if not adaptive and not admissible:
-                reason = _inadmissible(_unpack(t + h, y_new, grid), params)
+                reason = _inadmissible(_unpack(t + h, Y, grid), params)
                 raise DivergedError(f"{reason} at t={t + h:g}", _unpack(t, y.copy(), grid))
             if adaptive and admissible:
-                np.dot(h * e, K, out=y_err)
-                scale = timespec.atol + timespec.rtol * np.maximum(np.abs(y), np.abs(y_new))
-                err = float(np.sqrt(np.mean((y_err / scale) ** 2)))
+                # F(y_new), the next F(Y_0), gives the gap h (F(Y_3) - F(y_new))/6 to RK4's
+                # third-order FSAL companion, weights (1/6, 1/3, 1/3, 0, 1/6)
+                evaluate(stage, t + h, f_new_out)
+                scale, gap = inputs[2], inputs[3]   # the increments are spent
+                np.maximum(np.abs(y, out=scale), np.abs(Y, out=gap), out=scale)
+                scale *= timespec.rtol
+                scale += timespec.atol
+                np.subtract(inputs[1], f_new, out=gap)
+                gap /= scale
+                err = h / 6.0 * float(np.sqrt(np.dot(gap, gap) / gap.size))
                 admissible = np.isfinite(err)
 
             if admissible and err <= 1.0:
                 t += h
-                y[:] = y_new
+                y[:] = Y
                 y[0] = 0.0
                 stats.accepted += 1
                 stats.last_dt = h
                 record_due(t, y)
                 if adaptive:
+                    inputs[0] = f_new
                     err = max(err, 1e-10)
                     fac = _RK_SAFETY * err ** (-0.7 / _ERR_ORDER) * err_prev ** (0.4 / _ERR_ORDER)
                     h_base = h * min(facmax, max(_FACMIN, fac))

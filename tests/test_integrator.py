@@ -6,8 +6,8 @@ from corrosim.integrator import (
     POSITIVITY_SLACK,
     DivergedError,
     TimeSpec,
+    _rkc_coefficients,
     _rkc_stages,
-    _rkc_tableau,
     integrate,
     spectral_radius_bound,
     stability_dt,
@@ -28,9 +28,9 @@ def zero_state(grid):
                  grid.micro_field(), grid.macro_field())
 
 
-# stepper cases by label: "fixed" is RK4 within its reach, "adaptive" the
-# Fehlberg pair, "rkc" fixed steps beyond RK4's reach
-METHOD = {"fixed": "rk4", "adaptive": "fehlberg45", "rkc": "rkc"}
+# stepper cases by label: "fixed" is RK4 within its reach, "adaptive" RK4
+# with its FSAL error estimate, "rkc" fixed steps beyond RK4's reach
+METHOD = {"fixed": "rk4", "adaptive": "rk4", "rkc": "rkc"}
 
 
 def case_timespec(case, t_end, rkc_dt, **kwargs):
@@ -123,10 +123,10 @@ class TestMethodSelection:
         assert traj.stats.method == "rk4"
         assert traj.stats.accepted == int(np.ceil(1.0 / stability_dt(p, g)))
 
-    def test_adaptive_is_fehlberg(self):
+    def test_adaptive_is_rk4(self):
         g = GridSpec(1.0, 1.0, 4, 4)
         traj = integrate(zero_state(g), params(), g, TimeSpec(t_end=0.1, mode="adaptive"))
-        assert (traj.stats.method, traj.stats.stages) == ("fehlberg45", 6)
+        assert (traj.stats.method, traj.stats.stages) == ("rk4", 4)
 
 
 class TestFixedStep:
@@ -279,12 +279,17 @@ class TestExchangeOnlyDynamics:
 
 
 class TestAdaptive:
-    def test_agrees_with_fixed_mode(self):
+    @staticmethod
+    def problem():
         g = GridSpec(1.0, 1.0, 8, 8)
         p = params(d1=0.05, d2=0.05, d3=0.05, bi_m=0.2, u1_d=1.0,
                    alpha=0.2, beta=0.05, k=0.1, q_kind="linear_cutoff", m4=1.0)
         st = zero_state(g)
         st.u1 = 1.0 - (1.0 - g.x_nodes()) ** 2  # zero at x = 0
+        return g, p, st
+
+    def test_agrees_with_fixed_mode(self):
+        g, p, st = self.problem()
         snaps = (0.0, 5.0, 10.0)
         rtol, atol = 1e-6, 1e-9
         fixed = integrate(st.copy(), p, g,
@@ -298,6 +303,15 @@ class TestAdaptive:
             for uf, ua in ((sf.u1, sa.u1), (sf.u2, sa.u2),
                            (sf.u3, sa.u3), (sf.u4, sa.u4)):
                 assert np.all(np.abs(uf - ua) <= 10.0 * (atol + rtol * np.abs(uf)))
+
+    def test_last_evaluation_starts_the_next_attempt(self):
+        # an attempt evaluates three stages and F(y_new); the next attempt,
+        # after an acceptance or an error rejection, starts from F(y_new) or
+        # from the F(y_n) it already had, so only the first pays for F(y_0)
+        g, p, st = self.problem()
+        stats = integrate(st, p, g, TimeSpec(t_end=10.0, mode="adaptive")).stats
+        assert stats.rejected > 0
+        assert stats.rhs_evals == 1 + 4 * (stats.accepted + stats.rejected)
 
     def test_controller_grows_step(self):
         g = GridSpec(1.0, 1.0, 8, 8)
@@ -369,6 +383,23 @@ class TestDivergence:
             integrate(zero_state(g), params(d1=1e-6, u1_d=0.5), g,
                       TimeSpec(t_end=1.0), sources=drain)
 
+    def test_adaptive_retry_after_a_non_finite_attempt(self):
+        # the source is infinite only at t = h0, where the first attempt's
+        # last stage lands: the retry must not multiply what that attempt
+        # left in the stage buffers by a zero coefficient (0 * inf = NaN)
+        g = GridSpec(1.0, 1.0, 4, 4)
+        h0 = stability_dt(params(), g)
+        spike = SourceTerms(
+            f1=lambda t: np.full(5, np.inf if t == h0 else 0.0),
+            f2=lambda t: np.zeros((5, 5)),
+            f3=lambda t: np.zeros((5, 5)),
+            f4=lambda t: np.zeros(5),
+        )
+        traj = integrate(zero_state(g), params(), g,
+                         TimeSpec(t_end=4 * h0, mode="adaptive"), sources=spike)
+        assert traj.stats.rejected >= 1
+        assert np.all(traj.snapshots[-1].u1 == 0.0)
+
     def test_adaptive_underflow(self):
         g = GridSpec(1.0, 1.0, 4, 4)
         bomb = SourceTerms(
@@ -423,6 +454,15 @@ def recording_sources(grid, times):
     return SourceTerms(f1=f1, f2=micro, f3=micro, f4=lambda t: np.zeros(grid.n_x + 1))
 
 
+def recursion_nodes(rows):
+    """Nodes c_0 .. c_{s-1} of the stages rhs sees: the recursion rows
+    applied to y' = 1."""
+    c = [0.0, 0.0]
+    for mu, nu, mu_t, gamma_t in rows[:-1]:
+        c.append(mu * c[-1] + nu * c[-2] + mu_t + gamma_t)
+    return tuple(c[1:])
+
+
 class TestTableauLoop:
     P = dict(d1=0.2, d2=0.3, d3=0.1, bi_m=0.4, u1_d=1.0, k=0.3,
              alpha=0.3, beta=0.2)
@@ -453,9 +493,10 @@ class TestTableauLoop:
 
     @pytest.mark.parametrize("mode,nodes", [
         ("fixed", (0.0, 0.5, 0.5, 1.0)),
-        ("adaptive", (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)),
+        # the last evaluation, F(y_new) at t + h, is the next step's first
+        ("adaptive", (0.0, 0.5, 0.5, 1.0, 1.0)),
         # rkc with h = 0.2 and spectral radius bound 64 takes 5 stages
-        ("rkc", tuple(_rkc_tableau(5)[0])),
+        ("rkc", recursion_nodes(_rkc_coefficients(5))),
     ])
     def test_sources_see_stage_times(self, mode, nodes):
         g = GridSpec(1.0, 1.0, 4, 4)
@@ -467,7 +508,7 @@ class TestTableauLoop:
         traj = integrate(st, p, g, case_timespec(mode, 0.25 + h, h),
                          sources=recording_sources(g, times))
         assert traj.stats.method == METHOD[mode]
-        assert traj.stats.accepted == 1 and traj.stats.stages == len(nodes)
+        assert traj.stats.accepted == 1 and traj.stats.rhs_evals == len(nodes)
         h = traj.stats.last_dt
         assert times == pytest.approx([0.25 + c * h for c in nodes], rel=1e-15)
 

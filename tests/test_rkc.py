@@ -1,9 +1,10 @@
 """The damped Runge-Kutta-Chebyshev method, which fixed steps beyond RK4's
-reach run: its tableau, its stability polynomial, its temporal order, the
-invariants it must keep, and its agreement with the RK4 reference on fig1,
-whose default step is beyond that reach."""
+reach run: its recursion rows, its stability polynomial, its temporal
+order, the invariants it must keep, and its agreement with the RK4
+reference on fig1, whose default step is beyond that reach."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from corrosim.config import config_from_sections, scenario_config
 from corrosim.diagnostics import energy_record
 from corrosim.grids import GridSpec, ip_micro, norm_macro, norm_micro
 from corrosim.integrator import (
+    _RK4,
     TimeSpec,
+    _rkc_coefficients,
     _rkc_stages,
-    _rkc_tableau,
     integrate,
     spectral_radius_bound,
     stability_dt,
@@ -43,24 +45,49 @@ def run(cfg, method="rkc"):
     return traj
 
 
+def recursion(rows, f, y0, h=1.0):
+    """Y_1 .. Y_s of one step of the recursion rows on y' = f(y) from y0:
+    D_j = mu_j D_{j-1} + nu_j D_{j-2} + h (mu~_j f(Y_{j-1}) + gamma~_j f(Y_0)),
+    Y_j = y0 + D_j.  Works on floats, arrays and polynomials alike."""
+    d_prev2, d_prev = 0.0 * y0, 0.0 * y0
+    f0 = f(y0)
+    stages = []
+    for mu, nu, mu_t, gamma_t in rows:
+        d = mu * d_prev + nu * d_prev2 + h * (mu_t * f(y0 + d_prev) + gamma_t * f0)
+        d_prev2, d_prev = d_prev, d
+        stages.append(y0 + d)
+    return stages
+
+
+def stability_polynomial(rows):
+    z = np.polynomial.Polynomial([0.0, 1.0])
+    return recursion(rows, lambda y: z * y, np.polynomial.Polynomial([1.0]))[-1]
+
+
 class TestTableau:
+    """The recursion rows the stepper runs."""
+
     @pytest.mark.parametrize("s", range(2, 101))
     def test_second_order_conditions(self, s):
-        c, a, b, e = _rkc_tableau(s)
-        assert e is None and a.shape == (s, s) and b.shape == (s,)
-        assert np.all(np.triu(a) == 0.0)
-        assert np.allclose(c, a.sum(axis=1), rtol=0.0, atol=1e-13)
-        assert abs(b.sum() - 1.0) <= 1e-13
-        assert abs(b @ c - 0.5) <= 1e-13
+        rows = _rkc_coefficients(s)
+        assert len(rows) == s and all(isinstance(v, float) for row in rows for v in row)
+        # R(z) = 1 + z + z^2/2 + O(z^3), and the last stage lands at t + h
+        coef = stability_polynomial(rows).coef
+        assert coef.size == s + 1
+        assert np.allclose(coef[:3], [1.0, 1.0, 0.5], rtol=0.0, atol=1e-13)
+        assert abs(recursion(rows, lambda y: 1.0, 0.0)[-1] - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("s", [2, 3, 4, 7, 16, 40])
     def test_stability_polynomial_bounded_on_interval(self, s):
-        # R(z) = 1 + z b (I - z a)^{-1} 1, exact for the explicit tableau
-        c, a, b, _ = _rkc_tableau(s)
-        ones = np.ones(s)
-        for z in np.linspace(-0.65 * (s * s - 1), 0.0, 801):
-            r = 1.0 + z * b @ np.linalg.solve(np.eye(s) - z * a, ones)
-            assert abs(r) <= 1.0 + 1e-12, (s, z, r)
+        z = np.linspace(-0.65 * (s * s - 1), 0.0, 801)
+        r = recursion(_rkc_coefficients(s), lambda y: z * y, np.ones_like(z))[-1]
+        assert np.all(np.abs(r) <= 1.0 + 1e-12), (s, z[np.argmax(np.abs(r))])
+
+    def test_rk4_rows(self):
+        coef = stability_polynomial(_RK4).coef
+        assert np.allclose(coef, [1.0, 1.0, 1 / 2, 1 / 6, 1 / 24], rtol=4e-16, atol=0.0)
+        nodes = [0.0] + recursion(_RK4, lambda y: 1.0, 0.0)
+        assert nodes == [0.0, 0.5, 0.5, 1.0, 1.0]
 
     def test_stage_count_covers_the_spectral_radius(self):
         for dt_rho in (0.0, 0.5, 3.0, 40.0, 1e3, 1e4):
@@ -79,6 +106,23 @@ class TestTableau:
         coarse = GridSpec(1.0, 1.0, 2, 2)
         # the gypsum row, k c_bar (1 + m3/m4), binds on a coarse grid
         assert spectral_radius_bound(stiff, coarse) == pytest.approx(5.0 * 21.0)
+
+
+def test_stiff_step_holds_a_fixed_number_of_state_vectors():
+    # one step of 63 stages (fig1 at 64^2 with bi_m = 50) allocates no
+    # stage matrix: a stage keeps only D_{j-1}, D_{j-2}, F(Y_{j-1}), F(Y_0)
+    cfg = fig1(grid={"nx": 64, "ny": 64}, params={"bi_m": 50},
+               time={"t_end": 0.2, "snapshots": "0.2"})
+    state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
+    state_bytes = 8 * (2 * state0.u1.size + 2 * state0.u2.size)
+    tracemalloc.start()
+    try:
+        traj = run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.stats.stages == 63 and traj.stats.accepted == 1
+    assert peak < 20 * state_bytes
 
 
 def half_sine(grid):
