@@ -19,6 +19,7 @@ extension code against the discrete products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,6 +227,12 @@ class ManufacturedSolution:
     y = 0 equals the solubility ratio times the gas value, its slope
     vanishes there and at y = ell, and the acid profile cos(lam*y) satisfies
     the surface-reaction flux balance when k*c_bar = d3*lam*tan(lam*ell).
+
+    Every source has the form P(x, y) + Q(x, y) e^{-t}: the envelopes a, b
+    and c and the growth of u4 are affine in e^{-t}.  `sources` evaluates
+    P = f(t = inf) and Q = f(0) - P once per grid, so the closed forms stay
+    the only definition of the sources, and a new envelope must stay affine
+    in e^{-t}.  The exchange coefficients alpha and beta must be scalars.
     """
 
     params: ModelParams
@@ -235,6 +242,10 @@ class ManufacturedSolution:
     lam: float = 0.0        # filled in __post_init__
 
     def __post_init__(self):
+        for name in ("alpha", "beta"):
+            if np.ndim(getattr(self.params, name)) != 0:
+                raise ValueError(
+                    f"ManufacturedSolution needs a scalar {name}, got a sample vector")
         object.__setattr__(self, "lam", np.pi / (4.0 * self.cell_length))
 
     # time envelopes
@@ -284,9 +295,7 @@ class ManufacturedSolution:
         ddy = (2.0 * np.pi / self.cell_length) ** 2 * np.cos(2.0 * np.pi * y / self.cell_length)
         db = -0.125 * np.exp(-t)
         du2_dt = p.henry * self.du1_dt(x, t) + db * self._g2(x) * psi
-        alpha = float(np.asarray(p.alpha))
-        beta = float(np.asarray(p.beta))
-        exch = alpha * self.u2(x, y, t) - beta * self.u3(x, y, t)
+        exch = p.alpha * self.u2(x, y, t) - p.beta * self.u3(x, y, t)
         return du2_dt - p.d2 * self._b(t) * self._g2(x) * ddy + exch
 
     def f3(self, x, y, t):
@@ -295,9 +304,7 @@ class ManufacturedSolution:
         cos = np.cos(self.lam * y)
         du3_dt = dc * self._g3(x) * cos
         ddy = -self._c(t) * self.lam**2 * self._g3(x) * cos
-        alpha = float(np.asarray(p.alpha))
-        beta = float(np.asarray(p.beta))
-        exch = alpha * self.u2(x, y, t) - beta * self.u3(x, y, t)
+        exch = p.alpha * self.u2(x, y, t) - p.beta * self.u3(x, y, t)
         return du3_dt - p.d3 * ddy - exch
 
     def f4(self, x, t):
@@ -322,11 +329,22 @@ class ManufacturedSolution:
         x = grid.x_nodes()
         X = x[:, None]
         Y = grid.y_nodes()[None, :]
+
+        def split(f, *args):
+            # P at e^{-t} = 0, Q from e^{-t} = 1; each call returns a fresh array
+            shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+            p = np.broadcast_to(f(*args, np.inf), shape).copy()
+            q = np.broadcast_to(f(*args, 0.0), shape) - p
+
+            def term(t):
+                out = q * math.exp(-t)
+                out += p
+                return out
+            return term
+
         return SourceTerms(
-            f1=lambda t: np.broadcast_to(self.f1(x, t), x.shape).copy(),
-            f2=lambda t: np.broadcast_to(self.f2(X, Y, t), (x.size, Y.size)).copy(),
-            f3=lambda t: np.broadcast_to(self.f3(X, Y, t), (x.size, Y.size)).copy(),
-            f4=lambda t: np.broadcast_to(self.f4(x, t), x.shape).copy(),
+            f1=split(self.f1, x), f2=split(self.f2, X, Y),
+            f3=split(self.f3, X, Y), f4=split(self.f4, x),
         )
 
     def exact_state(self, grid: GridSpec, t: float) -> State:

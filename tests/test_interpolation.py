@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from corrosim.interpolation import (
     dual_cell_bounds,
     extension_product_residuals,
     extension_products,
+    ManufacturedSolution,
     manufactured_constant,
     manufactured_default,
     mms_convergence,
@@ -188,6 +191,24 @@ class TestMmsConvergence:
             for p in tab.orders[name]:
                 assert p >= 1.9, (name, tab.orders)
 
+    def test_error_table_pinned(self):
+        # recorded with the sources evaluated from their closed forms on every
+        # call; a sign or factor slip in the P + e^{-t} Q split moves these
+        # long before it reaches the order floor
+        expected = [
+            (0.0015526712340893404, 0.015635502732135112,
+             0.0011122146722058316, 3.0959175487144204e-05),
+            (0.0003815007430799709, 0.0038760397961368313,
+             0.0002718619747394876, 7.620194494710175e-06),
+            (9.494768405948405e-05, 0.0009668631191692442,
+             6.757348289443223e-05, 1.8973203890239793e-06),
+        ]
+        tab = mms_convergence(manufactured_default(), GridSpec(1, 1, 8, 8), 3, 0.5)
+        got = [(r.e_u1, r.e_u2, r.e_u3, r.e_u4) for r in tab.rows]
+        assert [(r.n_x, r.n_y) for r in tab.rows] == [(8, 8), (16, 16), (32, 32)]
+        for row, ref in zip(got, expected):
+            assert row == pytest.approx(ref, rel=1e-9, abs=0.0)
+
     def test_cell_axis_only_refinement(self):
         # x-independent data: halving only h_y must quarter the errors
         ms = manufactured_default(amp_x=0.0)
@@ -244,3 +265,54 @@ class TestMmsConvergence:
         dyl_u3 = (ms.u3(x, ell, t) - ms.u3(x, ell - eps, t)) / eps
         eta = p.k * p.c_bar * ms.u3(x, ell, t)
         assert p.d3 * dyl_u3 == pytest.approx(-eta, rel=1e-5)
+
+
+class TestSeparableSources:
+    """`sources` builds each f_k once per grid as P + e^{-t} Q."""
+
+    @staticmethod
+    def pointwise(ms, g, t):
+        x = g.x_nodes()
+        X, Y = x[:, None], g.y_nodes()[None, :]
+        shape = (x.size, Y.size)
+        return {
+            "f1": np.broadcast_to(ms.f1(x, t), x.shape),
+            "f2": np.broadcast_to(ms.f2(X, Y, t), shape),
+            "f3": np.broadcast_to(ms.f3(X, Y, t), shape),
+            "f4": np.broadcast_to(ms.f4(x, t), x.shape),
+        }
+
+    @pytest.mark.parametrize("amp_x", [0.0, 1.0])
+    @pytest.mark.parametrize("n_x,n_y", [(8, 8), (16, 4)])
+    def test_matches_the_closed_forms(self, n_x, n_y, amp_x):
+        ms = manufactured_default(amp_x=amp_x)
+        g = GridSpec(1.0, 1.0, n_x, n_y)
+        src = ms.sources(g)
+        for t in (0.0, 0.137, 0.5, 3.0, 40.0):
+            for name, ref in self.pointwise(ms, g, t).items():
+                got = getattr(src, name)(t)
+                assert got.shape == ref.shape, (name, t)
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(got - ref)) <= 1e-13 * scale, (name, t)
+
+    def test_each_call_returns_a_fresh_array(self):
+        g = GridSpec(1.0, 1.0, 8, 8)
+        src = manufactured_default().sources(g)
+        for name in ("f1", "f2", "f3", "f4"):
+            f = getattr(src, name)
+            first, second = f(0.3), f(0.3)
+            assert first is not second
+            assert not np.shares_memory(first, second)
+            kept = second.copy()
+            first += 1.0
+            np.testing.assert_array_equal(second, kept)
+            np.testing.assert_array_equal(f(0.3), kept)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_manufactured_solution_rejects_a_sample_vector(name):
+    # the closed forms take scalar exchange coefficients
+    ms = manufactured_default()
+    params = replace(ms.params, **{name: np.full(9, 0.4)})
+    with pytest.raises(ValueError, match=name):
+        ManufacturedSolution(params, 1.0, 1.0)
