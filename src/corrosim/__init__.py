@@ -11,7 +11,7 @@ difference operators and their exact summation-by-parts identities
 harness (`interpolation`), and a config-driven CLI (`cli`).
 """
 
-from .grids import GridSpec, QuadWeights
+from .grids import GridSpec
 from .integrator import DivergedError, TimeSpec, Trajectory, integrate, stability_dt
 from .model import (
     AssumptionError,
@@ -20,10 +20,8 @@ from .model import (
     SourceTerms,
     State,
     eta,
-    ghost_values,
     project_initial,
     rhs,
-    zeta,
 )
 
 __version__ = "0.1.0"
@@ -34,16 +32,13 @@ __all__ = [
     "GridSpec",
     "InitialData",
     "ModelParams",
-    "QuadWeights",
     "SourceTerms",
     "State",
     "TimeSpec",
     "Trajectory",
     "eta",
-    "ghost_values",
     "integrate",
     "project_initial",
     "rhs",
     "stability_dt",
-    "zeta",
 ]

@@ -115,21 +115,25 @@ def cmd_run(args) -> int:
 
 
 def cmd_mms(args) -> int:
-    # the forced problem carries its own horizon; a config contributes only
-    # the base grid resolution
+    # the forced problem carries its own horizon and the unit square; a
+    # config contributes only the base grid resolution
     if args.levels < 2:
         raise ConfigError("mms needs --levels >= 2 to measure orders")
     t_end = 0.5
     if args.config is not None:
         cfg = load_config(args.config)
-        base = GridSpec(1.0, 1.0, cfg.grid.n_x, cfg.grid.n_y)
+        base = cfg.grid
+        for key, value in (("length", base.length), ("cell_length", base.cell_length)):
+            if value != 1.0:
+                raise ConfigError(
+                    f"mms solves on the unit square, but grid.{key} = {value:g}")
         chash = cfg.config_hash()
     else:
         base = GridSpec(1.0, 1.0, 8, 8)
         chash = "builtin-mms"
     os.makedirs(args.out, exist_ok=True)
-    table = mms_convergence(manufactured_default(base.length, base.cell_length),
-                            base, args.levels, t_end)
+    grids = [base.refine(2**lvl) for lvl in range(args.levels)]
+    table = mms_convergence(manufactured_default(), grids, t_end)
     header = ["level", "N_x", "N_y",
               "e_u1", "e_u2", "e_u3", "e_u4",
               "p_u1", "p_u2", "p_u3", "p_u4"]

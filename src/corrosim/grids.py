@@ -70,48 +70,18 @@ class GridSpec:
         """Micro nodes y_j = j*h_y, j = 0..n_y."""
         return np.arange(self.n_y + 1) * self.h_y
 
-    def x_edges(self) -> np.ndarray:
-        """Staggered macro nodes x_{i+1/2}, i = 0..n_x-1."""
-        return (np.arange(self.n_x) + 0.5) * self.h_x
-
-    def y_edges(self) -> np.ndarray:
-        """Staggered micro nodes y_{j+1/2}, j = 0..n_y-1."""
-        return (np.arange(self.n_y) + 0.5) * self.h_y
-
-    def macro_field(self) -> np.ndarray:
-        return np.zeros(self.n_x + 1)
-
-    def micro_field(self) -> np.ndarray:
-        return np.zeros((self.n_x + 1, self.n_y + 1))
-
     def refine(self, factor: int = 2) -> "GridSpec":
         """Same domain with both subinterval counts multiplied by factor."""
         return GridSpec(self.length, self.cell_length,
                         self.n_x * factor, self.n_y * factor)
 
 
-@dataclass(frozen=True)
-class QuadWeights:
-    """Trapezoid weight vectors of the discrete products.
-
-    gamma1 has length n_x + 1 and gamma2 length n_y + 1; both are one half
-    at the endpoint indices and one in the interior, so that
-    sum(gamma1) * h_x == L and sum(gamma2) * h_y == ell exactly.
-    """
-
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-
-
 def _trapezoid_weights(n: int) -> np.ndarray:
+    """Weights gamma_0..gamma_n: one half at both endpoints, one inside."""
     g = np.ones(n + 1)
     g[0] = 0.5
     g[-1] = 0.5
     return g
-
-
-def quad_weights(grid: GridSpec) -> QuadWeights:
-    return QuadWeights(_trapezoid_weights(grid.n_x), _trapezoid_weights(grid.n_y))
 
 
 def _check_shape(u: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -157,9 +127,9 @@ def ip_micro(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
     """Weighted product h_x h_y * sum_ij gamma1_i gamma2_j u_ij v_ij."""
     u = check_micro(grid, u)
     v = check_micro(grid, v)
-    w = quad_weights(grid)
-    return grid.h_x * grid.h_y * float(
-        np.sum(w.gamma1[:, None] * w.gamma2[None, :] * u * v))
+    g1 = _trapezoid_weights(grid.n_x)
+    g2 = _trapezoid_weights(grid.n_y)
+    return grid.h_x * grid.h_y * float(np.sum(g1[:, None] * g2[None, :] * u * v))
 
 
 def ip_macro_edge(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:

@@ -233,6 +233,10 @@ class ManufacturedSolution:
     P = f(t = inf) and Q = f(0) - P once per grid, so the closed forms stay
     the only definition of the sources, and a new envelope must stay affine
     in e^{-t}.  The exchange coefficients alpha and beta must be scalars.
+
+    `manufactured_default` builds it on the unit square with amp_x = 1;
+    amp_x = 0 removes every x-variation, so that refining the cell axis
+    alone shows that axis's order.
     """
 
     params: ModelParams
@@ -361,65 +365,17 @@ class ManufacturedSolution:
         )
 
 
-def manufactured_default(length: float = 1.0, cell_length: float = 1.0,
-                         amp_x: float = 1.0) -> ManufacturedSolution:
-    """Smooth separable manufactured solution on the given domain."""
-    lam = np.pi / (4.0 * cell_length)
+def manufactured_default() -> ManufacturedSolution:
+    """Smooth separable manufactured solution on the unit square."""
+    lam = np.pi / 4.0
     d3 = 0.1
     c_bar = 1.0
     params = ModelParams(
         d1=0.1, d2=0.1, d3=d3, bi_m=0.5, henry=0.8, u1_d=1.0,
-        k=d3 * lam * np.tan(lam * cell_length) / c_bar,
+        k=d3 * lam * np.tan(lam) / c_bar,
         alpha=0.4, beta=0.3, c_bar=c_bar,
         r_kind="identity", q_kind="constant", m3=10.0, m4=2.0)
-    return ManufacturedSolution(params, length, cell_length, amp_x=amp_x)
-
-
-@dataclass(frozen=True)
-class ConstantSolution:
-    """Space- and time-constant fields, reproduced exactly by the scheme."""
-
-    params: ModelParams
-    u2_value: float
-    u4_value: float = 0.7
-
-    def initial_data(self) -> InitialData:
-        p = self.params
-        return InitialData(
-            u1=lambda x: np.full_like(x, p.u1_d),
-            u2=lambda x, y: self.u2_value + 0.0 * x * y,
-            u3=lambda x, y: 0.0 * x * y,
-            u4=lambda x: np.full_like(x, self.u4_value),
-        )
-
-    def sources(self, grid: GridSpec) -> SourceTerms:
-        p = self.params
-        alpha = float(np.asarray(p.alpha))
-        nm, nf = grid.n_x + 1, grid.n_y + 1
-        exch = alpha * self.u2_value
-        return SourceTerms(
-            f1=lambda t: np.zeros(nm),
-            f2=lambda t: np.full((nm, nf), exch),
-            f3=lambda t: np.full((nm, nf), -exch),
-            f4=lambda t: np.zeros(nm),
-        )
-
-    def exact_state(self, grid: GridSpec, t: float) -> State:
-        return State(
-            t=t,
-            u1=np.zeros(grid.n_x + 1),
-            u2=np.full((grid.n_x + 1, grid.n_y + 1), self.u2_value),
-            u3=np.zeros((grid.n_x + 1, grid.n_y + 1)),
-            u4=np.full(grid.n_x + 1, self.u4_value),
-        )
-
-
-def manufactured_constant(length: float = 1.0, cell_length: float = 1.0) -> ConstantSolution:
-    params = ModelParams(
-        d1=0.1, d2=0.1, d3=0.1, bi_m=0.5, henry=0.8, u1_d=1.0,
-        k=0.2, alpha=0.4, beta=0.3, c_bar=1.0,
-        r_kind="identity", q_kind="constant")
-    return ConstantSolution(params, u2_value=params.henry * params.u1_d)
+    return ManufacturedSolution(params, 1.0, 1.0)
 
 
 @dataclass
@@ -441,26 +397,19 @@ class ConvergenceTable:
     FIELDS = ("u1", "u2", "u3", "u4")
 
 
-def mms_convergence(solution, base_grid: GridSpec, levels: int,
-                    t_end: float, refine_y_only: bool = False) -> ConvergenceTable:
+def mms_convergence(solution, grids: list[GridSpec], t_end: float) -> ConvergenceTable:
     """Error table and observed orders under grid refinement.
 
-    Integrates the forced system on `levels` nested grids (halving both
-    steps per level, or only the cell step with refine_y_only) and reports
-    the discrete L2 errors against the exact fields at t_end, plus the
-    observed order log2(e_k / e_{k+1}) between consecutive levels.
+    Integrates the forced system on each grid of `grids`, coarsest first,
+    and reports the discrete L2 errors against the exact fields at t_end,
+    plus the observed order log2(e_k / e_{k+1}) between consecutive grids;
+    each grid should halve the steps it refines.
     """
-    if levels < 2:
-        raise ValueError(f"order measurement needs at least 2 levels, got {levels}")
+    if len(grids) < 2:
+        raise ValueError(f"order measurement needs at least 2 levels, got {len(grids)}")
     table = ConvergenceTable()
-    for lvl in range(levels):
-        factor = 2**lvl
-        if refine_y_only:
-            g = GridSpec(base_grid.length, base_grid.cell_length,
-                         base_grid.n_x, base_grid.n_y * factor)
-        else:
-            g = base_grid.refine(factor) if lvl else base_grid
-        params = solution.params
+    params = solution.params
+    for lvl, g in enumerate(grids):
         state0 = project_initial(solution.initial_data(), params, g)
         ts = TimeSpec(t_end=t_end, snapshot_times=(t_end,))
         traj = integrate(state0, params, g, ts, sources=solution.sources(g))

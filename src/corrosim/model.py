@@ -16,9 +16,10 @@ surfaces on rejection:
       monotonicity, sublinearity)
 * A4  initial data (finite, nonnegative)
 
-`rhs` writes into a caller-owned `Tendency`; `ghost_values`, `henry_flux`,
-`zeta`, `eta` and the `laplace_*` operators stay as the reference it is
-tested against.
+`rhs` writes into a caller-owned `Tendency`.  It closes the boundary
+stencils with ghost nodes inline: the gas field reflects at x = L, the
+dissolved gas takes the interfacial flux `henry_flux` at y = 0 and the acid
+loses the surface reaction `eta` at y = ell.
 """
 
 from __future__ import annotations
@@ -150,11 +151,6 @@ def _coefficient_row(coef, grid: GridSpec, name: str) -> np.ndarray:
     return coef
 
 
-def zeta(r, s, alpha, beta):
-    """Volume exchange rate alpha*r - beta*s, linear in both arguments."""
-    return alpha * np.asarray(r, dtype=float) - beta * np.asarray(s, dtype=float)
-
-
 def eta(r, s, params: ModelParams):
     """Surface reaction rate k * R(r) * Q(s) for r >= 0 and s >= 0, else 0.
 
@@ -202,41 +198,10 @@ class Tendency:
     u4: np.ndarray
 
 
-@dataclass
-class GhostRows:
-    """Out-of-grid values closing the boundary stencils, recomputed from the
-    current state on every evaluation."""
-
-    u1_right: float          # u1 at the node beyond x = L
-    u2_bottom: np.ndarray    # u2 at y = -h_y
-    u2_top: np.ndarray       # u2 at y = ell + h_y
-    u3_bottom: np.ndarray    # u3 at y = -h_y
-    u3_top: np.ndarray       # u3 at y = ell + h_y
-
-
 def henry_flux(state: State, params: ModelParams) -> np.ndarray:
     """Interfacial exchange rate bi_m * (H*(u1 + u1_d) - u2|_{y=0})."""
     return params.bi_m * (
         params.henry * (state.u1 + params.u1_d) - state.u2[:, 0])
-
-
-def ghost_values(state: State, params: ModelParams, grid: GridSpec) -> GhostRows:
-    """Ghost node values from the centered-difference boundary closure.
-
-    The gas field reflects at x = L; the dissolved-gas cell boundary at
-    y = 0 carries the interfacial exchange flux, its far side reflects; the
-    acid reflects at y = 0 and loses the surface reaction flux at y = ell.
-    """
-    u2, u3 = state.u2, state.u3
-    flux = henry_flux(state, params)
-    surface = eta(u3[:, -1], state.u4, params)
-    return GhostRows(
-        u1_right=float(state.u1[-2]),
-        u2_bottom=u2[:, 1] + (2.0 * grid.h_y / params.d2) * flux,
-        u2_top=u2[:, -2].copy(),
-        u3_bottom=u3[:, 1].copy(),
-        u3_top=u3[:, -2] - (2.0 * grid.h_y / params.d3) * surface,
-    )
 
 
 @dataclass
@@ -296,9 +261,10 @@ def rhs(state: State, params: ModelParams, grid: GridSpec,
 
 def _add_diffusion(du: np.ndarray, u: np.ndarray, d: float, h: float,
                    before: np.ndarray, after: np.ndarray) -> None:
-    """du += d * laplace_micro-style 3-point Laplacian of u along its rows,
-    as one slice stencil over the flattened field whose first and last
-    columns, straddling two rows, are redone with the ghost values."""
+    """du += d * the 3-point Laplacian of u along its rows, closed by the
+    ghost columns `before` and `after`, as one slice stencil over the
+    flattened field whose first and last columns, straddling two rows, are
+    redone with the ghost values."""
     flat = u.reshape(-1)
     lap = np.empty(u.shape)
     inner = lap.reshape(-1)[1:-1]

@@ -1,9 +1,10 @@
-"""Discrete gradient/divergence/Laplacian stencils and their exact identities.
+"""Discrete gradient/divergence stencils and their exact identities.
 
 Gradients map node fields to staggered edge fields, divergences map edge
-fields back to node fields.  Divergence and Laplacian values at boundary
-nodes need out-of-grid (ghost) data, which the caller supplies explicitly;
-ghost values are never stored inside field arrays.
+fields back to node fields.  Divergence values at boundary nodes need
+out-of-grid (ghost) data, which the caller supplies explicitly; ghost
+values are never stored inside field arrays.  The Laplacian `rhs` applies
+is built in `model`.
 
 The summation-by-parts residuals below check the discrete Green-like
 formulas that pair divergence against gradient plus boundary flux terms,
@@ -66,29 +67,6 @@ def div_micro(grid: GridSpec, v: np.ndarray,
     top = check_macro(grid, top_ghost)
     ext = np.concatenate([bottom[:, None], v, top[:, None]], axis=1)
     return np.diff(ext, axis=1) / grid.h_y
-
-
-def laplace_macro(grid: GridSpec, u: np.ndarray, right_ghost: float) -> np.ndarray:
-    """3-point stencil (u_{i-1} - 2u_i + u_{i+1})/h_x^2 at nodes i = 1..n_x.
-
-    right_ghost supplies u_{n_x+1}; the no-flux closure uses u_{n_x-1}.
-    """
-    u = check_macro(grid, u)
-    ext = np.concatenate([u, [right_ghost]])
-    return (ext[:-2] - 2.0 * ext[1:-1] + ext[2:]) / grid.h_x**2
-
-
-def laplace_micro(grid: GridSpec, u: np.ndarray,
-                  bottom_ghost: np.ndarray, top_ghost: np.ndarray) -> np.ndarray:
-    """3-point stencil along y at all nodes j = 0..n_y.
-
-    bottom_ghost and top_ghost supply the rows u_{i,-1} and u_{i,n_y+1}.
-    """
-    u = check_micro(grid, u)
-    bottom = check_macro(grid, bottom_ghost)
-    top = check_macro(grid, top_ghost)
-    ext = np.concatenate([bottom[:, None], u, top[:, None]], axis=1)
-    return (ext[:, :-2] - 2.0 * ext[:, 1:-1] + ext[:, 2:]) / grid.h_y**2
 
 
 def green_macro_residual(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:

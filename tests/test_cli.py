@@ -245,6 +245,27 @@ class TestMmsCommand:
         assert len(rows) == 2
         assert float(rows[1][7]) >= 1.9  # p_u1 on the refined level
 
+    def test_config_sets_the_base_grid(self, tmp_path):
+        cfg = write_config(tmp_path / "f.ini", extra="\n[grid]\nnx = 4\nny = 4\n")
+        out = tmp_path / "o"
+        assert cli.main(["mms", "--config", cfg, "--levels", "2", "--out", str(out)]) == 0
+        header, rows = read_csv(out / "mms.csv")
+        assert [(r[1], r[2]) for r in rows] == [("4", "4"), ("8", "8")]
+        first = (out / "mms.csv").read_text().splitlines()[0]
+        assert first == f"# config {load_config(cfg).config_hash()}"
+
+    @pytest.mark.parametrize("grid,key", [("length = 2\ncell_length = 3", "grid.length"),
+                                          ("cell_length = 3", "grid.cell_length")],
+                             ids=["length", "cell_length"])
+    def test_non_unit_domain_is_usage_error(self, tmp_path, capsys, grid, key):
+        # the manufactured solution lives on the unit square
+        cfg = write_config(tmp_path / "f.ini",
+                           extra=f"\n[grid]\n{grid}\nnx = 4\nny = 4\n")
+        out = tmp_path / "o"
+        assert cli.main(["mms", "--config", cfg, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_all_suites_pass(self, tmp_path, capsys):

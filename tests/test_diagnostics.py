@@ -9,7 +9,8 @@ from corrosim.diagnostics import (
 )
 from corrosim.grids import GridSpec
 from corrosim.integrator import TimeSpec
-from corrosim.model import InitialData, ModelParams, State
+from corrosim.model import InitialData, ModelParams
+from reference import zero_state
 
 
 def params(**overrides):
@@ -17,11 +18,6 @@ def params(**overrides):
                 k=0.0, alpha=0.0, beta=0.0, c_bar=1.0)
     base.update(overrides)
     return ModelParams(**base)
-
-
-def zero_state(grid):
-    return State(0.0, grid.macro_field(), grid.micro_field(),
-                 grid.micro_field(), grid.macro_field())
 
 
 def gamma(n, i):

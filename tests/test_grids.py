@@ -4,13 +4,13 @@ import pytest
 from corrosim.grids import (
     GridError,
     GridSpec,
+    _trapezoid_weights,
     ip_macro,
     ip_macro_edge,
     ip_micro,
     ip_micro_edge,
     norm_macro,
     norm_micro,
-    quad_weights,
     trace,
 )
 
@@ -74,28 +74,27 @@ class TestMakeGrid:
         with pytest.raises(GridError):
             GridSpec(1.0, 0.0, 4, 4)
 
-    def test_nodes_and_edges(self):
+    def test_nodes(self):
         g = GridSpec(1.0, 2.0, 4, 2)
         assert np.allclose(g.x_nodes(), [0, 0.25, 0.5, 0.75, 1.0])
         assert np.allclose(g.y_nodes(), [0, 1.0, 2.0])
-        assert np.allclose(g.x_edges(), [0.125, 0.375, 0.625, 0.875])
-        assert np.allclose(g.y_edges(), [0.5, 1.5])
 
 
 class TestWeights:
     def test_endpoint_halves(self):
-        w = quad_weights(GridSpec(1.0, 1.0, 5, 3))
-        assert w.gamma1[0] == 0.5 and w.gamma1[-1] == 0.5
-        assert np.all(w.gamma1[1:-1] == 1.0)
-        assert w.gamma2[0] == 0.5 and w.gamma2[-1] == 0.5
+        for n in (5, 3):
+            g = _trapezoid_weights(n)
+            assert g.shape == (n + 1,)
+            assert g[0] == 0.5 and g[-1] == 0.5
+            assert np.all(g[1:-1] == 1.0)
 
     def test_weights_sum_to_lengths(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             g = random_grid(rng)
-            w = quad_weights(g)
-            assert np.sum(w.gamma1) * g.h_x == pytest.approx(g.length, rel=1e-15)
-            assert np.sum(w.gamma2) * g.h_y == pytest.approx(g.cell_length, rel=1e-15)
+            gamma1, gamma2 = _trapezoid_weights(g.n_x), _trapezoid_weights(g.n_y)
+            assert np.sum(gamma1) * g.h_x == pytest.approx(g.length, rel=1e-15)
+            assert np.sum(gamma2) * g.h_y == pytest.approx(g.cell_length, rel=1e-15)
 
 
 class TestMacroProduct:
@@ -177,11 +176,11 @@ class TestTrace:
     def test_bad_side(self):
         g = GridSpec(1.0, 2.0, 4, 5)
         with pytest.raises(ValueError):
-            trace(g, g.micro_field(), "top")
+            trace(g, np.zeros((5, 6)), "top")
 
     def test_trace_is_a_copy(self):
         g = GridSpec(1.0, 2.0, 4, 5)
-        u = g.micro_field()
+        u = np.zeros((5, 6))
         t = trace(g, u, "y0")
         t[0] = 99.0
         assert u[0, 0] == 0.0

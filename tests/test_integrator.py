@@ -13,6 +13,7 @@ from corrosim.integrator import (
     stability_dt,
 )
 from corrosim.model import ModelParams, SourceTerms, State
+from reference import zero_state
 
 
 def params(**overrides):
@@ -21,11 +22,6 @@ def params(**overrides):
                 r_kind="identity", q_kind="constant")
     base.update(overrides)
     return ModelParams(**base)
-
-
-def zero_state(grid):
-    return State(0.0, grid.macro_field(), grid.micro_field(),
-                 grid.micro_field(), grid.macro_field())
 
 
 # stepper cases by label: "fixed" is RK4 within its reach, "adaptive" RK4

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from corrosim.grids import GridSpec, ip_macro
+from corrosim.integrator import TimeSpec, integrate
 from corrosim.interpolation import (
     dual_cell_bounds,
     extension_product_residuals,
     extension_products,
     ManufacturedSolution,
-    manufactured_constant,
     manufactured_default,
     mms_convergence,
     pwc_eval_macro,
@@ -17,6 +17,8 @@ from corrosim.interpolation import (
     pwl_eval_macro,
     pwl_eval_micro,
 )
+from corrosim.model import project_initial
+from reference import manufactured_constant
 
 
 class TestDualCells:
@@ -69,7 +71,7 @@ class TestPwcEval:
     def test_micro_outside_domain_rejected(self):
         g = GridSpec(1.0, 1.0, 4, 4)
         with pytest.raises(ValueError):
-            pwc_eval_micro(g, g.micro_field(), np.array([0.5]), np.array([1.5]))
+            pwc_eval_micro(g, np.zeros((5, 5)), np.array([0.5]), np.array([1.5]))
 
 
 class TestPwlEval:
@@ -82,7 +84,7 @@ class TestPwlEval:
     def test_macro_midpoint_average(self):
         g = GridSpec(1.0, 1.0, 4, 4)
         u = np.array([0.0, 1.0, 3.0, 2.0, 5.0])
-        mids = g.x_edges()
+        mids = (np.arange(4) + 0.5) * g.h_x
         assert np.allclose(pwl_eval_macro(g, u, mids), 0.5 * (u[:-1] + u[1:]))
 
     def test_micro_affine_reproduction(self):
@@ -174,19 +176,35 @@ class TestExtensionProducts:
             assert max(res.values()) <= 1e-12
 
 
+def levels(base, count):
+    return [base.refine(2**lvl) for lvl in range(count)]
+
+
 class TestMmsConvergence:
     def test_constant_solution_machine_precision(self):
         cs = manufactured_constant()
-        tab = mms_convergence(cs, GridSpec(1.0, 1.0, 4, 4), 2, t_end=0.5)
+        tab = mms_convergence(cs, levels(GridSpec(1.0, 1.0, 4, 4), 2), t_end=0.5)
         for row in tab.rows:
             assert row.e_u1 <= 1e-13
             assert row.e_u2 <= 1e-13
             assert row.e_u3 <= 1e-13
             assert row.e_u4 <= 1e-13
 
+    def test_constant_solution_with_sampled_alpha(self):
+        # alpha varying across the cell (A2): the sources cancel it row by row
+        g = GridSpec(1.0, 1.0, 4, 4)
+        cs = manufactured_constant()
+        cs = replace(cs, params=replace(cs.params, alpha=np.linspace(0.2, 0.6, 5)))
+        state0 = project_initial(cs.initial_data(), cs.params, g)
+        final = integrate(state0, cs.params, g, TimeSpec(t_end=0.5),
+                          sources=cs.sources(g)).snapshots[-1]
+        exact = cs.exact_state(g, 0.5)
+        for name in ("u1", "u2", "u3", "u4"):
+            assert np.max(np.abs(getattr(final, name) - getattr(exact, name))) <= 1e-13
+
     def test_smooth_solution_second_order(self):
         ms = manufactured_default()
-        tab = mms_convergence(ms, GridSpec(1.0, 1.0, 8, 8), 3, t_end=0.5)
+        tab = mms_convergence(ms, levels(GridSpec(1.0, 1.0, 8, 8), 3), t_end=0.5)
         for name in ("u1", "u2", "u3"):
             for p in tab.orders[name]:
                 assert p >= 1.9, (name, tab.orders)
@@ -203,7 +221,7 @@ class TestMmsConvergence:
             (9.494768405948405e-05, 0.0009668631191692442,
              6.757348289443223e-05, 1.8973203890239793e-06),
         ]
-        tab = mms_convergence(manufactured_default(), GridSpec(1, 1, 8, 8), 3, 0.5)
+        tab = mms_convergence(manufactured_default(), levels(GridSpec(1, 1, 8, 8), 3), 0.5)
         got = [(r.e_u1, r.e_u2, r.e_u3, r.e_u4) for r in tab.rows]
         assert [(r.n_x, r.n_y) for r in tab.rows] == [(8, 8), (16, 16), (32, 32)]
         for row, ref in zip(got, expected):
@@ -211,9 +229,9 @@ class TestMmsConvergence:
 
     def test_cell_axis_only_refinement(self):
         # x-independent data: halving only h_y must quarter the errors
-        ms = manufactured_default(amp_x=0.0)
-        tab = mms_convergence(ms, GridSpec(1.0, 1.0, 8, 8), 3,
-                              t_end=0.5, refine_y_only=True)
+        ms = replace(manufactured_default(), amp_x=0.0)
+        grids = [GridSpec(1.0, 1.0, 8, 8 * 2**lvl) for lvl in range(3)]
+        tab = mms_convergence(ms, grids, t_end=0.5)
         assert all(r.n_x == 8 for r in tab.rows)
         for name in ("u1", "u2", "u3"):
             for p in tab.orders[name]:
@@ -221,7 +239,7 @@ class TestMmsConvergence:
 
     def test_single_level_rejected(self):
         with pytest.raises(ValueError):
-            mms_convergence(manufactured_default(), GridSpec(1, 1, 4, 4), 1, 0.1)
+            mms_convergence(manufactured_default(), [GridSpec(1, 1, 4, 4)], 0.1)
 
     def test_source_terms_consistent_with_fields(self):
         # finite-difference consistency of the hand-derived sources
@@ -285,7 +303,7 @@ class TestSeparableSources:
     @pytest.mark.parametrize("amp_x", [0.0, 1.0])
     @pytest.mark.parametrize("n_x,n_y", [(8, 8), (16, 4)])
     def test_matches_the_closed_forms(self, n_x, n_y, amp_x):
-        ms = manufactured_default(amp_x=amp_x)
+        ms = replace(manufactured_default(), amp_x=amp_x)
         g = GridSpec(1.0, 1.0, n_x, n_y)
         src = ms.sources(g)
         for t in (0.0, 0.137, 0.5, 3.0, 40.0):

@@ -7,14 +7,12 @@ from corrosim.model import (
     InitialData,
     ModelParams,
     SourceTerms,
-    State,
     eta,
-    ghost_values,
     project_initial,
     rhs,
     unshifted_u1,
-    zeta,
 )
+from reference import ghost_values, zero_state, zeta
 
 
 def params(**overrides):
@@ -23,11 +21,6 @@ def params(**overrides):
                 r_kind="identity", q_kind="constant", m3=10.0, m4=1.0)
     base.update(overrides)
     return ModelParams(**base)
-
-
-def zero_state(grid):
-    return State(0.0, grid.macro_field(), grid.micro_field(),
-                 grid.micro_field(), grid.macro_field())
 
 
 class TestValidation:

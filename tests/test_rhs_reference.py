@@ -1,6 +1,6 @@
-"""The in-place `rhs` against the reference composition of the public
-pieces: `ghost_values` closing `laplace_macro`/`laplace_micro`, plus
-`henry_flux`, `zeta` and `eta`."""
+"""The in-place `rhs` against the reference composition of the pieces in
+reference.py: `ghost_values` closing `laplace_macro`/`laplace_micro`, plus
+`zeta` and the package's `henry_flux` and `eta`."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,10 @@ from corrosim.model import (
     State,
     Tendency,
     eta,
-    ghost_values,
     henry_flux,
     rhs,
-    zeta,
 )
-from corrosim.operators import laplace_macro, laplace_micro
+from reference import ghost_values, laplace_macro, laplace_micro, zeta
 
 GRIDS = ((8, 8), (16, 4), (33, 17))
 RTOL = 1e-13

@@ -22,7 +22,8 @@ from corrosim.integrator import (
     stability_dt,
 )
 from corrosim.interpolation import manufactured_default
-from corrosim.model import ModelParams, State, project_initial, unshifted_u1
+from corrosim.model import ModelParams, project_initial, unshifted_u1
+from reference import zero_state
 
 POSITIVITY_SLACK = 1e-8
 ENERGY_SLACK = 1e-9
@@ -126,8 +127,7 @@ def test_stiff_step_holds_a_fixed_number_of_state_vectors():
 
 
 def half_sine(grid):
-    st = State(0.0, grid.macro_field(), grid.micro_field(), grid.micro_field(),
-               grid.macro_field())
+    st = zero_state(grid)
     st.u1 = np.sin(0.5 * np.pi * grid.x_nodes())
     return st
 
