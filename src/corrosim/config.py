@@ -36,7 +36,7 @@ class ConfigError(ValueError):
 
 _GRID_KEYS = ("length", "cell_length", "nx", "ny")
 _PARAM_KEYS = ("d1", "d2", "d3", "bi_m", "henry", "u1_d", "k", "alpha",
-               "beta", "c_bar", "r_kind", "q_kind", "m3", "m4")
+               "beta", "c_bar", "q_kind", "m3", "m4")
 _TIME_KEYS = ("t_end", "mode", "dt", "rtol", "atol", "snapshots")
 _RUN_KEYS = ("scenario", "seed")
 _OUTPUT_KEYS = ("micro_slice_x",)
@@ -84,6 +84,16 @@ def _smooth_initial(grid: GridSpec, params: ModelParams) -> InitialData:
     )
 
 
+# The verification scenarios share an 8^2 grid and decoupled constants with
+# the surface reaction and the volume exchange off; dissipation and
+# conservation share a 0-10 schedule.
+_SMALL_GRID = dict(length=1.0, cell_length=1.0, nx=8, ny=8)
+_DECOUPLED = dict(d1=0.05, d2=0.05, d3=0.05, bi_m=0.0, henry=1.0, u1_d=0.0,
+                  k=0.0, alpha=0.0, beta=0.0, c_bar=1.0, q_kind="constant",
+                  m3=10.0, m4=1.0)
+_TEN_UNITS = dict(t_end=10.0, mode="fixed",
+                  snapshots=" ".join(str(v) for v in np.arange(0.0, 10.5, 0.5)))
+
 # scenario name -> (defaults by section, initial-data factory)
 SCENARIOS = {
     "fig1": (
@@ -91,8 +101,7 @@ SCENARIOS = {
             "grid": dict(length=1.0, cell_length=1.0, nx=16, ny=16),
             "params": dict(d1=0.0012, d2=0.005, d3=0.005, bi_m=0.15,
                            henry=1.0, u1_d=1.0, k=0.1, alpha=0.3, beta=0.01,
-                           c_bar=1.0, r_kind="identity",
-                           q_kind="linear_cutoff", m3=10.0, m4=0.5),
+                           c_bar=1.0, q_kind="linear_cutoff", m3=10.0, m4=0.5),
             "time": dict(t_end=400.0, mode="fixed", dt=0.2,
                          snapshots="0 80 160 240 320 400"),
             "output": dict(micro_slice_x=0.5),
@@ -100,41 +109,16 @@ SCENARIOS = {
         _fig1_initial,
     ),
     "zero": (
-        {
-            "grid": dict(length=1.0, cell_length=1.0, nx=8, ny=8),
-            "params": dict(d1=0.05, d2=0.05, d3=0.05, bi_m=0.0,
-                           henry=1.0, u1_d=0.0, k=0.0, alpha=0.0, beta=0.0,
-                           c_bar=1.0, r_kind="identity", q_kind="constant",
-                           m3=10.0, m4=1.0),
-            "time": dict(t_end=1.0, mode="fixed", snapshots="0 0.5 1"),
-            "output": dict(),
-        },
+        {"grid": _SMALL_GRID, "params": _DECOUPLED,
+         "time": dict(t_end=1.0, mode="fixed", snapshots="0 0.5 1")},
         _zero_initial,
     ),
     "dissipation": (
-        {
-            "grid": dict(length=1.0, cell_length=1.0, nx=8, ny=8),
-            "params": dict(d1=0.05, d2=0.05, d3=0.05, bi_m=0.5,
-                           henry=1.0, u1_d=0.0, k=0.0, alpha=0.0, beta=0.0,
-                           c_bar=1.0, r_kind="identity", q_kind="constant",
-                           m3=10.0, m4=1.0),
-            "time": dict(t_end=10.0, mode="fixed",
-                         snapshots=" ".join(str(v) for v in np.arange(0.0, 10.5, 0.5))),
-            "output": dict(),
-        },
+        {"grid": _SMALL_GRID, "params": dict(_DECOUPLED, bi_m=0.5), "time": _TEN_UNITS},
         _smooth_initial,
     ),
     "conservation": (
-        {
-            "grid": dict(length=1.0, cell_length=1.0, nx=8, ny=8),
-            "params": dict(d1=0.05, d2=0.05, d3=0.05, bi_m=0.0,
-                           henry=1.0, u1_d=0.0, k=0.0, alpha=0.0, beta=0.0,
-                           c_bar=1.0, r_kind="identity", q_kind="constant",
-                           m3=10.0, m4=1.0),
-            "time": dict(t_end=10.0, mode="fixed",
-                         snapshots=" ".join(str(v) for v in np.arange(0.0, 10.5, 0.5))),
-            "output": dict(),
-        },
+        {"grid": _SMALL_GRID, "params": _DECOUPLED, "time": _TEN_UNITS},
         _smooth_initial,
     ),
 }
@@ -247,7 +231,7 @@ def config_from_sections(sections: dict[str, dict[str, str]],
         alpha=_floatval(p, "alpha", "params"),
         beta=_floatval(p, "beta", "params"),
         c_bar=_floatval(p, "c_bar", "params"),
-        r_kind=p.get("r_kind", "identity"), q_kind=p.get("q_kind", "constant"),
+        q_kind=p.get("q_kind", "constant"),
         m3=_floatval(p, "m3", "params"), m4=_floatval(p, "m4", "params"))
 
     t = merged["time"]

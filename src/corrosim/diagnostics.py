@@ -179,7 +179,7 @@ class SweepResult:
 
 
 def refinement_sweep(grid: GridSpec, params: ModelParams, initial: InitialData,
-                     timespec: TimeSpec, levels: int = 3) -> SweepResult:
+                     timespec: TimeSpec, levels: int) -> SweepResult:
     """Integrate the scenario on `levels` nested grids and compare the
     monitored quantities level to level.
 

@@ -70,7 +70,7 @@ class GridSpec:
         """Micro nodes y_j = j*h_y, j = 0..n_y."""
         return np.arange(self.n_y + 1) * self.h_y
 
-    def refine(self, factor: int = 2) -> "GridSpec":
+    def refine(self, factor: int) -> "GridSpec":
         """Same domain with both subinterval counts multiplied by factor."""
         return GridSpec(self.length, self.cell_length,
                         self.n_x * factor, self.n_y * factor)

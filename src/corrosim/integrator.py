@@ -133,7 +133,7 @@ def spectral_radius_bound(params: ModelParams, grid: GridSpec) -> float:
     * dissolved gas   4 d2/h_y^2 + 2 bi_m (1 + H)/h_y + max alpha + max beta
                       (the Robin exchange ghost at y = 0)
     * acid            4 d3/h_y^2 + 2 k c_bar/h_y + max alpha + max beta
-                      (the surface-loss ghost at y = ell, R with slope 1)
+                      (the surface-loss ghost at y = ell; eta is linear in the acid)
     * gypsum          k c_bar (1 + m3/m4 for the linear cutoff), the
                       Lipschitz bound of eta on the admissible range
     """

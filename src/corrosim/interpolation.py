@@ -232,7 +232,9 @@ class ManufacturedSolution:
     and c and the growth of u4 are affine in e^{-t}.  `sources` evaluates
     P = f(t = inf) and Q = f(0) - P once per grid, so the closed forms stay
     the only definition of the sources, and a new envelope must stay affine
-    in e^{-t}.  The exchange coefficients alpha and beta must be scalars.
+    in e^{-t}.  The closed forms need scalar exchange coefficients alpha
+    and beta, the constant gypsum kernel Q = c_bar and the flux balance
+    above to 1e-12 relative; other parameters raise ValueError.
 
     `manufactured_default` builds it on the unit square with amp_x = 1;
     amp_x = 0 removes every x-variation, so that refining the cell axis
@@ -250,7 +252,17 @@ class ManufacturedSolution:
             if np.ndim(getattr(self.params, name)) != 0:
                 raise ValueError(
                     f"ManufacturedSolution needs a scalar {name}, got a sample vector")
-        object.__setattr__(self, "lam", np.pi / (4.0 * self.cell_length))
+        p = self.params
+        if p.q_kind != "constant":
+            raise ValueError(
+                f"ManufacturedSolution needs q_kind 'constant', got {p.q_kind!r}")
+        lam = np.pi / (4.0 * self.cell_length)
+        balance = p.d3 * lam * np.tan(lam * self.cell_length)
+        if abs(p.k * p.c_bar - balance) > 1e-12 * balance:
+            raise ValueError(
+                f"ManufacturedSolution needs k = d3*lam*tan(lam*ell)/c_bar = "
+                f"{balance / p.c_bar!r}, got k = {p.k!r}")
+        object.__setattr__(self, "lam", lam)
 
     # time envelopes
     @staticmethod
@@ -373,8 +385,7 @@ def manufactured_default() -> ManufacturedSolution:
     params = ModelParams(
         d1=0.1, d2=0.1, d3=d3, bi_m=0.5, henry=0.8, u1_d=1.0,
         k=d3 * lam * np.tan(lam) / c_bar,
-        alpha=0.4, beta=0.3, c_bar=c_bar,
-        r_kind="identity", q_kind="constant", m3=10.0, m4=2.0)
+        alpha=0.4, beta=0.3, c_bar=c_bar, q_kind="constant", m3=10.0, m4=2.0)
     return ManufacturedSolution(params, 1.0, 1.0)
 
 

@@ -1,4 +1,4 @@
-"""Model parameters, reaction kernels, and the semi-discrete right-hand side.
+"""Model parameters, the surface reaction, and the semi-discrete right-hand side.
 
 The unknowns are the gas-phase concentration on the macro grid (stored in
 shifted form, with the inlet value subtracted so the node at x = 0 is pinned
@@ -12,8 +12,8 @@ surfaces on rejection:
       solubility ratio, inlet value)
 * A2  volume-exchange coefficients alpha, beta (nonnegative, may vary
       across the cell)
-* A3  surface-reaction kernel structure (rate constant, kernel bounds,
-      monotonicity, sublinearity)
+* A3  surface reaction (rate constant, the bounds c_bar, m3 and m4, the
+      gypsum kernel Q)
 * A4  initial data (finite, nonnegative)
 
 `rhs` writes into a caller-owned `Tendency`.  It closes the boundary
@@ -31,7 +31,6 @@ import numpy as np
 
 from .grids import GridSpec, check_macro, check_micro
 
-R_KINDS = ("identity", "capped")
 Q_KINDS = ("constant", "linear_cutoff")
 
 
@@ -60,7 +59,7 @@ def _as_coefficient(value, name: str) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All physical constants and the named reaction kernels.
+    """All physical constants and the named gypsum kernel.
 
     Setting bi_m = 0 disconnects the macro and micro scales and k = 0
     disables the surface reaction; both are used by the verification
@@ -76,10 +75,9 @@ class ModelParams:
     k: float                       # surface reaction constant, >= 0
     alpha: float | np.ndarray      # dissolved-gas consumption coefficient
     beta: float | np.ndarray       # acid back-reaction coefficient
-    c_bar: float = 1.0             # upper bound of the gypsum kernel q
-    r_kind: str = "identity"       # acid kernel: "identity" or "capped"
+    c_bar: float = 1.0             # upper bound of the gypsum kernel Q
     q_kind: str = "constant"       # gypsum kernel: "constant" or "linear_cutoff"
-    m3: float = 10.0               # acid bound used by validation and "capped"
+    m3: float = 10.0               # acid bound in the step bound's gypsum row
     m4: float = 1.0                # gypsum bound used by "linear_cutoff"
 
     def __post_init__(self):
@@ -101,38 +99,8 @@ class ModelParams:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0.0):
                 raise AssumptionError("A3", f"{name} must be > 0, got {v}")
-        if self.r_kind not in R_KINDS:
-            raise AssumptionError("A3", f"unknown r_kind {self.r_kind!r}")
         if self.q_kind not in Q_KINDS:
             raise AssumptionError("A3", f"unknown q_kind {self.q_kind!r}")
-        self._validate_kernels()
-
-    def _validate_kernels(self):
-        # sampled checks on the admissible ranges: r strictly increasing with
-        # r(0) = 0 and r(s) <= s on [0, m3]; 0 <= q <= c_bar on [0, m4]
-        s = np.linspace(0.0, self.m3, 129)
-        r = self.r_of(s)
-        if r[0] != 0.0:
-            raise AssumptionError("A3", "acid kernel must vanish at 0")
-        if np.any(np.diff(r) <= 0.0):
-            raise AssumptionError("A3", "acid kernel must be strictly increasing")
-        if np.any(r > s * (1.0 + 1e-12)):
-            raise AssumptionError("A3", "acid kernel must be sublinear")
-        q = self.q_of(np.linspace(0.0, self.m4, 129))
-        if np.any(q < 0.0) or np.any(q > self.c_bar * (1.0 + 1e-12)):
-            raise AssumptionError("A3", "gypsum kernel must stay within [0, c_bar]")
-
-    def r_of(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.r_kind == "identity":
-            return r.copy()
-        return np.minimum(r, self.m3)
-
-    def q_of(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.q_kind == "constant":
-            return np.full_like(s, self.c_bar)
-        return self.c_bar * np.maximum(0.0, 1.0 - s / self.m4)
 
     def alpha_row(self, grid: GridSpec) -> np.ndarray:
         return _coefficient_row(self.alpha, grid, "alpha")
@@ -152,14 +120,17 @@ def _coefficient_row(coef, grid: GridSpec, name: str) -> np.ndarray:
 
 
 def eta(r, s, params: ModelParams):
-    """Surface reaction rate k * R(r) * Q(s) for r >= 0 and s >= 0, else 0.
+    """Surface reaction rate k * r * Q(s) for r >= 0 and s >= 0, else 0.
 
-    Nonnegative everywhere because R(0) = 0, R is increasing and Q is
-    bounded within [0, c_bar].
+    Q is c_bar, or c_bar * max(0, 1 - s/m4) under "linear_cutoff", so the
+    rate is nonnegative everywhere and grows with the acid r.
     """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
-    value = params.k * params.r_of(np.maximum(r, 0.0)) * params.q_of(np.maximum(s, 0.0))
+    q = params.c_bar
+    if params.q_kind == "linear_cutoff":
+        q = q * np.maximum(0.0, 1.0 - np.maximum(s, 0.0) / params.m4)
+    value = params.k * np.maximum(r, 0.0) * q
     return np.where((r >= 0.0) & (s >= 0.0), value, 0.0)
 
 

@@ -148,7 +148,7 @@ def suite_conservation() -> SuiteResult:
     return SuiteResult("conservation", worst <= MASS_SLACK, worst, MASS_SLACK)
 
 
-def suite_positivity_and_monotone(cfg: RunConfig | None = None) -> list[SuiteResult]:
+def suite_positivity_and_monotone(cfg: RunConfig | None) -> list[SuiteResult]:
     if cfg is None:
         cfg = scenario_config("fig1")
     traj = _trajectory(cfg)
@@ -176,8 +176,9 @@ def suite_boundedness() -> SuiteResult:
     return SuiteResult("boundedness", res.passed(), worst, RATIO_THRESHOLD)
 
 
-def run_all(seed: int, fig1_cfg: RunConfig | None = None) -> list[SuiteResult]:
-    """All suites in a fixed order with one seeded generator."""
+def run_all(seed: int, fig1_cfg: RunConfig | None) -> list[SuiteResult]:
+    """All suites in a fixed order with one seeded generator; the positivity
+    and monotone-gypsum suites run `fig1_cfg`, or fig1 itself when None."""
     rng = np.random.default_rng(seed)
     results = [suite_green_macro(rng),
                suite_green_micro(rng),

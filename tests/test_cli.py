@@ -83,6 +83,12 @@ class TestConfig:
         assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "mode must be 'fixed' or 'adaptive', got 'rkc'" in capsys.readouterr().err
 
+    def test_acid_kernel_key_exits_2(self, tmp_path, capsys):
+        # the acid kernel is the identity; there is no key to choose another
+        p = write_config(tmp_path / "c.ini", extra="\n[params]\nr_kind = identity\n")
+        assert cli.main(["run", "--config", p, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'params.r_kind'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
     def test_shipped_configs_load(self, path):
         cfg = load_config(str(path))
@@ -280,6 +286,18 @@ class TestVerifyCommand:
         assert {"green_macro", "green_micro", "trace_inequality",
                 "dissipation", "conservation", "positivity",
                 "monotone_gypsum", "boundedness"} <= names
+
+    def test_config_runs_fig1_and_hashes_the_seed(self, tmp_path, capsys):
+        config = str(Path(__file__).parent.parent / "configs" / "fig1.ini")
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--config", config, "--seed", "1",
+                         "--out", str(out)]) == 0
+        assert "all suites passed" in capsys.readouterr().out
+        first = (out / "verify_report.csv").read_text().splitlines()[0]
+        chash = load_config(config, seed_override=1).config_hash()
+        assert first == f"# config {chash}" and chash != load_config(config).config_hash()
+        _, rows = read_csv(out / "verify_report.csv")
+        assert len(rows) == 12 and all(row[3] == "1" for row in rows)
 
     def test_broken_ghost_closure_fails_green_micro(self, lower_bottom_ghost):
         # bottom flux data skewed by 0.05 lowers the ghost edge by 0.1

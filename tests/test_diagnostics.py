@@ -121,7 +121,8 @@ class TestRefinementSweep:
             u1=lambda x: 0.0 * x, u2=lambda x, y: 0.0 * x * y,
             u3=lambda x, y: 0.0 * x * y, u4=lambda x: 0.0 * x)
         res = refinement_sweep(g, params(), initial,
-                               TimeSpec(t_end=0.5, snapshot_times=(0.0, 0.25, 0.5)))
+                               TimeSpec(t_end=0.5, snapshot_times=(0.0, 0.25, 0.5)),
+                               levels=3)
         for lvl in res.levels:
             assert all(v == 0.0 for v in lvl.quantities.values())
         assert res.passed()
@@ -145,7 +146,8 @@ class TestRefinementSweep:
             u4=lambda x: 0.0 * x)
         res = refinement_sweep(
             g, params(), initial,
-            TimeSpec(t_end=2.0, snapshot_times=tuple(np.linspace(0.0, 2.0, 9))))
+            TimeSpec(t_end=2.0, snapshot_times=tuple(np.linspace(0.0, 2.0, 9))),
+            levels=3)
         assert res.passed()
         # coarse-level records may still converge upward toward the continuum
         # value, but nothing grows materially

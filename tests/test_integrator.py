@@ -18,8 +18,7 @@ from reference import zero_state
 
 def params(**overrides):
     base = dict(d1=1.0, d2=1.0, d3=1.0, bi_m=0.0, henry=1.0, u1_d=0.0,
-                k=0.0, alpha=0.0, beta=0.0, c_bar=1.0,
-                r_kind="identity", q_kind="constant")
+                k=0.0, alpha=0.0, beta=0.0, c_bar=1.0, q_kind="constant")
     base.update(overrides)
     return ModelParams(**base)
 

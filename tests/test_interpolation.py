@@ -334,3 +334,17 @@ def test_manufactured_solution_rejects_a_sample_vector(name):
     params = replace(ms.params, **{name: np.full(9, 0.4)})
     with pytest.raises(ValueError, match=name):
         ManufacturedSolution(params, 1.0, 1.0)
+
+
+def test_manufactured_solution_rejects_a_cutoff_kernel():
+    # its gypsum source assumes Q = c_bar
+    params = replace(manufactured_default().params, q_kind="linear_cutoff")
+    with pytest.raises(ValueError, match="q_kind"):
+        ManufacturedSolution(params, 1.0, 1.0)
+
+
+def test_manufactured_solution_rejects_an_unbalanced_rate():
+    # cos(lam*y) meets the surface flux only when k*c_bar = d3*lam*tan(lam*ell)
+    params = manufactured_default().params
+    with pytest.raises(ValueError, match="k = "):
+        ManufacturedSolution(replace(params, k=2.0 * params.k), 1.0, 1.0)

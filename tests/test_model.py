@@ -18,7 +18,7 @@ from reference import ghost_values, zero_state, zeta
 def params(**overrides):
     base = dict(d1=1.0, d2=1.0, d3=1.0, bi_m=1.0, henry=1.0, u1_d=0.0,
                 k=1.0, alpha=0.5, beta=0.5, c_bar=1.0,
-                r_kind="identity", q_kind="constant", m3=10.0, m4=1.0)
+                q_kind="constant", m3=10.0, m4=1.0)
     base.update(overrides)
     return ModelParams(**base)
 
@@ -45,12 +45,8 @@ class TestValidation:
 
     def test_unknown_kernel(self):
         with pytest.raises(AssumptionError) as err:
-            params(r_kind="cubic")
+            params(q_kind="cubic")
         assert err.value.label == "A3"
-
-    def test_capped_kernel_validates(self):
-        p = params(r_kind="capped", m3=2.0)
-        assert p.r_of(5.0) == 2.0
 
     def test_zero_rate_constant_allowed(self):
         p = params(k=0.0)
@@ -83,6 +79,23 @@ class TestKernels:
         r = rng.normal(scale=3.0, size=200)
         s = rng.normal(scale=3.0, size=200)
         assert np.all(eta(r, s, p) >= 0.0)
+
+    @pytest.mark.parametrize("q_kind", ["constant", "linear_cutoff"])
+    def test_eta_is_the_masked_product(self, q_kind):
+        # k * max(r, 0) * Q(max(s, 0)) where r >= 0 and s >= 0, else 0, on
+        # negative, zero and large arguments
+        p = params(k=0.7, c_bar=1.3, q_kind=q_kind, m4=0.8)
+        rng = np.random.default_rng(1)
+        r = np.concatenate([rng.normal(scale=3.0, size=200), [0.0, -0.0, 1e12, -1e12]])
+        s = np.concatenate([rng.normal(scale=3.0, size=200), [0.0, -0.0, 1e12, 0.5]])
+        r, s = np.meshgrid(r, s)
+        rp, sp = np.maximum(r, 0.0), np.maximum(s, 0.0)
+        q = (np.full_like(sp, p.c_bar) if q_kind == "constant"
+             else p.c_bar * np.maximum(0.0, 1.0 - sp / p.m4))
+        expected = np.where((r >= 0.0) & (s >= 0.0), p.k * rp * q, 0.0)
+        got = eta(r, s, p)
+        np.testing.assert_array_equal(got, expected)
+        assert not np.any(np.signbit(got))
 
 
 class TestGhostValues:
