@@ -67,8 +67,14 @@ def cmd_run(args) -> int:
     try:
         traj = integrate(state0, cfg.params, cfg.grid, cfg.time)
     except DivergedError as err:
+        last = err.last_state
         _write_macro_rows(os.path.join(args.out, "diverged_state.csv"),
-                          [err.last_state], cfg, chash)
+                          [last], cfg, chash)
+        x, y = cfg.grid.x_nodes(), cfg.grid.y_nodes()
+        _write_csv(os.path.join(args.out, "diverged_micro.csv"),
+                   ["t", "x", "y", "u2", "u3"],
+                   ((last.t, x[i], y[j], last.u2[i, j], last.u3[i, j])
+                    for i in range(x.size) for j in range(y.size)), chash)
         raise
 
     x = cfg.grid.x_nodes()

@@ -19,9 +19,12 @@ Two explicit modes:
             the error estimate and is the next step's first stage.
 
 One stage loop runs both as rows of RKC's three-term recursion in increment
-form, on a handful of flat state vectors for any stage count.  All modes
-shorten steps to land exactly on the requested snapshot times, so stored
-snapshots are states of the integrated trajectory, not interpolants.
+form, on a handful of flat state vectors for any stage count.  Each is the
+`y` of a State or a Tendency: `State.view` and `Tendency.view` wrap it
+without copying, so `rhs` reads a stage state and fills a tendency in
+place.  All modes shorten steps to land exactly on the requested snapshot
+times, so stored snapshots are states of the integrated trajectory, not
+interpolants.
 
 The pinned gas node at x = 0 carries zero tendency, and the integrator
 re-asserts the pin after every accepted step.  A step is admissible only
@@ -167,21 +170,6 @@ def _inadmissible(state: State, params: ModelParams) -> str:
     return f"non-finite state {name} at node {at}"
 
 
-def _pack(state: State) -> np.ndarray:
-    return np.concatenate([state.u1, state.u2.ravel(),
-                           state.u3.ravel(), state.u4])
-
-
-def _unpack(t: float, y: np.ndarray, grid: GridSpec) -> State:
-    nm = grid.n_x + 1
-    nf = nm * (grid.n_y + 1)
-    u1 = y[:nm]
-    u2 = y[nm:nm + nf].reshape(nm, grid.n_y + 1)
-    u3 = y[nm + nf:nm + 2 * nf].reshape(nm, grid.n_y + 1)
-    u4 = y[nm + 2 * nf:]
-    return State(t, u1, u2, u3, u4)
-
-
 # Recursion rows (mu_j, nu_j, mu~_j, gamma~_j), j = 1 .. s.  Stage j builds
 # the increment D_j = Y_j - y from D_{j-1}, D_{j-2} and D_0 = 0:
 #   D_j = mu_j D_{j-1} + nu_j D_{j-2} + h (mu~_j F(Y_{j-1}) + gamma~_j F(Y_0)),
@@ -234,7 +222,7 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     stats = StepStats(stages=len(rows), method=method)
 
     t = float(state0.t)
-    y = _pack(state0)
+    y = state0.y.copy()
     t_end = float(timespec.t_end)
     targets = [s for s in timespec.snapshots() if s >= t]
 
@@ -244,9 +232,8 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     n_macro = grid.n_x + 1      # y[:n_macro] is the shifted gas field
     inputs = np.empty((4, y.size))
     d, Y, f_new = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    current, stage = _unpack(t, y, grid), _unpack(t, Y, grid)
-    f0_out, f_out, f_new_out = (Tendency(v.u1, v.u2, v.u3, v.u4) for v in
-                                (_unpack(0.0, b, grid) for b in (inputs[0], inputs[1], f_new)))
+    current, stage = State.view(t, y, grid), State.view(t, Y, grid)
+    f0_out, f_out, f_new_out = (Tendency.view(b, grid) for b in (inputs[0], inputs[1], f_new))
     A, B, W = np.zeros((len(rows), 4)), np.zeros((len(rows), 4)), np.empty((len(rows), 4))
     c = [0.0, 0.0]              # nodes c_{j-1}, c_j: the rows applied to y' = 1
     plan = []
@@ -263,15 +250,13 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
         stats.rhs_evals += 1
         tend = rhs(state, params, grid, sources=sources, out=out)
         if tend is not out:
-            for name in ("u1", "u2", "u3", "u4"):
-                getattr(out, name)[...] = getattr(tend, name)
+            out.y[...] = tend.y
 
     traj = Trajectory(stats=stats)
 
     def record_due(current_t: float, current_y: np.ndarray):
         while targets and targets[0] <= current_t + 1e-12 * max(1.0, abs(current_t)):
-            s = _unpack(targets.pop(0), current_y.copy(), grid)
-            traj.snapshots.append(s)
+            traj.snapshots.append(State.view(targets.pop(0), current_y.copy(), grid))
 
     record_due(t, y)
 
@@ -287,7 +272,7 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 h = goal - t  # no sliver step left over from rounding in t
             if h < 1e-14 * max(1.0, abs(t)):
                 raise DivergedError(f"step size underflow at t={t:g}",
-                                    _unpack(t, y.copy(), grid))
+                                    State.view(t, y.copy(), grid))
 
             if not adaptive or stats.rhs_evals == 0:  # else F(y_new) is F(Y_0)
                 evaluate(current, t, f0_out)
@@ -304,8 +289,8 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 float(Y[n_macro:].min())) >= -POSITIVITY_SLACK
             err = 0.0
             if not adaptive and not admissible:
-                reason = _inadmissible(_unpack(t + h, Y, grid), params)
-                raise DivergedError(f"{reason} at t={t + h:g}", _unpack(t, y.copy(), grid))
+                reason = _inadmissible(State.view(t + h, Y, grid), params)
+                raise DivergedError(f"{reason} at t={t + h:g}", State.view(t, y.copy(), grid))
             if adaptive and admissible:
                 # F(y_new), the next F(Y_0), gives the gap h (F(Y_3) - F(y_new))/6 to RK4's
                 # third-order FSAL companion, weights (1/6, 1/3, 1/3, 0, 1/6)

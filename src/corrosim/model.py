@@ -16,10 +16,19 @@ surfaces on rejection:
       gypsum kernel Q)
 * A4  initial data (finite, nonnegative)
 
-`rhs` writes into a caller-owned `Tendency`.  It closes the boundary
-stencils with ghost nodes inline: the gas field reflects at x = L, the
-dissolved gas takes the interfacial flux `henry_flux` at y = 0 and the acid
-loses the surface reaction `eta` at y = ell.
+A `State` (and a `Tendency`, its time derivative) is one flat float64
+vector y = (u1, u2, u3, u4) with the four fields as views into it.  u2 and
+u3 follow each other, so together they are the contiguous `micro` block of
+shape (2 (n_x + 1), n_y + 1).  Assigning a field copies into its view; the
+constructors pack their fields into a new vector once, and `view` wraps an
+existing one without copying.
+
+`rhs` writes into a caller-owned `Tendency`.  It computes the gas row's
+diffusion, then one second-difference pass over the whole micro block, and
+closes the boundary stencils with ghost nodes inline: the gas field
+reflects at x = L, the dissolved gas takes the interfacial flux
+`henry_flux` at y = 0 and the acid loses the surface reaction `eta` at
+y = ell.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import GridSpec, check_macro, check_micro
+from .grids import GridError, GridSpec
 
 Q_KINDS = ("constant", "linear_cutoff")
 
@@ -134,39 +143,102 @@ def eta(r, s, params: ModelParams):
     return np.where((r >= 0.0) & (s >= 0.0), value, 0.0)
 
 
-@dataclass
-class State:
-    """The four concentration fields at one time instant.
+def _field(index: int, name: str) -> property:
+    """One field of the shared layout: reads return the view, assignments
+    copy into it after checking the shape."""
+    def get(self) -> np.ndarray:
+        return self._views[index]
+
+    def put(self, value) -> None:
+        view = self._views[index]
+        value = np.asarray(value, dtype=float)
+        if value.shape != view.shape:
+            raise GridError(f"{name} must have shape {view.shape}, got {value.shape}")
+        view[...] = value
+
+    return property(get, put)
+
+
+class _Fields:
+    """The layout State and Tendency share: the four fields as views of one
+    flat float64 vector y = (u1, u2, u3, u4).
+
+    u2 and u3 are consecutive, so together they form the contiguous `micro`
+    block of shape (2 (n_x + 1), n_y + 1), u2 its first n_x + 1 rows and u3
+    the rest.  Assigning a field copies into its view after checking the
+    shape, so y stays the one buffer behind all four.
+    """
+
+    u1 = _field(0, "u1")   # shape (n_x + 1,)
+    u2 = _field(1, "u2")   # shape (n_x + 1, n_y + 1)
+    u3 = _field(2, "u3")   # shape (n_x + 1, n_y + 1)
+    u4 = _field(3, "u4")   # shape (n_x + 1,)
+
+    def __init__(self, u1, u2, u3, u4):
+        u1, u2, u3, u4 = (np.asarray(u, dtype=float) for u in (u1, u2, u3, u4))
+        if (u1.ndim != 1 or u4.shape != u1.shape or u2.ndim != 2
+                or u2.shape[0] != u1.size or u3.shape != u2.shape):
+            raise GridError(
+                f"fields do not fit one grid: u1 {u1.shape}, u2 {u2.shape}, "
+                f"u3 {u3.shape}, u4 {u4.shape}")
+        self._bind(np.concatenate((u1, u2.ravel(), u3.ravel(), u4)), u2.shape)
+
+    @classmethod
+    def _wrap(cls, y: np.ndarray, shape: tuple[int, int]):
+        fields = cls.__new__(cls)
+        fields._bind(y, shape)
+        return fields
+
+    def _bind(self, y: np.ndarray, shape: tuple[int, int]) -> None:
+        nm, nc = shape
+        if (y.dtype != np.float64 or y.shape != (nm * (2 * nc + 2),)
+                or not y.flags.c_contiguous):
+            raise GridError(f"state vector must be contiguous float64 of length "
+                            f"{nm * (2 * nc + 2)}, got {y.dtype} {y.shape}")
+        self.y = y
+        self.shape = shape   # (n_x + 1, n_y + 1), that of u2 and u3
+        self.micro = y[nm:nm + 2 * nm * nc].reshape(2 * nm, nc)
+        self._views = (y[:nm], self.micro[:nm], self.micro[nm:], y[nm + 2 * nm * nc:])
+
+    def validate(self, grid: GridSpec) -> None:
+        """Raise GridError unless the fields are laid out for `grid`."""
+        if self.shape != (grid.n_x + 1, grid.n_y + 1):
+            raise GridError(f"fields of shape {self.shape} do not fit the "
+                            f"{grid.n_x} x {grid.n_y} grid")
+
+
+class State(_Fields):
+    """The four concentration fields at time t, as views of one vector y.
 
     u1 holds the shifted gas concentration (inlet value subtracted), so its
     entry at i = 0 is zero at all times.  The physical gas concentration is
     u1 + u1_d.
     """
 
-    t: float
-    u1: np.ndarray   # shape (n_x + 1,)
-    u2: np.ndarray   # shape (n_x + 1, n_y + 1)
-    u3: np.ndarray   # shape (n_x + 1, n_y + 1)
-    u4: np.ndarray   # shape (n_x + 1,)
+    def __init__(self, t: float, u1, u2, u3, u4):
+        self.t = t
+        super().__init__(u1, u2, u3, u4)
+
+    @classmethod
+    def view(cls, t: float, y: np.ndarray, grid: GridSpec) -> "State":
+        """The state at time t whose fields are views of y; no copy."""
+        state = cls._wrap(y, (grid.n_x + 1, grid.n_y + 1))
+        state.t = t
+        return state
 
     def copy(self) -> "State":
-        return State(self.t, self.u1.copy(), self.u2.copy(),
-                     self.u3.copy(), self.u4.copy())
-
-    def validate(self, grid: GridSpec) -> "State":
-        self.u1 = check_macro(grid, self.u1)
-        self.u2 = check_micro(grid, self.u2)
-        self.u3 = check_micro(grid, self.u3)
-        self.u4 = check_macro(grid, self.u4)
-        return self
+        state = State._wrap(self.y.copy(), self.shape)
+        state.t = self.t
+        return state
 
 
-@dataclass
-class Tendency:
-    u1: np.ndarray
-    u2: np.ndarray
-    u3: np.ndarray
-    u4: np.ndarray
+class Tendency(_Fields):
+    """Time derivatives of the four fields, in the layout of State."""
+
+    @classmethod
+    def view(cls, y: np.ndarray, grid: GridSpec) -> "Tendency":
+        """The tendency whose fields are views of y; no copy."""
+        return cls._wrap(y, (grid.n_x + 1, grid.n_y + 1))
 
 
 def henry_flux(state: State, params: ModelParams) -> np.ndarray:
@@ -198,28 +270,22 @@ def rhs(state: State, params: ModelParams, grid: GridSpec,
     tendency at the pinned node i = 0 is identically zero.
     """
     state.validate(grid)
-    u1, u2, u3, u4 = state.u1, state.u2, state.u3, state.u4
     if out is None:
-        out = Tendency(*(np.empty(u.shape) for u in (u1, u2, u3, u4)))
+        out = Tendency.view(np.empty(state.y.size), grid)
+    u2, u3 = state.u2, state.u3
     du1, du2, du3, du4 = out.u1, out.u2, out.u3, out.u4
     # scalars broadcast as they are; only sample vectors need the row check
     alpha = params.alpha if isinstance(params.alpha, float) else params.alpha_row(grid)
     beta = params.beta if isinstance(params.beta, float) else params.beta_row(grid)
 
     flux = henry_flux(state, params)
-    surface = eta(u3[:, -1], u4, params)
+    surface = eta(u3[:, -1], state.u4, params)
     np.negative(flux, out=du1)
     np.multiply(u2, alpha, out=du3)
     du3 -= beta * u3
     np.negative(du3, out=du2)
     du4[...] = surface
-    h_y = grid.h_y
-    # gas field as one row; the pinned node's left ghost is immaterial
-    _add_diffusion(du1[None], u1[None], params.d1, grid.h_x, u1[1:2], u1[-2:-1])
-    _add_diffusion(du2, u2, params.d2, h_y,
-                   u2[:, 1] + (2.0 * h_y / params.d2) * flux, u2[:, -2])
-    _add_diffusion(du3, u3, params.d3, h_y,
-                   u3[:, 1], u3[:, -2] - (2.0 * h_y / params.d3) * surface)
+    _add_diffusion(state, params, grid, flux, surface, out)
     du1[0] = 0.0
 
     if sources is not None:
@@ -230,23 +296,40 @@ def rhs(state: State, params: ModelParams, grid: GridSpec,
     return out
 
 
-def _add_diffusion(du: np.ndarray, u: np.ndarray, d: float, h: float,
-                   before: np.ndarray, after: np.ndarray) -> None:
-    """du += d * the 3-point Laplacian of u along its rows, closed by the
-    ghost columns `before` and `after`, as one slice stencil over the
-    flattened field whose first and last columns, straddling two rows, are
-    redone with the ghost values."""
-    flat = u.reshape(-1)
-    lap = np.empty(u.shape)
-    inner = lap.reshape(-1)[1:-1]
+def _add_diffusion(state: State, params: ModelParams, grid: GridSpec,
+                   flux: np.ndarray, surface: np.ndarray, out: Tendency) -> None:
+    """out += the diffusion terms with their boundary closures.
+
+    The gas row reflects at x = L; its pinned node i = 0 gets a finite value
+    that `rhs` overwrites.  The micro block takes one second difference
+    along its rows, reflected at y = 0 and y = ell and scaled by d2/h_y^2 on
+    the u2 rows and d3/h_y^2 on the u3 rows; the ghost nodes of the Robin
+    closures then add the exchange flux into u2 at y = 0 and take the
+    surface loss out of u3 at y = ell.
+    """
+    u1, du1 = state.u1, out.u1
+    lap1 = np.multiply(u1, -2.0)
+    lap1[1:-1] += u1[:-2]
+    lap1[1:-1] += u1[2:]
+    lap1[-1] += 2.0 * u1[-2]
+    lap1 *= params.d1 / grid.h_x**2
+    du1 += lap1
+
+    micro, h_y, nm = state.micro, grid.h_y, state.shape[0]
+    flat = micro.reshape(-1)
+    lap = np.empty(micro.shape)
+    inner = lap.reshape(-1)[1:-1]   # rows run into each other; ends redone below
     np.multiply(flat[1:-1], -2.0, out=inner)
     inner += flat[:-2]
     inner += flat[2:]
-    lap[:, 0] = before - 2.0 * u[:, 0] + u[:, 1]
-    lap[:, -1] = u[:, -2] - 2.0 * u[:, -1] + after
-    lap /= h**2
-    lap *= d
-    du += lap
+    np.subtract(micro[:, 1], micro[:, 0], out=lap[:, 0])
+    np.subtract(micro[:, -2], micro[:, -1], out=lap[:, -1])
+    lap[:, ::lap.shape[1] - 1] *= 2.0
+    lap[:nm] *= params.d2 / h_y**2
+    lap[nm:] *= params.d3 / h_y**2
+    out.micro += lap
+    out.u2[:, 0] += (2.0 / h_y) * flux
+    out.u3[:, -1] -= (2.0 / h_y) * surface
 
 
 @dataclass

@@ -6,8 +6,9 @@ import corrosim.operators
 
 @pytest.fixture
 def no_diffusion(monkeypatch):
-    """Drop the three diffusion terms (and with them the boundary closures)
-    from `rhs`, isolating the reaction and exchange pathways."""
+    """Drop diffusion, the gas row's and the micro block's, and with it the
+    boundary closures from `rhs`, isolating the reaction and exchange
+    pathways."""
     monkeypatch.setattr(corrosim.model, "_add_diffusion", lambda *args: None)
 
 

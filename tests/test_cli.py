@@ -186,6 +186,7 @@ class TestRunCommand:
         last = project_initial(resolved.initial, resolved.params, resolved.grid)
         last.t = 4.25
         last.u4 += 0.5
+        last.u3 += np.linspace(0.0, 1.0, last.u3.size).reshape(last.u3.shape)
 
         def diverge(*args, **kwargs):
             raise DivergedError("non-finite state at t=4.5", last_state=last)
@@ -201,6 +202,13 @@ class TestRunCommand:
         u1 = last.u1 + resolved.params.u1_d
         assert [float(r[2]) for r in rows] == list(u1)
         assert [float(r[3]) for r in rows] == list(last.u4)
+        header, rows = read_csv(out / "diverged_micro.csv")
+        assert header == ["t", "x", "y", "u2", "u3"]
+        x, y = np.meshgrid(resolved.grid.x_nodes(), resolved.grid.y_nodes(),
+                           indexing="ij")
+        want = np.column_stack([np.full(x.size, 4.25), x.ravel(), y.ravel(),
+                                last.u2.ravel(), last.u3.ravel()])
+        assert np.array_equal(np.array(rows, dtype=float), want)
         assert not (out / "macro_profiles.csv").exists()
 
     @pytest.mark.parametrize("extra", [

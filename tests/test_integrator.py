@@ -176,8 +176,7 @@ class TestFixedStep:
         # with k = 0 the whole right-hand side is linear; probe it into a
         # matrix and compare against the exact semi-discrete propagator
         expm = pytest.importorskip("scipy.linalg").expm
-        from corrosim.integrator import _pack, _unpack
-        from corrosim.model import rhs
+        from corrosim.model import State, rhs
 
         g = GridSpec(1.0, 1.0, 8, 8)
         p = params(d1=0.2, d2=0.3, d3=0.1, bi_m=0.4, henry=1.0,
@@ -187,9 +186,7 @@ class TestFixedStep:
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = 1.0
-            tend = rhs(_unpack(0.0, e, g), p, g)
-            A[:, j] = np.concatenate(
-                [tend.u1, tend.u2.ravel(), tend.u3.ravel(), tend.u4])
+            A[:, j] = rhs(State.view(0.0, e, g), p, g).y
         rng = np.random.default_rng(8)
         st = zero_state(g)
         st.u1 = rng.uniform(size=9)
@@ -199,8 +196,8 @@ class TestFixedStep:
         st.u4 = rng.uniform(size=9)
         t_end = 0.5
         traj = integrate(st, p, g, TimeSpec(t_end=t_end))
-        got = _pack(traj.snapshots[-1])
-        want = expm(A * t_end) @ _pack(st)
+        got = traj.snapshots[-1].y
+        want = expm(A * t_end) @ st.y
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
     def test_step_beyond_reach_runs_rkc(self):

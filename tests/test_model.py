@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from corrosim.grids import GridSpec, ip_micro
+from corrosim.grids import GridError, GridSpec, ip_micro
+from corrosim.integrator import TimeSpec, integrate
 from corrosim.model import (
     AssumptionError,
     InitialData,
     ModelParams,
     SourceTerms,
+    State,
+    Tendency,
     eta,
     project_initial,
     rhs,
@@ -219,6 +222,87 @@ class TestRhs:
         assert t.u1[0] == 0.0 and np.allclose(t.u1[1:], 2.0)
         assert np.allclose(t.u2, 3.0) and np.allclose(t.u3, 4.0)
         assert np.allclose(t.u4, 5.0)
+
+
+def numbered_state(grid):
+    """A state whose entries are 0, 1, 2, ... in the order of y."""
+    nm, nc = grid.n_x + 1, grid.n_y + 1
+    k = np.arange(2.0 * nm * (nc + 1))
+    return State(0.5, k[:nm], k[nm:nm + nm * nc].reshape(nm, nc),
+                 k[nm + nm * nc:-nm].reshape(nm, nc), k[-nm:])
+
+
+class TestLayout:
+    def test_fields_are_views_of_one_vector(self):
+        g = GridSpec(1.0, 1.0, 3, 2)
+        st = numbered_state(g)
+        assert np.array_equal(st.y, np.arange(st.y.size))
+        assert st.micro.shape == (8, 3)
+        assert np.array_equal(st.micro, np.concatenate([st.u2, st.u3]))
+        st.y[:] = -1.0
+        for f in (st.u1, st.u2, st.u3, st.u4, st.micro):
+            assert np.all(f == -1.0)
+
+    def test_view_wraps_a_vector_without_copying(self):
+        g = GridSpec(1.0, 1.0, 3, 2)
+        y = numbered_state(g).y.copy()
+        st, tend = State.view(0.25, y, g), Tendency.view(y, g)
+        assert st.t == 0.25 and st.y is y and tend.y is y
+        st.u3[1, 2] = 100.0
+        assert tend.u3[1, 2] == 100.0 == y[4 + 12 + 5]
+        with pytest.raises(GridError):
+            State.view(0.0, y[:-1], g)
+        with pytest.raises(GridError):
+            Tendency.view(y[::2], GridSpec(1.0, 1.0, 2, 2))
+
+    @pytest.mark.parametrize("shapes", [
+        ((4,), (4, 3), (4, 3), (5,)),      # u4 off the macro grid
+        ((4,), (4, 3), (4, 2), (4,)),      # u3 off u2's cell grid
+        ((4,), (5, 3), (5, 3), (4,)),      # cells not on the macro nodes
+        ((4, 1), (4, 3), (4, 3), (4, 1)),  # a macro field with two axes
+        ((4,), (12,), (12,), (4,)),        # flattened micro fields
+    ])
+    def test_mismatched_fields_rejected(self, shapes):
+        with pytest.raises(GridError):
+            State(0.0, *(np.zeros(s) for s in shapes))
+        with pytest.raises(GridError):
+            Tendency(*(np.zeros(s) for s in shapes))
+
+    @pytest.mark.parametrize("name,shape", [
+        ("u1", (5,)), ("u2", (3, 4)), ("u3", (12,)), ("u4", ())])
+    def test_assignment_checks_the_shape(self, name, shape):
+        st = numbered_state(GridSpec(1.0, 1.0, 3, 2))
+        before = st.y.copy()
+        with pytest.raises(GridError):
+            setattr(st, name, np.ones(shape))
+        assert np.array_equal(st.y, before)
+
+    def test_assignment_copies_into_the_view(self):
+        st = numbered_state(GridSpec(1.0, 1.0, 3, 2))
+        view, y = st.u2, st.y
+        new = np.full((4, 3), 7.0)
+        st.u2 = new
+        new[:] = 0.0
+        assert st.u2 is view and st.y is y
+        assert np.all(st.u2 == 7.0) and np.all(st.micro[:4] == 7.0)
+
+    def test_copy_is_independent(self):
+        st = numbered_state(GridSpec(1.0, 1.0, 3, 2))
+        dup = st.copy()
+        assert dup.t == st.t and np.array_equal(dup.y, st.y)
+        dup.u1[:] = -1.0
+        dup.u3 = np.zeros((4, 3))
+        st.u4[:] = -2.0
+        assert np.array_equal(st.y[:-4], np.arange(st.y.size - 4))
+        assert np.array_equal(dup.u4, np.arange(st.y.size - 4, st.y.size))
+
+    def test_state_for_another_grid_rejected(self):
+        st = zero_state(GridSpec(1.0, 1.0, 4, 4))
+        other = GridSpec(1.0, 1.0, 4, 3)
+        with pytest.raises(GridError):
+            rhs(st, params(), other)
+        with pytest.raises(GridError):
+            integrate(st, params(), other, TimeSpec(t_end=0.1))
 
 
 class TestProjection:

@@ -103,8 +103,8 @@ def test_out_filled_in_place(n_x, n_y):
     # garbage in the buffer must not leak into the result
     out = Tendency(np.full(n_x + 1, np.nan), np.full((n_x + 1, n_y + 1), np.nan),
                    np.full((n_x + 1, n_y + 1), np.nan), np.full(n_x + 1, np.nan))
-    arrays = (out.u1, out.u2, out.u3, out.u4)
+    arrays = (out.y, out.u1, out.u2, out.u3, out.u4)
     got = rhs(st, p, g, out=out)
-    assert got is out
-    assert all(a is b for a, b in zip(arrays, (got.u1, got.u2, got.u3, got.u4)))
+    assert got is out and got.y is arrays[0]
+    assert all(a is b for a, b in zip(arrays[1:], (got.u1, got.u2, got.u3, got.u4)))
     assert_close(got, reference_rhs(st, p, g))
