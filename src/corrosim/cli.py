@@ -50,13 +50,27 @@ def _load(args) -> RunConfig:
     return scenario_config("fig1")
 
 
-def _write_macro_rows(path: str, states, cfg: RunConfig, chash: str) -> None:
-    x = cfg.grid.x_nodes()
+def _write_macro_rows(path: str, states, x: np.ndarray, cfg: RunConfig,
+                      chash: str) -> None:
     rows = []
     for s in states:
         u1 = unshifted_u1(s, cfg.params)
         rows.extend((s.t, x[i], u1[i], s.u4[i]) for i in range(x.size))
     _write_csv(path, ["t", "x", "u1", "u4"], rows, chash)
+
+
+def _write_diverged(out: str, err: DivergedError, cfg: RunConfig, chash: str) -> None:
+    """Write the last accepted state of a diverged integration, on the grid
+    it was computed on (a refined one inside a sweep)."""
+    last = err.last_state
+    nm, nc = last.shape
+    grid = GridSpec(cfg.grid.length, cfg.grid.cell_length, nm - 1, nc - 1)
+    x, y = grid.x_nodes(), grid.y_nodes()
+    _write_macro_rows(os.path.join(out, "diverged_state.csv"), [last], x, cfg, chash)
+    _write_csv(os.path.join(out, "diverged_micro.csv"),
+               ["t", "x", "y", "u2", "u3"],
+               ((last.t, x[i], y[j], last.u2[i, j], last.u3[i, j])
+                for i in range(nm) for j in range(nc)), chash)
 
 
 def cmd_run(args) -> int:
@@ -67,19 +81,12 @@ def cmd_run(args) -> int:
     try:
         traj = integrate(state0, cfg.params, cfg.grid, cfg.time)
     except DivergedError as err:
-        last = err.last_state
-        _write_macro_rows(os.path.join(args.out, "diverged_state.csv"),
-                          [last], cfg, chash)
-        x, y = cfg.grid.x_nodes(), cfg.grid.y_nodes()
-        _write_csv(os.path.join(args.out, "diverged_micro.csv"),
-                   ["t", "x", "y", "u2", "u3"],
-                   ((last.t, x[i], y[j], last.u2[i, j], last.u3[i, j])
-                    for i in range(x.size) for j in range(y.size)), chash)
+        _write_diverged(args.out, err, cfg, chash)
         raise
 
     x = cfg.grid.x_nodes()
     _write_macro_rows(os.path.join(args.out, "macro_profiles.csv"),
-                      traj.snapshots, cfg, chash)
+                      traj.snapshots, x, cfg, chash)
 
     if cfg.micro_slice_x is not None:
         i_star = int(np.argmin(np.abs(x - cfg.micro_slice_x)))
@@ -183,8 +190,12 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     os.makedirs(args.out, exist_ok=True)
     chash = cfg.config_hash()
-    result = refinement_sweep(cfg.grid, cfg.params, cfg.initial, cfg.time,
-                              levels=args.levels)
+    try:
+        result = refinement_sweep(cfg.grid, cfg.params, cfg.initial, cfg.time,
+                                  levels=args.levels)
+    except DivergedError as err:
+        _write_diverged(args.out, err, cfg, chash)
+        raise
     rows = [(lvl.level, lvl.n_x, lvl.n_y,
              *(lvl.quantities[name] for name in MONITORED))
             for lvl in result.levels]

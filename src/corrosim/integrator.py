@@ -133,15 +133,15 @@ def spectral_radius_bound(params: ModelParams, grid: GridSpec) -> float:
     The largest of four row bounds:
 
     * macro gas       4 d1/h_x^2 + bi_m H
-    * dissolved gas   4 d2/h_y^2 + 2 bi_m (1 + H)/h_y + max alpha + max beta
+    * dissolved gas   4 d2/h_y^2 + 2 bi_m (1 + H)/h_y + alpha + beta
                       (the Robin exchange ghost at y = 0)
-    * acid            4 d3/h_y^2 + 2 k c_bar/h_y + max alpha + max beta
+    * acid            4 d3/h_y^2 + 2 k c_bar/h_y + alpha + beta
                       (the surface-loss ghost at y = ell; eta is linear in the acid)
     * gypsum          k c_bar (1 + m3/m4 for the linear cutoff), the
                       Lipschitz bound of eta on the admissible range
     """
     henry, bi_m, k, c_bar = params.henry, params.bi_m, params.k, params.c_bar
-    exchange = float(np.max(params.alpha) + np.max(params.beta))
+    exchange = params.alpha + params.beta
     h_y = grid.h_y
     q_slope = c_bar / params.m4 if params.q_kind == "linear_cutoff" else 0.0
     return max(4.0 * params.d1 / grid.h_x**2 + bi_m * henry,

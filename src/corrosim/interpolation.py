@@ -232,9 +232,9 @@ class ManufacturedSolution:
     and c and the growth of u4 are affine in e^{-t}.  `sources` evaluates
     P = f(t = inf) and Q = f(0) - P once per grid, so the closed forms stay
     the only definition of the sources, and a new envelope must stay affine
-    in e^{-t}.  The closed forms need scalar exchange coefficients alpha
-    and beta, the constant gypsum kernel Q = c_bar and the flux balance
-    above to 1e-12 relative; other parameters raise ValueError.
+    in e^{-t}.  The closed forms need the constant gypsum kernel Q = c_bar
+    and the flux balance above to 1e-12 relative; other parameters raise
+    ValueError.
 
     `manufactured_default` builds it on the unit square with amp_x = 1;
     amp_x = 0 removes every x-variation, so that refining the cell axis
@@ -248,10 +248,6 @@ class ManufacturedSolution:
     lam: float = 0.0        # filled in __post_init__
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            if np.ndim(getattr(self.params, name)) != 0:
-                raise ValueError(
-                    f"ManufacturedSolution needs a scalar {name}, got a sample vector")
         p = self.params
         if p.q_kind != "constant":
             raise ValueError(

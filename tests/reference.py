@@ -92,8 +92,7 @@ class ConstantSolution:
     """Space- and time-constant fields, reproduced exactly by the scheme.
 
     The dissolved gas sits at the solubility equilibrium H*u1_d, so the
-    interfacial flux vanishes; the sources cancel the volume exchange,
-    which may vary across the cell when alpha is a sample vector.
+    interfacial flux vanishes; the sources cancel the volume exchange.
     """
 
     params: ModelParams
@@ -111,7 +110,7 @@ class ConstantSolution:
 
     def sources(self, grid: GridSpec) -> SourceTerms:
         nm, nf = grid.n_x + 1, grid.n_y + 1
-        exch = np.broadcast_to(self.params.alpha_row(grid) * self.u2_value, (nm, nf))
+        exch = np.full((nm, nf), self.params.alpha * self.u2_value)
         return SourceTerms(
             f1=lambda t: np.zeros(nm),
             f2=lambda t: exch.copy(),

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,32 @@ def read_csv(path):
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
     return header, rows
+
+
+def perturbed(state, t):
+    """A copy of state at time t with u4 and, node by node, u3 changed, so
+    that a transposed or shifted write of it shows."""
+    last = state.copy()
+    last.t = t
+    last.u4 += 0.5
+    last.u3 += np.linspace(0.0, 1.0, last.u3.size).reshape(last.u3.shape)
+    return last
+
+
+def assert_diverged_files(out, last, grid, params):
+    """diverged_state.csv and diverged_micro.csv hold `last` exactly, on the
+    nodes of `grid`."""
+    header, rows = read_csv(out / "diverged_state.csv")
+    assert header == ["t", "x", "u1", "u4"]
+    want = np.column_stack([np.full(grid.n_x + 1, last.t), grid.x_nodes(),
+                            last.u1 + params.u1_d, last.u4])
+    assert np.array_equal(np.array(rows, dtype=float), want)
+    header, rows = read_csv(out / "diverged_micro.csv")
+    assert header == ["t", "x", "y", "u2", "u3"]
+    x, y = np.meshgrid(grid.x_nodes(), grid.y_nodes(), indexing="ij")
+    want = np.column_stack([np.full(x.size, last.t), x.ravel(), y.ravel(),
+                            last.u2.ravel(), last.u3.ravel()])
+    assert np.array_equal(np.array(rows, dtype=float), want)
 
 
 class TestConfig:
@@ -183,10 +212,8 @@ class TestRunCommand:
 
         cfg = write_config(tmp_path / "f.ini", t_end=10.0, snapshots="0 10")
         resolved = load_config(cfg)
-        last = project_initial(resolved.initial, resolved.params, resolved.grid)
-        last.t = 4.25
-        last.u4 += 0.5
-        last.u3 += np.linspace(0.0, 1.0, last.u3.size).reshape(last.u3.shape)
+        last = perturbed(project_initial(resolved.initial, resolved.params,
+                                         resolved.grid), 4.25)
 
         def diverge(*args, **kwargs):
             raise DivergedError("non-finite state at t=4.5", last_state=last)
@@ -195,20 +222,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
         assert "diverged: non-finite state at t=4.5" in capsys.readouterr().err
-        header, rows = read_csv(out / "diverged_state.csv")
-        assert header == ["t", "x", "u1", "u4"]
-        assert len(rows) == resolved.grid.n_x + 1
-        assert all(float(r[0]) == 4.25 for r in rows)
-        u1 = last.u1 + resolved.params.u1_d
-        assert [float(r[2]) for r in rows] == list(u1)
-        assert [float(r[3]) for r in rows] == list(last.u4)
-        header, rows = read_csv(out / "diverged_micro.csv")
-        assert header == ["t", "x", "y", "u2", "u3"]
-        x, y = np.meshgrid(resolved.grid.x_nodes(), resolved.grid.y_nodes(),
-                           indexing="ij")
-        want = np.column_stack([np.full(x.size, 4.25), x.ravel(), y.ravel(),
-                                last.u2.ravel(), last.u3.ravel()])
-        assert np.array_equal(np.array(rows, dtype=float), want)
+        assert_diverged_files(out, last, resolved.grid, resolved.params)
         assert not (out / "macro_profiles.csv").exists()
 
     @pytest.mark.parametrize("extra", [
@@ -328,3 +342,43 @@ class TestSweepCommand:
         assert [r[1] for r in rows] == ["8", "16", "32"]
         _, ratio_rows = read_csv(out / "sweep_ratios.csv")
         assert all(r[3] == "1" for r in ratio_rows)
+
+    def test_diverged_level_writes_its_last_state(self, tmp_path, monkeypatch, capsys):
+        # the second level diverges: its last state is written on its own,
+        # refined grid, and no sweep table is
+        from corrosim import diagnostics
+        from corrosim.integrator import DivergedError, integrate
+
+        cfg = write_config(tmp_path / "f.ini", t_end=1.0, snapshots="0 1",
+                           extra="\n[grid]\nnx = 8\nny = 4\n")
+        resolved = load_config(cfg)
+        fine = resolved.grid.refine(2)
+        diverged = []
+
+        def diverge_on_fine(state0, params, grid, timespec):
+            if grid.n_x == resolved.grid.n_x:
+                return integrate(state0, params, grid, timespec)
+            diverged.append(perturbed(state0, 0.75))
+            raise DivergedError("non-finite state at t=0.8", last_state=diverged[0])
+
+        monkeypatch.setattr(diagnostics, "integrate", diverge_on_fine)
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out),
+                         "--levels", "3"]) == 3
+        assert "diverged: non-finite state at t=0.8" in capsys.readouterr().err
+        assert diverged[0].shape == (fine.n_x + 1, fine.n_y + 1)
+        assert_diverged_files(out, diverged[0], fine, resolved.params)
+        assert not (out / "sweep.csv").exists()
+
+
+def test_cli_import_loads_no_test_dependency():
+    # scipy, sympy and hypothesis are test extras; importing the command
+    # line must not pull them in (their import time would land on every run)
+    code = ("import sys, corrosim.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} "
+            "& {'scipy', 'sympy', 'hypothesis'}))")
+    src = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from corrosim.grids import GridSpec, ip_macro
-from corrosim.integrator import TimeSpec, integrate
 from corrosim.interpolation import (
     dual_cell_bounds,
     extension_product_residuals,
@@ -17,7 +16,6 @@ from corrosim.interpolation import (
     pwl_eval_macro,
     pwl_eval_micro,
 )
-from corrosim.model import project_initial
 from reference import manufactured_constant
 
 
@@ -190,18 +188,6 @@ class TestMmsConvergence:
             assert row.e_u3 <= 1e-13
             assert row.e_u4 <= 1e-13
 
-    def test_constant_solution_with_sampled_alpha(self):
-        # alpha varying across the cell (A2): the sources cancel it row by row
-        g = GridSpec(1.0, 1.0, 4, 4)
-        cs = manufactured_constant()
-        cs = replace(cs, params=replace(cs.params, alpha=np.linspace(0.2, 0.6, 5)))
-        state0 = project_initial(cs.initial_data(), cs.params, g)
-        final = integrate(state0, cs.params, g, TimeSpec(t_end=0.5),
-                          sources=cs.sources(g)).snapshots[-1]
-        exact = cs.exact_state(g, 0.5)
-        for name in ("u1", "u2", "u3", "u4"):
-            assert np.max(np.abs(getattr(final, name) - getattr(exact, name))) <= 1e-13
-
     def test_smooth_solution_second_order(self):
         ms = manufactured_default()
         tab = mms_convergence(ms, levels(GridSpec(1.0, 1.0, 8, 8), 3), t_end=0.5)
@@ -325,15 +311,6 @@ class TestSeparableSources:
             first += 1.0
             np.testing.assert_array_equal(second, kept)
             np.testing.assert_array_equal(f(0.3), kept)
-
-
-@pytest.mark.parametrize("name", ["alpha", "beta"])
-def test_manufactured_solution_rejects_a_sample_vector(name):
-    # the closed forms take scalar exchange coefficients
-    ms = manufactured_default()
-    params = replace(ms.params, **{name: np.full(9, 0.4)})
-    with pytest.raises(ValueError, match=name):
-        ManufacturedSolution(params, 1.0, 1.0)
 
 
 def test_manufactured_solution_rejects_a_cutoff_kernel():

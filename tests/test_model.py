@@ -42,9 +42,13 @@ class TestValidation:
             params(alpha=-0.5)
         assert err.value.label == "A2"
 
-    def test_exchange_samples_accepted(self):
-        p = params(alpha=np.array([0.1, 0.2, 0.3]), beta=0.0)
-        assert isinstance(p.alpha, np.ndarray)
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_vector_exchange_coefficient_rejected(self, name):
+        # A2 takes scalar coefficients only; a per-node vector is refused
+        with pytest.raises(AssumptionError) as err:
+            params(**{name: np.array([0.1, 0.2, 0.3])})
+        assert err.value.label == "A2"
+        assert name in str(err.value)
 
     def test_unknown_kernel(self):
         with pytest.raises(AssumptionError) as err:
