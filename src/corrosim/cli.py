@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, scenario_config
-from .diagnostics import MONITORED, energy_record, refinement_sweep
+from .diagnostics import MONITORED, RATIO_THRESHOLD, energy_record, refinement_sweep
 from .grids import GridSpec
 from .integrator import DivergedError, integrate
 from .interpolation import manufactured_default, mms_convergence
@@ -201,8 +201,8 @@ def cmd_sweep(args) -> int:
             for lvl in result.levels]
     _write_csv(os.path.join(args.out, "sweep.csv"),
                ["level", "N_x", "N_y", *MONITORED], rows, chash)
-    ratio_rows = [(name, result.ratios[name], result.threshold,
-                   int(result.ratios[name] <= result.threshold))
+    ratio_rows = [(name, result.ratios[name], RATIO_THRESHOLD,
+                   int(result.ratios[name] <= RATIO_THRESHOLD))
                   for name in MONITORED]
     _write_csv(os.path.join(args.out, "sweep_ratios.csv"),
                ["quantity", "max_growth_ratio", "threshold", "passed"],

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,8 +35,7 @@ class ConfigError(ValueError):
 
 
 _GRID_KEYS = ("length", "cell_length", "nx", "ny")
-_PARAM_KEYS = ("d1", "d2", "d3", "bi_m", "henry", "u1_d", "k", "alpha",
-               "beta", "c_bar", "q_kind", "m3", "m4")
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 _TIME_KEYS = ("t_end", "mode", "dt", "rtol", "atol", "snapshots")
 _RUN_KEYS = ("scenario", "seed")
 _OUTPUT_KEYS = ("micro_slice_x",)
@@ -223,16 +222,10 @@ def config_from_sections(sections: dict[str, dict[str, str]],
                     _intval(g, "ny", "grid"))
 
     p = merged["params"]
-    params = ModelParams(
-        d1=_floatval(p, "d1", "params"), d2=_floatval(p, "d2", "params"),
-        d3=_floatval(p, "d3", "params"), bi_m=_floatval(p, "bi_m", "params"),
-        henry=_floatval(p, "henry", "params"),
-        u1_d=_floatval(p, "u1_d", "params"), k=_floatval(p, "k", "params"),
-        alpha=_floatval(p, "alpha", "params"),
-        beta=_floatval(p, "beta", "params"),
-        c_bar=_floatval(p, "c_bar", "params"),
-        q_kind=p.get("q_kind", "constant"),
-        m3=_floatval(p, "m3", "params"), m4=_floatval(p, "m4", "params"))
+    # every parameter is a number except the kernel's name
+    params = ModelParams(**{
+        key: p.get(key, "constant") if key == "q_kind" else _floatval(p, key, "params")
+        for key in _PARAM_KEYS})
 
     t = merged["time"]
     t_end = _floatval(t, "t_end", "time")

@@ -1,10 +1,12 @@
 """Trajectory diagnostics: discrete energies, rate norms, difference
 quotients, and the grid-refinement boundedness sweep.
 
-The records mirror the quantities controlled by the scheme's a-priori
-estimates.  Time derivatives are evaluated through the semi-discrete
-right-hand side at the stored snapshot, which is exact for the
-method-of-lines system and keeps time-integration error out of the records.
+`energy_record` holds the discrete norms that the scheme's a-priori
+estimates bound, for u and, applied to the `rhs` tendency at a stored
+snapshot, for du/dt: the estimates bound the same norms of both, and the
+tendency is exact for the method-of-lines system, which keeps
+time-integration error out of the rate norms.  `quotient_sums` adds the
+forward x-quotients and mixed quotients of the two cell fields.
 The sweep integrates the same scenario on nested grids and reports, for
 each monitored quantity, the largest growth ratio between consecutive
 levels; bounded quantities should keep that ratio near one.
@@ -57,39 +59,6 @@ class EnergyRecord:
         return self.g1 + self.g2 + self.g3
 
 
-@dataclass(frozen=True)
-class DerivativeRecord:
-    t: float
-    d1n: float   # ||du1/dt||^2
-    d2n: float   # ||du2/dt||^2
-    d3n: float   # ||du3/dt||^2
-    d4n: float   # ||du4/dt||^2 (reported, not part of the bounded set)
-    dg1: float   # ||grad_x du1/dt||^2
-    dg2: float   # ||grad_y du2/dt||^2
-    dg3: float   # ||grad_y du3/dt||^2
-
-    def rate_total(self) -> float:
-        return self.d1n + self.d2n + self.d3n
-
-    def rate_grad_total(self) -> float:
-        return self.dg1 + self.dg2 + self.dg3
-
-
-@dataclass(frozen=True)
-class MixedQuotientRecord:
-    t: float
-    mx2: float    # h_x h_y sum (delta_x^+ u2)^2, all rows
-    mx3: float
-    mxy2: float   # h_x h_y sum (delta_x^+ delta_y^+ u2)^2
-    mxy3: float
-
-    def xdiff_total(self) -> float:
-        return self.mx2 + self.mx3
-
-    def mixed_total(self) -> float:
-        return self.mxy2 + self.mxy3
-
-
 def energy_record(grid: GridSpec, state: State) -> EnergyRecord:
     return EnergyRecord(
         t=state.t,
@@ -103,40 +72,16 @@ def energy_record(grid: GridSpec, state: State) -> EnergyRecord:
     )
 
 
-def derivative_record(grid: GridSpec, state: State,
-                      params: ModelParams) -> DerivativeRecord:
-    tend = rhs(state, params, grid)
-    return DerivativeRecord(
-        t=state.t,
-        d1n=norm_macro(grid, tend.u1) ** 2,
-        d2n=norm_micro(grid, tend.u2) ** 2,
-        d3n=norm_micro(grid, tend.u3) ** 2,
-        d4n=norm_macro(grid, tend.u4) ** 2,
-        dg1=norm_macro_edge(grid, grad_macro(grid, tend.u1)) ** 2,
-        dg2=norm_micro_edge(grid, grad_micro(grid, tend.u2)) ** 2,
-        dg3=norm_micro_edge(grid, grad_micro(grid, tend.u3)) ** 2,
-    )
-
-
-def _forward_x_sq(grid: GridSpec, u: np.ndarray) -> float:
-    quot = np.diff(u, axis=0) / grid.h_x
-    return grid.h_x * grid.h_y * float(np.sum(quot**2))
-
-
-def _mixed_sq(grid: GridSpec, u: np.ndarray) -> float:
-    quot = np.diff(np.diff(u, axis=0), axis=1) / (grid.h_x * grid.h_y)
-    return grid.h_x * grid.h_y * float(np.sum(quot**2))
-
-
-def mixed_quotient_record(grid: GridSpec, state: State) -> MixedQuotientRecord:
-    """Unweighted squared sums of forward and mixed difference quotients."""
-    return MixedQuotientRecord(
-        t=state.t,
-        mx2=_forward_x_sq(grid, state.u2),
-        mx3=_forward_x_sq(grid, state.u3),
-        mxy2=_mixed_sq(grid, state.u2),
-        mxy3=_mixed_sq(grid, state.u3),
-    )
+def quotient_sums(grid: GridSpec, state: State) -> tuple[float, float]:
+    """h_x h_y sums over all rows of the squared forward x-quotients and of
+    the squared mixed quotients delta_x^+ delta_y^+, each u2's plus u3's."""
+    xdiff = mixed = 0.0
+    for u in (state.u2, state.u3):
+        dx = np.diff(u, axis=0)
+        xdiff += grid.h_x * grid.h_y * float(np.sum((dx / grid.h_x) ** 2))
+        quot = np.diff(dx, axis=1) / (grid.h_x * grid.h_y)
+        mixed += grid.h_x * grid.h_y * float(np.sum(quot**2))
+    return xdiff, mixed
 
 
 def trajectory_quantities(grid: GridSpec, traj: Trajectory,
@@ -148,15 +93,16 @@ def trajectory_quantities(grid: GridSpec, traj: Trajectory,
     """
     times = traj.times()
     energies = [energy_record(grid, s) for s in traj.snapshots]
-    rates = [derivative_record(grid, s, params) for s in traj.snapshots]
-    mixed = [mixed_quotient_record(grid, s) for s in traj.snapshots]
+    rates = [energy_record(grid, State.view(s.t, rhs(s, params, grid).y, grid))
+             for s in traj.snapshots]
+    quotients = [quotient_sums(grid, s) for s in traj.snapshots]
     return {
         "energy_sup": max(e.field_total() for e in energies),
         "grad_integral": float(np.trapezoid([e.grad_total() for e in energies], times)),
-        "rate_sup": max(r.rate_total() for r in rates),
-        "rate_grad_integral": float(np.trapezoid([r.rate_grad_total() for r in rates], times)),
-        "xdiff_sup": max(m.xdiff_total() for m in mixed),
-        "mixed_integral": float(np.trapezoid([m.mixed_total() for m in mixed], times)),
+        "rate_sup": max(r.n1 + r.n2 + r.n3 for r in rates),
+        "rate_grad_integral": float(np.trapezoid([r.grad_total() for r in rates], times)),
+        "xdiff_sup": max(xdiff for xdiff, _ in quotients),
+        "mixed_integral": float(np.trapezoid([mixed for _, mixed in quotients], times)),
     }
 
 
@@ -172,10 +118,9 @@ class SweepLevel:
 class SweepResult:
     levels: list[SweepLevel]
     ratios: dict[str, float]      # worst consecutive-level growth per quantity
-    threshold: float
 
     def passed(self) -> bool:
-        return all(r <= self.threshold for r in self.ratios.values())
+        return all(r <= RATIO_THRESHOLD for r in self.ratios.values())
 
 
 def refinement_sweep(grid: GridSpec, params: ModelParams, initial: InitialData,
@@ -183,9 +128,8 @@ def refinement_sweep(grid: GridSpec, params: ModelParams, initial: InitialData,
     """Integrate the scenario on `levels` nested grids and compare the
     monitored quantities level to level.
 
-    RATIO_THRESHOLD is artifact policy (recorded in the result); the
-    bounded quantities of a resolved scenario should not grow systematically
-    under refinement.
+    RATIO_THRESHOLD is artifact policy; the bounded quantities of a
+    resolved scenario should not grow systematically under refinement.
     """
     if levels < 3:
         raise ValueError(f"refinement sweep needs at least 3 levels, got {levels}")
@@ -206,4 +150,4 @@ def refinement_sweep(grid: GridSpec, params: ModelParams, initial: InitialData,
             else:
                 worst = max(worst, cur / prev)
         ratios[name] = worst
-    return SweepResult(rows, ratios, RATIO_THRESHOLD)
+    return SweepResult(rows, ratios)

@@ -36,13 +36,7 @@ from .grids import (
     norm_micro,
 )
 from .integrator import TimeSpec, integrate
-from .model import (
-    InitialData,
-    ModelParams,
-    SourceTerms,
-    State,
-    project_initial,
-)
+from .model import ModelParams, SourceTerms, State
 from .operators import grad_macro, grad_micro
 
 
@@ -219,14 +213,17 @@ def extension_product_residuals(grid: GridSpec, u_g, v_g, u_f, v_f) -> dict[str,
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Closed-form fields satisfying all boundary conditions exactly, with
-    the volume sources that make them solve the system.
+    """Closed-form fields on the unit square satisfying all boundary
+    conditions exactly, with the volume sources that make them solve the
+    system.
 
     The gas field is given in shifted form (zero at the inlet).  The cell
     boundary data are compatible by construction: the dissolved-gas trace at
     y = 0 equals the solubility ratio times the gas value, its slope
-    vanishes there and at y = ell, and the acid profile cos(lam*y) satisfies
-    the surface-reaction flux balance when k*c_bar = d3*lam*tan(lam*ell).
+    vanishes there and at y = 1, and the acid profile cos(lam*y), lam = pi/4,
+    satisfies the surface-reaction flux balance when k*c_bar = d3*lam*tan(lam).
+    `exact_state` samples the fields at the grid nodes; at t = 0 it is the
+    start state of the convergence study.
 
     Every source has the form P(x, y) + Q(x, y) e^{-t}: the envelopes a, b
     and c and the growth of u4 are affine in e^{-t}.  `sources` evaluates
@@ -236,29 +233,25 @@ class ManufacturedSolution:
     and the flux balance above to 1e-12 relative; other parameters raise
     ValueError.
 
-    `manufactured_default` builds it on the unit square with amp_x = 1;
-    amp_x = 0 removes every x-variation, so that refining the cell axis
-    alone shows that axis's order.
+    `manufactured_default` builds it with amp_x = 1; amp_x = 0 removes
+    every x-variation, so that refining the cell axis alone shows that
+    axis's order.
     """
 
     params: ModelParams
-    length: float
-    cell_length: float
     amp_x: float = 1.0      # 0 gives data without any x-variation
-    lam: float = 0.0        # filled in __post_init__
+    lam = np.pi / 4.0       # acid profile wavenumber, a constant
 
     def __post_init__(self):
         p = self.params
         if p.q_kind != "constant":
             raise ValueError(
                 f"ManufacturedSolution needs q_kind 'constant', got {p.q_kind!r}")
-        lam = np.pi / (4.0 * self.cell_length)
-        balance = p.d3 * lam * np.tan(lam * self.cell_length)
+        balance = p.d3 * self.lam * np.tan(self.lam)
         if abs(p.k * p.c_bar - balance) > 1e-12 * balance:
             raise ValueError(
-                f"ManufacturedSolution needs k = d3*lam*tan(lam*ell)/c_bar = "
+                f"ManufacturedSolution needs k = d3*lam*tan(lam)/c_bar = "
                 f"{balance / p.c_bar!r}, got k = {p.k!r}")
-        object.__setattr__(self, "lam", lam)
 
     # time envelopes
     @staticmethod
@@ -274,17 +267,17 @@ class ManufacturedSolution:
         return 0.4 + 0.2 * np.exp(-t)
 
     def _g2(self, x):
-        return 1.5 + self.amp_x * np.cos(np.pi * x / self.length)
+        return 1.5 + self.amp_x * np.cos(np.pi * x)
 
     def _g3(self, x):
-        return 1.0 + 0.5 * self.amp_x * np.cos(np.pi * x / self.length)
+        return 1.0 + 0.5 * self.amp_x * np.cos(np.pi * x)
 
     def u1(self, x, t):
-        return self._a(t) * self.amp_x * np.sin(0.5 * np.pi * x / self.length)
+        return self._a(t) * self.amp_x * np.sin(0.5 * np.pi * x)
 
     def u2(self, x, y, t):
         p = self.params
-        psi = 1.0 - np.cos(2.0 * np.pi * y / self.cell_length)
+        psi = 1.0 - np.cos(2.0 * np.pi * y)
         return p.henry * (self.u1(x, t) + p.u1_d) + self._b(t) * self._g2(x) * psi
 
     def u3(self, x, y, t):
@@ -296,15 +289,15 @@ class ManufacturedSolution:
     def f1(self, x, t):
         # the interfacial term vanishes on the exact solution
         p = self.params
-        sin = np.sin(0.5 * np.pi * x / self.length)
+        sin = np.sin(0.5 * np.pi * x)
         da = -0.2 * np.exp(-t)
-        ddx = -self._a(t) * (0.5 * np.pi / self.length) ** 2 * sin
+        ddx = -self._a(t) * (0.5 * np.pi) ** 2 * sin
         return self.amp_x * (da * sin - p.d1 * ddx)
 
     def f2(self, x, y, t):
         p = self.params
-        psi = 1.0 - np.cos(2.0 * np.pi * y / self.cell_length)
-        ddy = (2.0 * np.pi / self.cell_length) ** 2 * np.cos(2.0 * np.pi * y / self.cell_length)
+        psi = 1.0 - np.cos(2.0 * np.pi * y)
+        ddy = (2.0 * np.pi) ** 2 * np.cos(2.0 * np.pi * y)
         db = -0.125 * np.exp(-t)
         du2_dt = p.henry * self.du1_dt(x, t) + db * self._g2(x) * psi
         exch = p.alpha * self.u2(x, y, t) - p.beta * self.u3(x, y, t)
@@ -322,20 +315,11 @@ class ManufacturedSolution:
     def f4(self, x, t):
         p = self.params
         du4_dt = 0.1 * np.exp(-t) * self._g3(x)
-        surface = p.k * p.c_bar * self.u3(x, self.cell_length, t)
+        surface = p.k * p.c_bar * self.u3(x, 1.0, t)
         return du4_dt - surface
 
     def du1_dt(self, x, t):
-        return -0.2 * np.exp(-t) * self.amp_x * np.sin(0.5 * np.pi * x / self.length)
-
-    def initial_data(self) -> InitialData:
-        p = self.params
-        return InitialData(
-            u1=lambda x: self.u1(x, 0.0) + p.u1_d,
-            u2=lambda x, y: self.u2(x, y, 0.0),
-            u3=lambda x, y: self.u3(x, y, 0.0),
-            u4=lambda x: self.u4(x, 0.0) + 0.0 * x,
-        )
+        return -0.2 * np.exp(-t) * self.amp_x * np.sin(0.5 * np.pi * x)
 
     def sources(self, grid: GridSpec) -> SourceTerms:
         x = grid.x_nodes()
@@ -375,14 +359,14 @@ class ManufacturedSolution:
 
 def manufactured_default() -> ManufacturedSolution:
     """Smooth separable manufactured solution on the unit square."""
-    lam = np.pi / 4.0
+    lam = ManufacturedSolution.lam
     d3 = 0.1
     c_bar = 1.0
     params = ModelParams(
         d1=0.1, d2=0.1, d3=d3, bi_m=0.5, henry=0.8, u1_d=1.0,
         k=d3 * lam * np.tan(lam) / c_bar,
         alpha=0.4, beta=0.3, c_bar=c_bar, q_kind="constant", m3=10.0, m4=2.0)
-    return ManufacturedSolution(params, 1.0, 1.0)
+    return ManufacturedSolution(params)
 
 
 @dataclass
@@ -407,17 +391,18 @@ class ConvergenceTable:
 def mms_convergence(solution, grids: list[GridSpec], t_end: float) -> ConvergenceTable:
     """Error table and observed orders under grid refinement.
 
-    Integrates the forced system on each grid of `grids`, coarsest first,
-    and reports the discrete L2 errors against the exact fields at t_end,
-    plus the observed order log2(e_k / e_{k+1}) between consecutive grids;
-    each grid should halve the steps it refines.
+    Integrates the forced system from the exact state at t = 0 on each
+    grid of `grids`, coarsest first, and reports the discrete L2 errors
+    against the exact fields at t_end, plus the observed order
+    log2(e_k / e_{k+1}) between consecutive grids; each grid should halve
+    the steps it refines.
     """
     if len(grids) < 2:
         raise ValueError(f"order measurement needs at least 2 levels, got {len(grids)}")
     table = ConvergenceTable()
     params = solution.params
     for lvl, g in enumerate(grids):
-        state0 = project_initial(solution.initial_data(), params, g)
+        state0 = solution.exact_state(g, 0.0)
         ts = TimeSpec(t_end=t_end, snapshot_times=(t_end,))
         traj = integrate(state0, params, g, ts, sources=solution.sources(g))
         final = traj.snapshots[-1]

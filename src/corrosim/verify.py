@@ -27,7 +27,7 @@ from .grids import (
     norm_micro,
     norm_micro_edge,
 )
-from .integrator import POSITIVITY_SLACK, integrate
+from .integrator import POSITIVITY_SLACK, DivergedError, integrate
 from .interpolation import extension_product_residuals
 from .model import project_initial, unshifted_u1
 from .operators import (
@@ -151,7 +151,13 @@ def suite_conservation() -> SuiteResult:
 def suite_positivity_and_monotone(cfg: RunConfig | None) -> list[SuiteResult]:
     if cfg is None:
         cfg = scenario_config("fig1")
-    traj = _trajectory(cfg)
+    try:
+        traj = _trajectory(cfg)
+    except DivergedError as err:
+        # a trajectory that leaves the admissible set fails both suites
+        print(f"positivity, monotone_gypsum: diverged: {err}")
+        return [SuiteResult("positivity", False, np.inf, POSITIVITY_SLACK),
+                SuiteResult("monotone_gypsum", False, np.inf, MONOTONE_SLACK)]
     low = 0.0
     for s in traj.snapshots:
         low = min(low, float(unshifted_u1(s, cfg.params).min()),

@@ -14,7 +14,6 @@ import numpy as np
 
 from corrosim.grids import GridSpec, check_macro, check_micro
 from corrosim.model import (
-    InitialData,
     ModelParams,
     SourceTerms,
     State,
@@ -98,15 +97,6 @@ class ConstantSolution:
     params: ModelParams
     u2_value: float
     u4_value: float = 0.7
-
-    def initial_data(self) -> InitialData:
-        p = self.params
-        return InitialData(
-            u1=lambda x: np.full_like(x, p.u1_d),
-            u2=lambda x, y: self.u2_value + 0.0 * x * y,
-            u3=lambda x, y: 0.0 * x * y,
-            u4=lambda x: np.full_like(x, self.u4_value),
-        )
 
     def sources(self, grid: GridSpec) -> SourceTerms:
         nm, nf = grid.n_x + 1, grid.n_y + 1

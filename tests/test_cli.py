@@ -321,6 +321,21 @@ class TestVerifyCommand:
         _, rows = read_csv(out / "verify_report.csv")
         assert len(rows) == 12 and all(row[3] == "1" for row in rows)
 
+    def test_diverged_trajectory_fails_positivity(self, tmp_path, capsys):
+        # one fixed step of 20 drives u3 negative: the two fig1 suites fail,
+        # the other ten still run and the report is written
+        config = tmp_path / "f.ini"
+        config.write_text("[run]\nscenario = fig1\n\n[time]\nt_end = 20\ndt = 20\n")
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert "diverged: negative concentration u3" in text
+        assert "FAILED: positivity monotone_gypsum" in text
+        _, rows = read_csv(out / "verify_report.csv")
+        assert len(rows) == 12
+        failed = {row[0]: row[1] for row in rows if row[3] == "0"}
+        assert failed == {"positivity": "inf", "monotone_gypsum": "inf"}
+
     def test_broken_ghost_closure_fails_green_micro(self, lower_bottom_ghost):
         # bottom flux data skewed by 0.05 lowers the ghost edge by 0.1
         lower_bottom_ghost(0.1)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from corrosim.config import scenario_config
 from corrosim.diagnostics import (
-    derivative_record,
+    MONITORED,
     energy_record,
-    mixed_quotient_record,
+    quotient_sums,
     refinement_sweep,
 )
 from corrosim.grids import GridSpec
 from corrosim.integrator import TimeSpec
-from corrosim.model import InitialData, ModelParams
+from corrosim.model import InitialData, ModelParams, State, rhs
 from reference import zero_state
 
 
@@ -22,6 +23,11 @@ def params(**overrides):
 
 def gamma(n, i):
     return 0.5 if i in (0, n) else 1.0
+
+
+def rate_record(g, st, p):
+    """The energy record of the tendency, as the sweep takes its rate norms."""
+    return energy_record(g, State.view(st.t, rhs(st, p, g).y, g))
 
 
 class TestEnergyRecord:
@@ -58,8 +64,8 @@ class TestEnergyRecord:
 class TestDerivativeRecord:
     def test_zero_state(self):
         g = GridSpec(1.0, 1.0, 4, 4)
-        rec = derivative_record(g, zero_state(g), params())
-        assert rec.rate_total() == 0.0 and rec.rate_grad_total() == 0.0
+        rec = rate_record(g, zero_state(g), params())
+        assert rec.field_total() == 0.0 and rec.grad_total() == 0.0
 
     def test_surface_rate_only(self):
         # frozen acid trace: the gypsum rate norm equals the kernel norm
@@ -67,18 +73,18 @@ class TestDerivativeRecord:
         p = params(k=0.5)
         st = zero_state(g)
         st.u3[:, -1] = 2.0
-        rec = derivative_record(g, st, p)
-        assert rec.d4n == pytest.approx(g.length * 1.0**2, rel=1e-13)
+        rec = rate_record(g, st, p)
+        assert rec.n4 == pytest.approx(g.length * 1.0**2, rel=1e-13)
 
     def test_exchange_rate_norm(self):
         g = GridSpec(1.0, 1.0, 4, 4)
         p = params(alpha=0.3, beta=0.0)
         st = zero_state(g)
         st.u2[:] = 2.0
-        rec = derivative_record(g, st, p)
+        rec = rate_record(g, st, p)
         # du2/dt = -0.3*2 everywhere, du3/dt = +0.3*2
-        assert rec.d2n == pytest.approx(0.6**2 * 1.0, rel=1e-13)
-        assert rec.d3n == pytest.approx(0.6**2, rel=1e-13)
+        assert rec.n2 == pytest.approx(0.6**2 * 1.0, rel=1e-13)
+        assert rec.n3 == pytest.approx(0.6**2, rel=1e-13)
 
 
 class TestMixedQuotients:
@@ -86,32 +92,30 @@ class TestMixedQuotients:
         g = GridSpec(1.0, 1.0, 6, 6)
         st = zero_state(g)
         st.u2 = np.tile(g.y_nodes() ** 2, (7, 1))
-        rec = mixed_quotient_record(g, st)
-        assert rec.mx2 == 0.0 and rec.mxy2 == 0.0
+        assert quotient_sums(g, st) == (0.0, 0.0)
 
     def test_linear_in_x(self):
         g = GridSpec(1.5, 0.8, 5, 4)
         st = zero_state(g)
         st.u2 = np.tile(g.x_nodes()[:, None], (1, g.n_y + 1))
-        rec = mixed_quotient_record(g, st)
+        xdiff, mixed = quotient_sums(g, st)
         # oracle: unit forward quotients on n_x*(n_y+1) positions
         expected = 0.0
         for i in range(g.n_x):
             for j in range(g.n_y + 1):
                 expected += 1.0
         expected *= g.h_x * g.h_y
-        assert rec.mx2 == pytest.approx(expected, rel=1e-13)
-        assert rec.mxy2 == 0.0
+        assert xdiff == pytest.approx(expected, rel=1e-13)
+        assert mixed == 0.0
 
     def test_bilinear_field(self):
         g = GridSpec(2.0, 3.0, 4, 5)
         st = zero_state(g)
         st.u3 = g.x_nodes()[:, None] * g.y_nodes()[None, :]
-        rec = mixed_quotient_record(g, st)
+        _, mixed = quotient_sums(g, st)
         # mixed quotient of x*y is exactly 1 on every sub-rectangle
-        assert rec.mxy3 == pytest.approx(
-            g.h_x * g.h_y * g.n_x * g.n_y, rel=1e-13)
-        assert rec.mxy3 == pytest.approx(6.0, rel=1e-13)
+        assert mixed == pytest.approx(g.h_x * g.h_y * g.n_x * g.n_y, rel=1e-13)
+        assert mixed == pytest.approx(6.0, rel=1e-13)
 
 
 class TestRefinementSweep:
@@ -153,3 +157,23 @@ class TestRefinementSweep:
         # value, but nothing grows materially
         for name, ratio in res.ratios.items():
             assert ratio <= 1.1, (name, ratio)
+
+
+def test_sweep_quantities_pinned():
+    # fig1 on 4^2, 8^2 and 16^2 up to t = 20, to 17 digits; a reordered sum,
+    # a changed norm or a changed snapshot rule moves these
+    expected = {
+        (4, 4): (0.92729964053237557, 47.232373450250122, 0.017339327975617762,
+                 0.22414017990243823, 3.3340093048961319, 124.01836610270358),
+        (8, 8): (0.82561850326255792, 45.001255077355175, 0.01649895662515664,
+                 0.20333107993267793, 2.1597245859339678, 117.3004388455515),
+        (16, 16): (0.7977870876161488, 44.607643831060983, 0.016288985099695473,
+                   0.19937626051954657, 1.7723567483276503, 116.92141450603501),
+    }
+    cfg = scenario_config("fig1", t_end=20.0, snapshots="0 5 10 15 20")
+    res = refinement_sweep(GridSpec(1.0, 1.0, 4, 4), cfg.params, cfg.initial,
+                           cfg.time, levels=3)
+    assert [(lvl.n_x, lvl.n_y) for lvl in res.levels] == list(expected)
+    for lvl in res.levels:
+        got = tuple(lvl.quantities[name] for name in MONITORED)
+        assert got == pytest.approx(expected[lvl.n_x, lvl.n_y], rel=1e-12, abs=0.0)

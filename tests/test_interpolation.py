@@ -263,7 +263,7 @@ class TestMmsConvergence:
         p = ms.params
         x, t = 0.35, 0.9
         eps = 1e-7
-        ell = ms.cell_length
+        ell = 1.0
         dy0_u2 = (ms.u2(x, eps, t) - ms.u2(x, 0.0, t)) / eps
         assert dy0_u2 == pytest.approx(0.0, abs=1e-5)
         dyl_u3 = (ms.u3(x, ell, t) - ms.u3(x, ell - eps, t)) / eps
@@ -317,11 +317,11 @@ def test_manufactured_solution_rejects_a_cutoff_kernel():
     # its gypsum source assumes Q = c_bar
     params = replace(manufactured_default().params, q_kind="linear_cutoff")
     with pytest.raises(ValueError, match="q_kind"):
-        ManufacturedSolution(params, 1.0, 1.0)
+        ManufacturedSolution(params)
 
 
 def test_manufactured_solution_rejects_an_unbalanced_rate():
-    # cos(lam*y) meets the surface flux only when k*c_bar = d3*lam*tan(lam*ell)
+    # cos(lam*y) meets the surface flux only when k*c_bar = d3*lam*tan(lam)
     params = manufactured_default().params
     with pytest.raises(ValueError, match="k = "):
-        ManufacturedSolution(replace(params, k=2.0 * params.k), 1.0, 1.0)
+        ManufacturedSolution(replace(params, k=2.0 * params.k))

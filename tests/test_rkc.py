@@ -184,7 +184,7 @@ class TestInvariants:
         for n, dt in ((8, 0.05), (16, 0.0125), (32, 0.003125)):
             g = GridSpec(1.0, 1.0, n, n)
             assert dt >= 1.5 * stability_dt(solution.params, g)
-            state0 = project_initial(solution.initial_data(), solution.params, g)
+            state0 = solution.exact_state(g, 0.0)
             traj = integrate(state0, solution.params, g,
                              TimeSpec(t_end=0.5, dt=dt, snapshot_times=(0.5,)),
                              sources=solution.sources(g))
