@@ -128,25 +128,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_mms(args) -> int:
-    # the forced problem carries its own horizon and the unit square; a
-    # config contributes only the base grid resolution
+    # the forced problem carries its own horizon and the unit square at 8^2
     if args.levels < 2:
         raise ConfigError("mms needs --levels >= 2 to measure orders")
-    t_end = 0.5
-    if args.config is not None:
-        cfg = load_config(args.config)
-        base = cfg.grid
-        for key, value in (("length", base.length), ("cell_length", base.cell_length)):
-            if value != 1.0:
-                raise ConfigError(
-                    f"mms solves on the unit square, but grid.{key} = {value:g}")
-        chash = cfg.config_hash()
-    else:
-        base = GridSpec(1.0, 1.0, 8, 8)
-        chash = "builtin-mms"
     os.makedirs(args.out, exist_ok=True)
+    base = GridSpec(1.0, 1.0, 8, 8)
     grids = [base.refine(2**lvl) for lvl in range(args.levels)]
-    table = mms_convergence(manufactured_default(), grids, t_end)
+    table = mms_convergence(manufactured_default(), grids, 0.5)
     header = ["level", "N_x", "N_y",
               "e_u1", "e_u2", "e_u3", "e_u4",
               "p_u1", "p_u2", "p_u3", "p_u4"]
@@ -156,7 +144,7 @@ def cmd_mms(args) -> int:
                   for f in ("u1", "u2", "u3", "u4")]
         rows.append((row.level, row.n_x, row.n_y,
                      row.e_u1, row.e_u2, row.e_u3, row.e_u4, *orders))
-    _write_csv(os.path.join(args.out, "mms.csv"), header, rows, chash)
+    _write_csv(os.path.join(args.out, "mms.csv"), header, rows, "builtin-mms")
     for row in rows:
         print("level", row[0], "N", row[1],
               "errors", " ".join(_fmt(v) for v in row[3:7]))
@@ -191,8 +179,7 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     chash = cfg.config_hash()
     try:
-        result = refinement_sweep(cfg.grid, cfg.params, cfg.initial, cfg.time,
-                                  levels=args.levels)
+        result = refinement_sweep(cfg.grid, cfg.params, cfg.initial, cfg.time)
     except DivergedError as err:
         _write_diverged(args.out, err, cfg, chash)
         raise
@@ -219,22 +206,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-scale finite-difference sulfate corrosion simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, levels=False):
+    def add_common(p):
         p.add_argument("--config", help="path to an INI run configuration")
         p.add_argument("--out", default="out", help="output directory")
-        if levels:
-            p.add_argument("--levels", type=int, default=3,
-                           help="number of refinement levels")
 
     add_common(sub.add_parser("run", help="integrate a scenario"))
-    add_common(sub.add_parser("mms", help="convergence-order study"), levels=True)
+    mms = sub.add_parser("mms", help="convergence-order study")
+    mms.add_argument("--out", default="out", help="output directory")
+    mms.add_argument("--levels", type=int, default=3,
+                     help="number of refinement levels")
     verify = sub.add_parser("verify", help="property suites")
     add_common(verify)
     # verify is the one command with random input
     verify.add_argument("--seed", type=int, default=None,
                         help="seed overriding the config value")
-    add_common(sub.add_parser("sweep", help="boundedness refinement sweep"),
-               levels=True)
+    add_common(sub.add_parser("sweep", help="boundedness refinement sweep"))
     return parser
 
 

@@ -39,6 +39,7 @@ MONITORED = (
 )
 # largest growth ratio of a monitored quantity between consecutive levels
 RATIO_THRESHOLD = 1.25
+SWEEP_LEVELS = 3      # nested grids of the sweep: the base grid, 2x and 4x
 
 
 @dataclass(frozen=True)
@@ -124,17 +125,15 @@ class SweepResult:
 
 
 def refinement_sweep(grid: GridSpec, params: ModelParams, initial: InitialData,
-                     timespec: TimeSpec, levels: int) -> SweepResult:
-    """Integrate the scenario on `levels` nested grids and compare the
+                     timespec: TimeSpec) -> SweepResult:
+    """Integrate the scenario on SWEEP_LEVELS nested grids and compare the
     monitored quantities level to level.
 
     RATIO_THRESHOLD is artifact policy; the bounded quantities of a
     resolved scenario should not grow systematically under refinement.
     """
-    if levels < 3:
-        raise ValueError(f"refinement sweep needs at least 3 levels, got {levels}")
     rows: list[SweepLevel] = []
-    for lvl in range(levels):
+    for lvl in range(SWEEP_LEVELS):
         g = grid.refine(2**lvl) if lvl else grid
         state0 = project_initial(initial, params, g)
         traj = integrate(state0, params, g, timespec)

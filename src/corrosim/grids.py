@@ -11,7 +11,8 @@ arrays with the following shape conventions:
 * micro edge field   shape (n_x + 1, n_y)      values at (x_i, y_{j+1/2})
 
 Micro storage is row-major with the macro index i slow, so the cell attached
-to one macro node is contiguous.
+to one macro node is contiguous, and the traces of a micro field u at y = 0
+and y = ell are the macro fields u[:, 0] and u[:, -1].
 
 The discrete L2 products carry trapezoid weights (one half at the two
 endpoint indices of each axis), so a constant field integrates to exactly L,
@@ -107,19 +108,11 @@ def check_micro_edge(grid: GridSpec, u: np.ndarray) -> np.ndarray:
     return _check_shape(u, (grid.n_x + 1, grid.n_y), "micro edge field")
 
 
-def ip_macro(grid: GridSpec, u: np.ndarray, v: np.ndarray,
-             restricted: bool = False) -> float:
-    """Weighted product h_x * sum_i gamma1_i u_i v_i over the macro nodes.
-
-    With restricted=True the sum runs over i = 1..n_x only (the node at
-    x = 0, where the Dirichlet condition is imposed, is dropped; the half
-    weight at i = n_x is kept).
-    """
+def ip_macro(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
+    """Weighted product h_x * sum_i gamma1_i u_i v_i over the macro nodes."""
     u = check_macro(grid, u)
     v = check_macro(grid, v)
     g = _trapezoid_weights(grid.n_x)
-    if restricted:
-        return grid.h_x * float(np.sum(g[1:] * u[1:] * v[1:]))
     return grid.h_x * float(np.sum(g * u * v))
 
 
@@ -165,15 +158,3 @@ def norm_macro_edge(grid: GridSpec, u: np.ndarray) -> float:
 def norm_micro_edge(grid: GridSpec, u: np.ndarray) -> float:
     return float(np.sqrt(ip_micro_edge(grid, u, u)))
 
-
-def trace(grid: GridSpec, u: np.ndarray, side: str) -> np.ndarray:
-    """Restriction of a micro field to y = 0 ("y0") or y = ell ("yell").
-
-    The result is a macro field (a copy, so it can be mutated freely).
-    """
-    u = check_micro(grid, u)
-    if side == "y0":
-        return u[:, 0].copy()
-    if side == "yell":
-        return u[:, -1].copy()
-    raise ValueError(f"side must be 'y0' or 'yell', got {side!r}")

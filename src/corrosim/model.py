@@ -19,9 +19,9 @@ surfaces on rejection:
 A `State` (and a `Tendency`, its time derivative) is one flat float64
 vector y = (u1, u2, u3, u4) with the four fields as views into it.  u2 and
 u3 follow each other, so together they are the contiguous `micro` block of
-shape (2 (n_x + 1), n_y + 1).  Assigning a field copies into its view; the
-constructors pack their fields into a new vector once, and `view` wraps an
-existing one without copying.
+shape (2 (n_x + 1), n_y + 1).  Callers write through the fields
+(`state.u2[...] = ...`); the constructors pack their fields into a new
+vector once, and `view` wraps an existing one without copying.
 
 `rhs` writes into a caller-owned `Tendency`.  Its diffusion is one
 second-difference pass over the head of y, the gas row and the micro block
@@ -123,36 +123,20 @@ def eta(r, s, params: ModelParams) -> np.ndarray:
     return value
 
 
-def _field(index: int, name: str) -> property:
-    """One field of the shared layout: reads return the view, assignments
-    copy into it after checking the shape."""
-    def get(self) -> np.ndarray:
-        return self._views[index]
-
-    def put(self, value) -> None:
-        view = self._views[index]
-        value = np.asarray(value, dtype=float)
-        if value.shape != view.shape:
-            raise GridError(f"{name} must have shape {view.shape}, got {value.shape}")
-        view[...] = value
-
-    return property(get, put)
-
-
 class _Fields:
     """The layout State and Tendency share: the four fields as views of one
     flat float64 vector y = (u1, u2, u3, u4).
 
     u2 and u3 are consecutive, so together they form the contiguous `micro`
     block of shape (2 (n_x + 1), n_y + 1), u2 its first n_x + 1 rows and u3
-    the rest.  Assigning a field copies into its view after checking the
-    shape, so y stays the one buffer behind all four.
+    the rest.  The fields are read-only attributes; callers write through
+    them (`state.u2[...] = ...`), so y stays the one buffer behind all four.
     """
 
-    u1 = _field(0, "u1")   # shape (n_x + 1,)
-    u2 = _field(1, "u2")   # shape (n_x + 1, n_y + 1)
-    u3 = _field(2, "u3")   # shape (n_x + 1, n_y + 1)
-    u4 = _field(3, "u4")   # shape (n_x + 1,)
+    u1 = property(lambda self: self._views[0])   # shape (n_x + 1,)
+    u2 = property(lambda self: self._views[1])   # shape (n_x + 1, n_y + 1)
+    u3 = property(lambda self: self._views[2])   # shape (n_x + 1, n_y + 1)
+    u4 = property(lambda self: self._views[3])   # shape (n_x + 1,)
 
     def __init__(self, u1, u2, u3, u4):
         u1, u2, u3, u4 = (np.asarray(u, dtype=float) for u in (u1, u2, u3, u4))
@@ -204,11 +188,6 @@ class State(_Fields):
         """The state at time t whose fields are views of y; no copy."""
         state = cls._wrap(y, (grid.n_x + 1, grid.n_y + 1))
         state.t = t
-        return state
-
-    def copy(self) -> "State":
-        state = State._wrap(self.y.copy(), self.shape)
-        state.t = self.t
         return state
 
 

@@ -177,7 +177,7 @@ def suite_boundedness() -> SuiteResult:
                           snapshots=" ".join(str(v) for v in
                                              np.linspace(0.0, t_end, 11)))
     grid = GridSpec(cfg.grid.length, cfg.grid.cell_length, n, n)
-    res = refinement_sweep(grid, cfg.params, cfg.initial, cfg.time, levels=3)
+    res = refinement_sweep(grid, cfg.params, cfg.initial, cfg.time)
     worst = max(res.ratios.values())
     return SuiteResult("boundedness", res.passed(), worst, RATIO_THRESHOLD)
 

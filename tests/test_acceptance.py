@@ -162,7 +162,7 @@ def test_07_boundedness_sweep():
     cfg = scenario_config(
         "fig1", snapshots=" ".join(str(v) for v in np.linspace(0.0, 400.0, 21)))
     start = time.perf_counter()
-    res = refinement_sweep(cfg.grid, cfg.params, cfg.initial, cfg.time, levels=3)
+    res = refinement_sweep(cfg.grid, cfg.params, cfg.initial, cfg.time)
     elapsed = time.perf_counter() - start
     worst = max(res.ratios.values())
     report(7, "a-priori boundedness sweep",

@@ -8,6 +8,7 @@ import pytest
 
 from corrosim import cli
 from corrosim.config import ConfigError, load_config, scenario_config
+from corrosim.model import State
 from corrosim.verify import suite_green_micro
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
@@ -30,13 +31,12 @@ def read_csv(path):
     return header, rows
 
 
-def perturbed(state, t):
+def perturbed(state, t, grid):
     """A copy of state at time t with u4 and, node by node, u3 changed, so
     that a transposed or shifted write of it shows."""
-    last = state.copy()
-    last.t = t
-    last.u4 += 0.5
-    last.u3 += np.linspace(0.0, 1.0, last.u3.size).reshape(last.u3.shape)
+    last = State.view(t, state.y.copy(), grid)
+    last.u4[...] += 0.5
+    last.u3[...] += np.linspace(0.0, 1.0, last.u3.size).reshape(last.u3.shape)
     return last
 
 
@@ -78,10 +78,16 @@ class TestConfig:
             load_config(str(p))
 
     def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "c.ini"
-        p.write_text("[run]\nscenario = fig1\nwho = 1\n\n[time]\nt_end = 1\n")
-        with pytest.raises(ConfigError, match="run.who"):
-            load_config(str(p))
+        # adaptive mode's tolerances are constants, not keys
+        for key, run_line, time_line in (
+                ("run.who", "who = 1\n", ""),
+                ("time.rtol", "", "mode = adaptive\nrtol = 1e-6\n"),
+                ("time.atol", "", "mode = adaptive\natol = 1e-9\n")):
+            p = tmp_path / "c.ini"
+            p.write_text(f"[run]\nscenario = fig1\n{run_line}\n"
+                         f"[time]\nt_end = 1\n{time_line}")
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                load_config(str(p))
 
     def test_unknown_scenario_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -126,8 +132,6 @@ class TestConfig:
     @pytest.mark.parametrize("key,config", [
         ("time.t_end", dict(t_end="fast")),
         ("time.dt", dict(extra="dt = fast\n")),
-        ("time.rtol", dict(extra="rtol = fast\n")),
-        ("time.atol", dict(extra="atol = fast\n")),
         ("output.micro_slice_x", dict(extra="\n[output]\nmicro_slice_x = fast\n")),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_malformed_number_names_its_key(self, tmp_path, capsys, key, config):
@@ -147,10 +151,19 @@ class TestConfig:
         assert "adaptive mode" in capsys.readouterr().err
 
     def test_seed_only_on_verify(self):
-        for command in ("run", "mms", "sweep"):
-            with pytest.raises(SystemExit) as exc:
-                cli.build_parser().parse_args([command, "--seed", "1"])
-            assert exc.value.code == 2
+        # the flags each command takes: verify alone has random input, mms
+        # solves its built-in problem, and only mms chooses its levels
+        takes = {"run": ("--config",), "mms": ("--levels",),
+                 "verify": ("--config", "--seed"), "sweep": ("--config",)}
+        for command, flags in takes.items():
+            for flag in ("--config", "--seed", "--levels"):
+                argv = [command, flag, "1"]
+                if flag in flags:
+                    cli.build_parser().parse_args(argv)
+                    continue
+                with pytest.raises(SystemExit) as exc:
+                    cli.build_parser().parse_args(argv)
+                assert exc.value.code == 2, argv
         assert cli.build_parser().parse_args(["verify", "--seed", "1"]).seed == 1
 
     def test_hash_stable_under_key_order(self, tmp_path):
@@ -213,7 +226,7 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "f.ini", t_end=10.0, snapshots="0 10")
         resolved = load_config(cfg)
         last = perturbed(project_initial(resolved.initial, resolved.params,
-                                         resolved.grid), 4.25)
+                                         resolved.grid), 4.25, resolved.grid)
 
         def diverge(*args, **kwargs):
             raise DivergedError("non-finite state at t=4.5", last_state=last)
@@ -273,27 +286,6 @@ class TestMmsCommand:
         assert len(rows) == 2
         assert float(rows[1][7]) >= 1.9  # p_u1 on the refined level
 
-    def test_config_sets_the_base_grid(self, tmp_path):
-        cfg = write_config(tmp_path / "f.ini", extra="\n[grid]\nnx = 4\nny = 4\n")
-        out = tmp_path / "o"
-        assert cli.main(["mms", "--config", cfg, "--levels", "2", "--out", str(out)]) == 0
-        header, rows = read_csv(out / "mms.csv")
-        assert [(r[1], r[2]) for r in rows] == [("4", "4"), ("8", "8")]
-        first = (out / "mms.csv").read_text().splitlines()[0]
-        assert first == f"# config {load_config(cfg).config_hash()}"
-
-    @pytest.mark.parametrize("grid,key", [("length = 2\ncell_length = 3", "grid.length"),
-                                          ("cell_length = 3", "grid.cell_length")],
-                             ids=["length", "cell_length"])
-    def test_non_unit_domain_is_usage_error(self, tmp_path, capsys, grid, key):
-        # the manufactured solution lives on the unit square
-        cfg = write_config(tmp_path / "f.ini",
-                           extra=f"\n[grid]\n{grid}\nnx = 4\nny = 4\n")
-        out = tmp_path / "o"
-        assert cli.main(["mms", "--config", cfg, "--out", str(out)]) == 2
-        assert key in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestVerifyCommand:
     def test_all_suites_pass(self, tmp_path, capsys):
@@ -351,10 +343,18 @@ class TestSweepCommand:
                            snapshots="0 10 20 30 40 50",
                            extra="\n[grid]\nnx = 8\nny = 8\n")
         out = tmp_path / "o"
-        assert cli.main(["sweep", "--config", cfg, "--out", str(out),
-                         "--levels", "3"]) == 0
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         header, rows = read_csv(out / "sweep.csv")
         assert [r[1] for r in rows] == ["8", "16", "32"]
+        _, ratio_rows = read_csv(out / "sweep_ratios.csv")
+        assert all(r[3] == "1" for r in ratio_rows)
+
+    def test_dissipation_config_sweep_passes(self, tmp_path):
+        # its cell profile meets the Robin closure at y = 0, so the rate
+        # norms stay bounded under refinement
+        config = str(Path(__file__).parent.parent / "configs" / "dissipation.ini")
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 0
         _, ratio_rows = read_csv(out / "sweep_ratios.csv")
         assert all(r[3] == "1" for r in ratio_rows)
 
@@ -373,13 +373,12 @@ class TestSweepCommand:
         def diverge_on_fine(state0, params, grid, timespec):
             if grid.n_x == resolved.grid.n_x:
                 return integrate(state0, params, grid, timespec)
-            diverged.append(perturbed(state0, 0.75))
+            diverged.append(perturbed(state0, 0.75, grid))
             raise DivergedError("non-finite state at t=0.8", last_state=diverged[0])
 
         monkeypatch.setattr(diagnostics, "integrate", diverge_on_fine)
         out = tmp_path / "o"
-        assert cli.main(["sweep", "--config", cfg, "--out", str(out),
-                         "--levels", "3"]) == 3
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 3
         assert "diverged: non-finite state at t=0.8" in capsys.readouterr().err
         assert diverged[0].shape == (fine.n_x + 1, fine.n_y + 1)
         assert_diverged_files(out, diverged[0], fine, resolved.params)

@@ -47,7 +47,7 @@ class TestEnergyRecord:
     def test_linear_in_y(self):
         g = GridSpec(1.0, 1.0, 8, 8)
         st = zero_state(g)
-        st.u2 = np.tile(g.y_nodes(), (9, 1))
+        st.u2[...] = np.tile(g.y_nodes(), (9, 1))
         rec = energy_record(g, st)
         assert rec.g2 == pytest.approx(1.0, rel=1e-13)  # unit gradient over L*ell
         # trapezoid oracle for the weighted mass of y^2
@@ -91,13 +91,13 @@ class TestMixedQuotients:
     def test_y_only_field_has_no_x_quotients(self):
         g = GridSpec(1.0, 1.0, 6, 6)
         st = zero_state(g)
-        st.u2 = np.tile(g.y_nodes() ** 2, (7, 1))
+        st.u2[...] = np.tile(g.y_nodes() ** 2, (7, 1))
         assert quotient_sums(g, st) == (0.0, 0.0)
 
     def test_linear_in_x(self):
         g = GridSpec(1.5, 0.8, 5, 4)
         st = zero_state(g)
-        st.u2 = np.tile(g.x_nodes()[:, None], (1, g.n_y + 1))
+        st.u2[...] = np.tile(g.x_nodes()[:, None], (1, g.n_y + 1))
         xdiff, mixed = quotient_sums(g, st)
         # oracle: unit forward quotients on n_x*(n_y+1) positions
         expected = 0.0
@@ -111,7 +111,7 @@ class TestMixedQuotients:
     def test_bilinear_field(self):
         g = GridSpec(2.0, 3.0, 4, 5)
         st = zero_state(g)
-        st.u3 = g.x_nodes()[:, None] * g.y_nodes()[None, :]
+        st.u3[...] = g.x_nodes()[:, None] * g.y_nodes()[None, :]
         _, mixed = quotient_sums(g, st)
         # mixed quotient of x*y is exactly 1 on every sub-rectangle
         assert mixed == pytest.approx(g.h_x * g.h_y * g.n_x * g.n_y, rel=1e-13)
@@ -125,19 +125,10 @@ class TestRefinementSweep:
             u1=lambda x: 0.0 * x, u2=lambda x, y: 0.0 * x * y,
             u3=lambda x, y: 0.0 * x * y, u4=lambda x: 0.0 * x)
         res = refinement_sweep(g, params(), initial,
-                               TimeSpec(t_end=0.5, snapshot_times=(0.0, 0.25, 0.5)),
-                               levels=3)
+                               TimeSpec(t_end=0.5, snapshot_times=(0.0, 0.25, 0.5)))
         for lvl in res.levels:
             assert all(v == 0.0 for v in lvl.quantities.values())
         assert res.passed()
-
-    def test_requires_three_levels(self):
-        g = GridSpec(1.0, 1.0, 4, 4)
-        initial = InitialData(
-            u1=lambda x: 0.0 * x, u2=lambda x, y: 0.0 * x * y,
-            u3=lambda x, y: 0.0 * x * y, u4=lambda x: 0.0 * x)
-        with pytest.raises(ValueError):
-            refinement_sweep(g, params(), initial, TimeSpec(t_end=0.1), levels=2)
 
     def test_decoupled_heat_is_bounded(self):
         # smooth decoupled diffusion: nothing may grow materially under
@@ -150,8 +141,7 @@ class TestRefinementSweep:
             u4=lambda x: 0.0 * x)
         res = refinement_sweep(
             g, params(), initial,
-            TimeSpec(t_end=2.0, snapshot_times=tuple(np.linspace(0.0, 2.0, 9))),
-            levels=3)
+            TimeSpec(t_end=2.0, snapshot_times=tuple(np.linspace(0.0, 2.0, 9))))
         assert res.passed()
         # coarse-level records may still converge upward toward the continuum
         # value, but nothing grows materially
@@ -172,7 +162,7 @@ def test_sweep_quantities_pinned():
     }
     cfg = scenario_config("fig1", t_end=20.0, snapshots="0 5 10 15 20")
     res = refinement_sweep(GridSpec(1.0, 1.0, 4, 4), cfg.params, cfg.initial,
-                           cfg.time, levels=3)
+                           cfg.time)
     assert [(lvl.n_x, lvl.n_y) for lvl in res.levels] == list(expected)
     for lvl in res.levels:
         got = tuple(lvl.quantities[name] for name in MONITORED)

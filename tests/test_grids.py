@@ -11,7 +11,6 @@ from corrosim.grids import (
     ip_micro_edge,
     norm_macro,
     norm_micro,
-    trace,
 )
 
 
@@ -19,11 +18,10 @@ def gamma(n, i):
     return 0.5 if i in (0, n) else 1.0
 
 
-def ip_macro_oracle(grid, u, v, restricted=False):
+def ip_macro_oracle(grid, u, v):
     # direct index-by-index summation, independent of the library path
-    lo = 1 if restricted else 0
     total = 0.0
-    for i in range(lo, grid.n_x + 1):
+    for i in range(grid.n_x + 1):
         total += gamma(grid.n_x, i) * u[i] * v[i]
     return grid.h_x * total
 
@@ -103,13 +101,6 @@ class TestMacroProduct:
         ones = np.ones(g.n_x + 1)
         assert ip_macro(g, ones, ones) == pytest.approx(3.0, rel=1e-15)
 
-    def test_restricted_drops_left_endpoint(self):
-        g = GridSpec(3.0, 1.0, 6, 2)
-        ones = np.ones(g.n_x + 1)
-        got = ip_macro(g, ones, ones, restricted=True)
-        assert got == pytest.approx(ip_macro_oracle(g, ones, ones, restricted=True))
-        assert got == pytest.approx(2.75)
-
     def test_zero_annihilates(self):
         g = GridSpec(3.0, 1.0, 6, 2)
         v = np.linspace(-1, 5, g.n_x + 1)
@@ -160,32 +151,6 @@ class TestEdgeProducts:
         assert ip_micro_edge(g, np.zeros((6, 4)), np.ones((6, 4))) == 0.0
 
 
-class TestTrace:
-    def test_linear_in_y(self):
-        g = GridSpec(1.0, 2.0, 4, 5)
-        u = np.tile(g.y_nodes(), (g.n_x + 1, 1))
-        assert np.allclose(trace(g, u, "yell"), 2.0)
-        assert np.allclose(trace(g, u, "y0"), 0.0)
-
-    def test_constant(self):
-        g = GridSpec(1.0, 2.0, 4, 5)
-        u = np.full((g.n_x + 1, g.n_y + 1), 3.3)
-        assert np.allclose(trace(g, u, "y0"), 3.3)
-        assert np.allclose(trace(g, u, "yell"), 3.3)
-
-    def test_bad_side(self):
-        g = GridSpec(1.0, 2.0, 4, 5)
-        with pytest.raises(ValueError):
-            trace(g, np.zeros((5, 6)), "top")
-
-    def test_trace_is_a_copy(self):
-        g = GridSpec(1.0, 2.0, 4, 5)
-        u = np.zeros((5, 6))
-        t = trace(g, u, "y0")
-        t[0] = 99.0
-        assert u[0, 0] == 0.0
-
-
 class TestProductProperties:
     def test_partition_of_unity(self):
         rng = np.random.default_rng(11)
@@ -220,8 +185,6 @@ class TestProductProperties:
             v = rng.normal(size=g.n_x + 1)
             assert ip_macro(g, u, v) == pytest.approx(
                 ip_macro_oracle(g, u, v), rel=1e-13, abs=1e-14)
-            assert ip_macro(g, u, v, restricted=True) == pytest.approx(
-                ip_macro_oracle(g, u, v, restricted=True), rel=1e-13, abs=1e-14)
             uf = rng.normal(size=(g.n_x + 1, g.n_y + 1))
             vf = rng.normal(size=(g.n_x + 1, g.n_y + 1))
             assert ip_micro(g, uf, vf) == pytest.approx(

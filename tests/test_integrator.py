@@ -3,7 +3,9 @@ import pytest
 
 from corrosim.grids import GridSpec
 from corrosim.integrator import (
+    ATOL,
     POSITIVITY_SLACK,
+    RTOL,
     DivergedError,
     TimeSpec,
     _rkc_coefficients,
@@ -150,7 +152,7 @@ class TestFixedStep:
         g = GridSpec(1.0, 1.0, 8, 4)
         p = params(bi_m=0.5, u1_d=1.0, alpha=0.2, beta=0.1, k=0.1)
         st = zero_state(g)
-        st.u1 = np.sin(np.pi * g.x_nodes())
+        st.u1[...] = np.sin(np.pi * g.x_nodes())
         st.u1[0] = 0.0
         traj = integrate(st, p, g, TimeSpec(t_end=0.5))
         assert traj.snapshots[-1].u1[0] == 0.0
@@ -163,7 +165,7 @@ class TestFixedStep:
         g = GridSpec(L, 1.0, 16, 2)
         p = params(d1=0.1, d2=0.1, d3=0.1)
         st = zero_state(g)
-        st.u1 = np.sin(np.pi * g.x_nodes() / (2 * L))
+        st.u1[...] = np.sin(np.pi * g.x_nodes() / (2 * L))
         t_end = 2.0
         traj = integrate(st, p, g, TimeSpec(t_end=t_end))
         final = traj.snapshots[-1]
@@ -189,11 +191,11 @@ class TestFixedStep:
             A[:, j] = rhs(State.view(0.0, e, g), p, g).y
         rng = np.random.default_rng(8)
         st = zero_state(g)
-        st.u1 = rng.uniform(size=9)
+        st.u1[...] = rng.uniform(size=9)
         st.u1[0] = 0.0
-        st.u2 = rng.uniform(size=(9, 9))
-        st.u3 = rng.uniform(size=(9, 9))
-        st.u4 = rng.uniform(size=9)
+        st.u2[...] = rng.uniform(size=(9, 9))
+        st.u3[...] = rng.uniform(size=(9, 9))
+        st.u4[...] = rng.uniform(size=9)
         t_end = 0.5
         traj = integrate(st, p, g, TimeSpec(t_end=t_end))
         got = traj.snapshots[-1].y
@@ -259,8 +261,8 @@ class TestExchangeOnlyDynamics:
         p = params(alpha=0.4, beta=0.15)
         rng = np.random.default_rng(12)
         st = zero_state(g)
-        st.u2 = rng.uniform(size=(7, 7))
-        st.u3 = rng.uniform(size=(7, 7))
+        st.u2[...] = rng.uniform(size=(7, 7))
+        st.u3[...] = rng.uniform(size=(7, 7))
         ones = np.ones((7, 7))
         m0 = ip_micro(g, st.u2 + st.u3, ones)
         traj = integrate(st, p, g,
@@ -277,24 +279,22 @@ class TestAdaptive:
         p = params(d1=0.05, d2=0.05, d3=0.05, bi_m=0.2, u1_d=1.0,
                    alpha=0.2, beta=0.05, k=0.1, q_kind="linear_cutoff", m4=1.0)
         st = zero_state(g)
-        st.u1 = 1.0 - (1.0 - g.x_nodes()) ** 2  # zero at x = 0
+        st.u1[...] = 1.0 - (1.0 - g.x_nodes()) ** 2  # zero at x = 0
         return g, p, st
 
     def test_agrees_with_fixed_mode(self):
         g, p, st = self.problem()
         snaps = (0.0, 5.0, 10.0)
-        rtol, atol = 1e-6, 1e-9
-        fixed = integrate(st.copy(), p, g,
+        fixed = integrate(State.view(st.t, st.y.copy(), g), p, g,
                           TimeSpec(t_end=10.0, snapshot_times=snaps))
-        adaptive = integrate(st.copy(), p, g,
+        adaptive = integrate(State.view(st.t, st.y.copy(), g), p, g,
                              TimeSpec(t_end=10.0, mode="adaptive",
-                                      rtol=rtol, atol=atol,
                                       snapshot_times=snaps))
         assert adaptive.stats.accepted > 0
         for sf, sa in zip(fixed.snapshots, adaptive.snapshots):
             for uf, ua in ((sf.u1, sa.u1), (sf.u2, sa.u2),
                            (sf.u3, sa.u3), (sf.u4, sa.u4)):
-                assert np.all(np.abs(uf - ua) <= 10.0 * (atol + rtol * np.abs(uf)))
+                assert np.all(np.abs(uf - ua) <= 10.0 * (ATOL + RTOL * np.abs(uf)))
 
     def test_last_evaluation_starts_the_next_attempt(self):
         # an attempt evaluates three stages and F(y_new); the next attempt,
@@ -310,9 +310,7 @@ class TestAdaptive:
         p = params(d1=0.05, d2=0.05, d3=0.05)
         st = zero_state(g)
         st.u2[:] = 1.0
-        traj = integrate(st, p, g,
-                         TimeSpec(t_end=5.0, mode="adaptive",
-                                  rtol=1e-5, atol=1e-8))
+        traj = integrate(st, p, g, TimeSpec(t_end=5.0, mode="adaptive"))
         fixed_steps = int(np.ceil(5.0 / stability_dt(p, g)))
         assert traj.stats.accepted < fixed_steps
 
@@ -430,11 +428,11 @@ class TestDivergence:
 def random_state(grid, seed):
     rng = np.random.default_rng(seed)
     st = zero_state(grid)
-    st.u1 = rng.uniform(size=grid.n_x + 1)
+    st.u1[...] = rng.uniform(size=grid.n_x + 1)
     st.u1[0] = 0.0
-    st.u2 = rng.uniform(size=(grid.n_x + 1, grid.n_y + 1))
-    st.u3 = rng.uniform(size=(grid.n_x + 1, grid.n_y + 1))
-    st.u4 = rng.uniform(size=grid.n_x + 1)
+    st.u2[...] = rng.uniform(size=(grid.n_x + 1, grid.n_y + 1))
+    st.u3[...] = rng.uniform(size=(grid.n_x + 1, grid.n_y + 1))
+    st.u4[...] = rng.uniform(size=grid.n_x + 1)
     return st
 
 
@@ -466,13 +464,13 @@ class TestTableauLoop:
         p = params(**self.P)
         st = random_state(g, 3)
         h = stability_dt(p, g)
-        traj = integrate(st.copy(), p, g, TimeSpec(t_end=h))
+        traj = integrate(State.view(st.t, st.y.copy(), g), p, g, TimeSpec(t_end=h))
         assert traj.stats.accepted == 1 and traj.stats.rhs_evals == 4
 
         def shifted(c, k):
             return State(st.t + c * h, *(getattr(st, f) + c * h * getattr(k, f)
                                           for f in ("u1", "u2", "u3", "u4")))
-        k1 = rhs(st.copy(), p, g)
+        k1 = rhs(State.view(st.t, st.y.copy(), g), p, g)
         k2 = rhs(shifted(0.5, k1), p, g)
         k3 = rhs(shifted(0.5, k2), p, g)
         k4 = rhs(shifted(1.0, k3), p, g)

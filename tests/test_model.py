@@ -109,8 +109,8 @@ class TestGhostValues:
     def test_zero_state_mirrors(self):
         g = GridSpec(1.0, 1.0, 4, 4)
         st = zero_state(g)
-        st.u2 = np.arange(25.0).reshape(5, 5)
-        st.u3 = np.arange(25.0).reshape(5, 5) * 0.5
+        st.u2[...] = np.arange(25.0).reshape(5, 5)
+        st.u3[...] = np.arange(25.0).reshape(5, 5) * 0.5
         gh = ghost_values(st, params(bi_m=0.0, k=0.0), g)
         assert np.allclose(gh.u2_bottom, st.u2[:, 1])
         assert np.allclose(gh.u2_top, st.u2[:, -2])
@@ -121,7 +121,7 @@ class TestGhostValues:
         # u2 = 0, u1 = 1, H = 1, bi_m = 1, d2 = 1, h_y = 0.1 -> bottom ghost 0.2
         g = GridSpec(1.0, 0.4, 4, 4)
         st = zero_state(g)
-        st.u1 = np.ones(5)
+        st.u1[...] = np.ones(5)
         gh = ghost_values(st, params(), g)
         assert np.allclose(gh.u2_bottom, 0.2)
 
@@ -171,11 +171,11 @@ class TestRhs:
         g = GridSpec(1.0, 1.0, 6, 4)
         rng = np.random.default_rng(1)
         st = zero_state(g)
-        st.u1 = rng.uniform(size=7)
+        st.u1[...] = rng.uniform(size=7)
         st.u1[0] = 0.0
-        st.u2 = rng.uniform(size=(7, 5))
-        st.u3 = rng.uniform(size=(7, 5))
-        st.u4 = rng.uniform(size=7)
+        st.u2[...] = rng.uniform(size=(7, 5))
+        st.u3[...] = rng.uniform(size=(7, 5))
+        st.u4[...] = rng.uniform(size=7)
         t = rhs(st, params(u1_d=0.3), g)
         assert t.u1[0] == 0.0
 
@@ -183,8 +183,8 @@ class TestRhs:
         g = GridSpec(1.0, 1.0, 4, 4)
         rng = np.random.default_rng(2)
         st = zero_state(g)
-        st.u2 = rng.uniform(size=(5, 5))
-        st.u3 = rng.uniform(size=(5, 5))
+        st.u2[...] = rng.uniform(size=(5, 5))
+        st.u3[...] = rng.uniform(size=(5, 5))
         t = rhs(st, params(bi_m=0.0, k=0.0, alpha=0.4, beta=0.2), g)
         assert np.allclose(t.u2 + t.u3, 0.0)
 
@@ -193,8 +193,8 @@ class TestRhs:
         g = GridSpec(1.0, 1.0, 5, 6)
         rng = np.random.default_rng(3)
         st = zero_state(g)
-        st.u2 = rng.uniform(size=(6, 7))
-        st.u3 = rng.uniform(size=(6, 7))
+        st.u2[...] = rng.uniform(size=(6, 7))
+        st.u3[...] = rng.uniform(size=(6, 7))
         t = rhs(st, params(bi_m=0.0, k=0.0, alpha=0.0, beta=0.0), g)
         ones = np.ones((6, 7))
         assert ip_micro(g, t.u2, ones) == pytest.approx(0.0, abs=1e-13)
@@ -206,11 +206,11 @@ class TestRhs:
         g = GridSpec(1.0, 1.0, 4, 4)
         rng = np.random.default_rng(4)
         st = zero_state(g)
-        st.u3 = rng.uniform(size=(5, 5))
+        st.u3[...] = rng.uniform(size=(5, 5))
         t = rhs(st, params(alpha=0.4, beta=0.2, u1_d=1.0), g)
         assert np.all(t.u2 >= 0.0)
         st2 = zero_state(g)
-        st2.u2 = rng.uniform(size=(5, 5))
+        st2.u2[...] = rng.uniform(size=(5, 5))
         t2 = rhs(st2, params(alpha=0.4, beta=0.2), g)
         assert np.all(t2.u3 >= 0.0)
 
@@ -272,33 +272,23 @@ class TestLayout:
         with pytest.raises(GridError):
             Tendency(*(np.zeros(s) for s in shapes))
 
-    @pytest.mark.parametrize("name,shape", [
-        ("u1", (5,)), ("u2", (3, 4)), ("u3", (12,)), ("u4", ())])
-    def test_assignment_checks_the_shape(self, name, shape):
+    def test_fields_cannot_be_rebound(self):
+        # writes go through the views; rebinding a field would split it from y
         st = numbered_state(GridSpec(1.0, 1.0, 3, 2))
         before = st.y.copy()
-        with pytest.raises(GridError):
-            setattr(st, name, np.ones(shape))
+        for name in ("u1", "u2", "u3", "u4"):
+            with pytest.raises(AttributeError):
+                setattr(st, name, np.zeros_like(getattr(st, name)))
         assert np.array_equal(st.y, before)
 
     def test_assignment_copies_into_the_view(self):
         st = numbered_state(GridSpec(1.0, 1.0, 3, 2))
         view, y = st.u2, st.y
         new = np.full((4, 3), 7.0)
-        st.u2 = new
+        st.u2[...] = new
         new[:] = 0.0
         assert st.u2 is view and st.y is y
         assert np.all(st.u2 == 7.0) and np.all(st.micro[:4] == 7.0)
-
-    def test_copy_is_independent(self):
-        st = numbered_state(GridSpec(1.0, 1.0, 3, 2))
-        dup = st.copy()
-        assert dup.t == st.t and np.array_equal(dup.y, st.y)
-        dup.u1[:] = -1.0
-        dup.u3 = np.zeros((4, 3))
-        st.u4[:] = -2.0
-        assert np.array_equal(st.y[:-4], np.arange(st.y.size - 4))
-        assert np.array_equal(dup.u4, np.arange(st.y.size - 4, st.y.size))
 
     def test_state_for_another_grid_rejected(self):
         st = zero_state(GridSpec(1.0, 1.0, 4, 4))

@@ -22,7 +22,7 @@ from corrosim.integrator import (
     stability_dt,
 )
 from corrosim.interpolation import manufactured_default
-from corrosim.model import ModelParams, project_initial, unshifted_u1
+from corrosim.model import ModelParams, State, project_initial, unshifted_u1
 from reference import zero_state
 
 POSITIVITY_SLACK = 1e-8
@@ -128,7 +128,7 @@ def test_stiff_step_holds_a_fixed_number_of_state_vectors():
 
 def half_sine(grid):
     st = zero_state(grid)
-    st.u1 = np.sin(0.5 * np.pi * grid.x_nodes())
+    st.u1[...] = np.sin(0.5 * np.pi * grid.x_nodes())
     return st
 
 
@@ -149,7 +149,7 @@ class TestTemporalOrder:
         errors = []
         for dt in dts:
             st = half_sine(g)
-            traj = integrate(st.copy(), p, g, TimeSpec(t_end=t_end, dt=dt))
+            traj = integrate(State.view(st.t, st.y.copy(), g), p, g, TimeSpec(t_end=t_end, dt=dt))
             assert traj.stats.method == "rkc" and traj.stats.stages == stages
             exact = np.exp(-lam * t_end) * st.u1
             errors.append(np.max(np.abs(traj.snapshots[-1].u1 - exact)))
