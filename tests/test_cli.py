@@ -129,15 +129,24 @@ class TestConfig:
         cfg = load_config(str(path))
         assert cfg.scenario == path.stem and cfg.time.mode == "fixed"
 
-    @pytest.mark.parametrize("key,config", [
-        ("time.t_end", dict(t_end="fast")),
-        ("time.dt", dict(extra="dt = fast\n")),
-        ("output.micro_slice_x", dict(extra="\n[output]\nmicro_slice_x = fast\n")),
-    ], ids=lambda v: v if isinstance(v, str) else "")
-    def test_malformed_number_names_its_key(self, tmp_path, capsys, key, config):
+    @pytest.mark.parametrize("config,message", [
+        pytest.param(dict(t_end="fast"), "key 'time.t_end' must be a number",
+                     id="time.t_end-"),
+        pytest.param(dict(extra="dt = fast\n"), "key 'time.dt' must be a number",
+                     id="time.dt-"),
+        # adaptive mode's tolerances are constants: the key itself is refused
+        pytest.param(dict(extra="rtol = fast\n"), "unknown key 'time.rtol'",
+                     id="time.rtol-"),
+        pytest.param(dict(extra="atol = fast\n"), "unknown key 'time.atol'",
+                     id="time.atol-"),
+        pytest.param(dict(extra="\n[output]\nmicro_slice_x = fast\n"),
+                     "key 'output.micro_slice_x' must be a number",
+                     id="output.micro_slice_x-"),
+    ])
+    def test_malformed_number_names_its_key(self, tmp_path, capsys, config, message):
         cfg = write_config(tmp_path / "c.ini", **config)
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert f"key '{key}' must be a number" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_nan_snapshot_time_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", t_end=10.0, snapshots="0 nan 10")
@@ -285,6 +294,20 @@ class TestMmsCommand:
         assert header[:7] == ["level", "N_x", "N_y", "e_u1", "e_u2", "e_u3", "e_u4"]
         assert len(rows) == 2
         assert float(rows[1][7]) >= 1.9  # p_u1 on the refined level
+
+    @pytest.mark.parametrize("grid", ["length = 2\ncell_length = 3", "cell_length = 3"],
+                             ids=["length", "cell_length"])
+    def test_non_unit_domain_is_usage_error(self, tmp_path, capsys, grid):
+        # the manufactured solution lives on the unit square, so mms takes no
+        # config that could move it off
+        cfg = write_config(tmp_path / "f.ini",
+                           extra=f"\n[grid]\n{grid}\nnx = 4\nny = 4\n")
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mms", "--config", cfg, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:

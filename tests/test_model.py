@@ -272,13 +272,16 @@ class TestLayout:
         with pytest.raises(GridError):
             Tendency(*(np.zeros(s) for s in shapes))
 
-    def test_fields_cannot_be_rebound(self):
-        # writes go through the views; rebinding a field would split it from y
+    @pytest.mark.parametrize("name,shape", [
+        ("u1", (5,)), ("u2", (3, 4)), ("u3", (12,)), ("u4", ())])
+    def test_assignment_checks_the_shape(self, name, shape):
+        # writes go through the views; rebinding a field, of a wrong shape or
+        # of its own, would split it from y
         st = numbered_state(GridSpec(1.0, 1.0, 3, 2))
         before = st.y.copy()
-        for name in ("u1", "u2", "u3", "u4"):
+        for value in (np.ones(shape), np.zeros_like(getattr(st, name))):
             with pytest.raises(AttributeError):
-                setattr(st, name, np.zeros_like(getattr(st, name)))
+                setattr(st, name, value)
         assert np.array_equal(st.y, before)
 
     def test_assignment_copies_into_the_view(self):
@@ -289,6 +292,18 @@ class TestLayout:
         new[:] = 0.0
         assert st.u2 is view and st.y is y
         assert np.all(st.u2 == 7.0) and np.all(st.micro[:4] == 7.0)
+
+    def test_copy_is_independent(self):
+        # a copy is a view of a copied y
+        g = GridSpec(1.0, 1.0, 3, 2)
+        st = numbered_state(g)
+        dup = State.view(st.t, st.y.copy(), g)
+        assert dup.t == st.t and np.array_equal(dup.y, st.y)
+        dup.u1[:] = -1.0
+        dup.u3[...] = np.zeros((4, 3))
+        st.u4[:] = -2.0
+        assert np.array_equal(st.y[:-4], np.arange(st.y.size - 4))
+        assert np.array_equal(dup.u4, np.arange(st.y.size - 4, st.y.size))
 
     def test_state_for_another_grid_rejected(self):
         st = zero_state(GridSpec(1.0, 1.0, 4, 4))
