@@ -7,10 +7,11 @@ Subcommands:
 * verify  seeded property suites, exit 1 on any failure
 * sweep   grid-refinement boundedness sweep
 
-Exit codes: 0 ok, 1 verification failure, 2 configuration error,
-3 diverged trajectory.  All CSV outputs start with a comment line echoing
-the config hash, use '.' decimals and 17 significant digits, and are
-byte-identical across reruns with the same config and seed.
+Exit codes: 0 ok, 1 verification failure, 2 configuration error or an
+output directory that cannot be written, 3 diverged trajectory.  All CSV
+outputs start with a comment line echoing the config hash, use '.'
+decimals and 17 significant digits, and are byte-identical across reruns
+with the same config and seed.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, scenario_config
-from .diagnostics import MONITORED, RATIO_THRESHOLD, energy_record, refinement_sweep
+from .config import ConfigError, RunConfig, load_config
+from .diagnostics import (MONITORED, RATIO_THRESHOLD, EnergyRecord, energy_record,
+                          refinement_sweep)
 from .grids import GridSpec
 from .integrator import DivergedError, integrate
 from .interpolation import manufactured_default, mms_convergence
@@ -42,12 +45,6 @@ def _write_csv(path: str, header: list[str], rows, config_hash: str) -> None:
         lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
-
-
-def _load(args) -> RunConfig:
-    if args.config is not None:
-        return load_config(args.config)
-    return scenario_config("fig1")
 
 
 def _write_macro_rows(path: str, states, x: np.ndarray, cfg: RunConfig,
@@ -74,7 +71,7 @@ def _write_diverged(out: str, err: DivergedError, cfg: RunConfig, chash: str) ->
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     chash = cfg.config_hash()
     state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
@@ -98,14 +95,10 @@ def cmd_run(args) -> int:
         _write_csv(os.path.join(args.out, f"micro_slice_{cfg.micro_slice_x:g}.csv"),
                    ["t", "y", "u2", "u3"], rows, chash)
 
-    energy_rows = []
-    for s in traj.snapshots:
-        rec = energy_record(cfg.grid, s)
-        energy_rows.append((rec.t, rec.n1, rec.n2, rec.n3, rec.n4,
-                            rec.g1, rec.g2, rec.g3))
     _write_csv(os.path.join(args.out, "energy.csv"),
-               ["t", "n1", "n2", "n3", "n4", "g1", "g2", "g3"],
-               energy_rows, chash)
+               [f.name for f in fields(EnergyRecord)],
+               (astuple(energy_record(cfg.grid, s)) for s in traj.snapshots),
+               chash)
 
     lines = [f"config {chash}", f"scenario {cfg.scenario}", ""]
     for section, entries in sorted(cfg.resolved.items()):
@@ -155,8 +148,8 @@ def cmd_verify(args) -> int:
     cfg = (load_config(args.config, seed_override=args.seed)
            if args.config is not None else None)
     seed = cfg.seed if cfg else (args.seed or 0)
-    results = run_all(seed, fig1_cfg=cfg)
     os.makedirs(args.out, exist_ok=True)
+    results = run_all(seed, fig1_cfg=cfg)
     rows = [(r.name, r.max_residual, r.threshold, int(r.passed))
             for r in results]
     _write_csv(os.path.join(args.out, "verify_report.csv"),
@@ -175,7 +168,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     chash = cfg.config_hash()
     try:
@@ -206,21 +199,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-scale finite-difference sulfate corrosion simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="path to an INI run configuration")
+    def add_common(p, config_required):
+        p.add_argument("--config", required=config_required,
+                       help="path to an INI run configuration")
         p.add_argument("--out", default="out", help="output directory")
 
-    add_common(sub.add_parser("run", help="integrate a scenario"))
+    add_common(sub.add_parser("run", help="integrate a scenario"), True)
     mms = sub.add_parser("mms", help="convergence-order study")
     mms.add_argument("--out", default="out", help="output directory")
     mms.add_argument("--levels", type=int, default=3,
                      help="number of refinement levels")
     verify = sub.add_parser("verify", help="property suites")
-    add_common(verify)
+    add_common(verify, False)
     # verify is the one command with random input
     verify.add_argument("--seed", type=int, default=None,
                         help="seed overriding the config value")
-    add_common(sub.add_parser("sweep", help="boundedness refinement sweep"))
+    add_common(sub.add_parser("sweep", help="boundedness refinement sweep"), True)
     return parser
 
 
@@ -232,6 +226,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (ConfigError, AssumptionError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
         return 2
     except DivergedError as err:
         print(f"diverged: {err}", file=sys.stderr)

@@ -2,9 +2,10 @@
 the config hash echoed into every output file.
 
 A config file has the sections [run], [grid], [params], [time] and the
-optional [output].  The scenario named under [run] supplies defaults for
-everything else; a file that sets the stepping mode without a step dt
-drops the scenario's default dt.  A minimal file is
+optional [output].  The scenario named under [run] (fig1, dissipation or
+conservation) supplies defaults for everything else; a file that sets the
+stepping mode without a step dt drops the scenario's default dt.  A
+minimal file is
 
     [run]
     scenario = fig1
@@ -61,15 +62,6 @@ def _fig1_initial(grid: GridSpec, params: ModelParams) -> InitialData:
     )
 
 
-def _zero_initial(grid: GridSpec, params: ModelParams) -> InitialData:
-    return InitialData(
-        u1=lambda x: np.full_like(x, params.u1_d),
-        u2=lambda x, y: 0.0 * x * y,
-        u3=lambda x, y: 0.0 * x * y,
-        u4=lambda x: 0.0 * x,
-    )
-
-
 def _smooth_initial(grid: GridSpec, params: ModelParams) -> InitialData:
     # smooth nonnegative data with nontrivial structure in both directions,
     # used by the dissipation and conservation scenarios; the cell profile
@@ -89,9 +81,9 @@ def _smooth_initial(grid: GridSpec, params: ModelParams) -> InitialData:
     )
 
 
-# The verification scenarios share an 8^2 grid and decoupled constants with
-# the surface reaction and the volume exchange off; dissipation and
-# conservation share a 0-10 schedule.
+# The verification scenarios, dissipation and conservation, share an 8^2
+# grid, a 0-10 schedule and decoupled constants with the surface reaction
+# and the volume exchange off.
 _SMALL_GRID = dict(length=1.0, cell_length=1.0, nx=8, ny=8)
 _DECOUPLED = dict(d1=0.05, d2=0.05, d3=0.05, bi_m=0.0, henry=1.0, u1_d=0.0,
                   k=0.0, alpha=0.0, beta=0.0, c_bar=1.0, q_kind="constant",
@@ -112,11 +104,6 @@ SCENARIOS = {
             "output": dict(micro_slice_x=0.5),
         },
         _fig1_initial,
-    ),
-    "zero": (
-        {"grid": _SMALL_GRID, "params": _DECOUPLED,
-         "time": dict(t_end=1.0, mode="fixed", snapshots="0 0.5 1")},
-        _zero_initial,
     ),
     "dissipation": (
         {"grid": _SMALL_GRID, "params": dict(_DECOUPLED, bi_m=0.5), "time": _TEN_UNITS},
@@ -145,10 +132,6 @@ class RunConfig:
                  for sec, entries in sorted(self.resolved.items())
                  for key, val in sorted(entries.items())]
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
-
-
-def _fmt_snap(value: float) -> str:
-    return f"{value:g}"
 
 
 def _parse_snapshots(text: str, t_end: float) -> tuple[float, ...]:
@@ -214,7 +197,6 @@ def config_from_sections(sections: dict[str, dict[str, str]],
     if "mode" in file_time and "dt" not in file_time:
         merged["time"].pop("dt", None)
     merged["run"].setdefault("seed", "0")
-    merged["run"]["scenario"] = scenario
 
     seed = _intval(merged["run"], "seed", "run")
     if seed_override is not None:
@@ -243,7 +225,7 @@ def config_from_sections(sections: dict[str, dict[str, str]],
         snapshots = tuple(s for s in snapshots if s <= t_end)
         if not snapshots or snapshots[-1] < t_end:
             snapshots = snapshots + (t_end,)
-    merged["time"]["snapshots"] = " ".join(_fmt_snap(s) for s in snapshots)
+    merged["time"]["snapshots"] = " ".join(f"{s:g}" for s in snapshots)
     mode = t.get("mode", "fixed")
     dt = _floatval(t, "dt", "time") if t.get("dt") else None
     time = TimeSpec(t_end=t_end, mode=mode, dt=dt, snapshot_times=snapshots)

@@ -67,6 +67,7 @@ class TimeSpec:
     """Integration horizon, stepping mode and snapshot schedule.
 
     Adaptive mode holds every step to the fixed tolerances RTOL and ATOL.
+    Without a schedule, snapshot_times is stored as (0.0, t_end).
     """
 
     t_end: float
@@ -83,18 +84,13 @@ class TimeSpec:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.mode == "adaptive" and self.dt is not None:
             raise ValueError("adaptive mode chooses its own steps and takes no dt")
-        if self.snapshot_times is not None:
-            times = tuple(float(t) for t in self.snapshot_times)
-            if not all(0.0 <= t <= self.t_end for t in times):
-                raise ValueError("snapshot times must be finite and lie within [0, t_end]")
-            if list(times) != sorted(times):
-                raise ValueError("snapshot times must be sorted")
-            object.__setattr__(self, "snapshot_times", times)
-
-    def snapshots(self) -> tuple[float, ...]:
-        if self.snapshot_times is None:
-            return (0.0, self.t_end)
-        return self.snapshot_times
+        times = ((0.0, self.t_end) if self.snapshot_times is None
+                 else tuple(float(t) for t in self.snapshot_times))
+        if not all(0.0 <= t <= self.t_end for t in times):
+            raise ValueError("snapshot times must be finite and lie within [0, t_end]")
+        if list(times) != sorted(times):
+            raise ValueError("snapshot times must be sorted")
+        object.__setattr__(self, "snapshot_times", times)
 
 
 @dataclass
@@ -224,7 +220,7 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     t = float(state0.t)
     y = state0.y.copy()
     t_end = float(timespec.t_end)
-    targets = [s for s in timespec.snapshots() if s >= t]
+    targets = [s for s in timespec.snapshot_times if s >= t]
 
     # stage buffers and views, built once: D_j = W[j] @ inputs[lo:hi], W = A + h B,
     # over F(Y_0), F(Y_{j-1}) and two slots, D_j replacing D_{j-2}; lo:hi spans

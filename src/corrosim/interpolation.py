@@ -158,29 +158,22 @@ def extension_products(grid: GridSpec, u_g: np.ndarray, v_g: np.ndarray,
     macro_vals_l2 = float(np.sum(
         mx * pwc_eval_macro(grid, u_g, cx) * pwc_eval_macro(grid, v_g, cx)))
 
-    CX, CY = np.meshgrid(cx, cy, indexing="ij")
-    MX, MY = np.meshgrid(mx, my, indexing="ij")
+    cxy = (cx[:, None], cy[None, :])
     micro_vals_l2 = float(np.sum(
-        MX * MY
-        * pwc_eval_micro(grid, u_f, CX.ravel(), CY.ravel()).reshape(CX.shape)
-        * pwc_eval_micro(grid, v_f, CX.ravel(), CY.ravel()).reshape(CX.shape)))
+        mx[:, None] * my[None, :]
+        * pwc_eval_micro(grid, u_f, *cxy) * pwc_eval_micro(grid, v_f, *cxy)))
 
     # macro gradient: slope per interval recovered from endpoint evaluations
     nodes = grid.x_nodes()
-    def macro_slopes(w):
-        vals = pwl_eval_macro(grid, w, nodes)
-        return np.diff(vals) / hx
-    macro_grad_l2 = float(np.sum(hx * macro_slopes(u_g) * macro_slopes(v_g)))
+    su = np.diff(pwl_eval_macro(grid, u_g, nodes)) / hx
+    sv = np.diff(pwl_eval_macro(grid, v_g, nodes)) / hx
+    macro_grad_l2 = float(np.sum(hx * su * sv))
 
     # micro cell-axis gradient: constant per triangle, recovered from the
     # vertex evaluations of each rectangle
-    xi = np.arange(grid.n_x + 1) * hx
-    yj = np.arange(grid.n_y + 1) * hy
-    XI, YJ = np.meshgrid(xi, yj, indexing="ij")
-    def corner_vals(w):
-        return pwl_eval_micro(grid, w, XI.ravel(), YJ.ravel()).reshape(XI.shape)
-    cu = corner_vals(u_f)
-    cv = corner_vals(v_f)
+    corners = (nodes[:, None], grid.y_nodes()[None, :])
+    cu = pwl_eval_micro(grid, u_f, *corners)
+    cv = pwl_eval_micro(grid, v_f, *corners)
     gy_low_u = (cu[:-1, 1:] - cu[:-1, :-1]) / hy   # left edge of each rectangle
     gy_low_v = (cv[:-1, 1:] - cv[:-1, :-1]) / hy
     gy_up_u = (cu[1:, 1:] - cu[1:, :-1]) / hy      # right edge

@@ -307,41 +307,29 @@ class InitialData:
     u4: Callable[[np.ndarray], np.ndarray]
 
 
-def _sample_macro(f, x, name):
-    vals = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape).copy()
-    if not np.all(np.isfinite(vals)):
-        raise AssumptionError("A4", f"initial {name} must be finite")
-    return vals
-
-
-def _sample_micro(f, x, y, name):
-    shape = (x.size, y.size)
-    vals = np.broadcast_to(
-        np.asarray(f(x[:, None], y[None, :]), dtype=float), shape).copy()
-    if not np.all(np.isfinite(vals)):
-        raise AssumptionError("A4", f"initial {name} must be finite")
-    return vals
-
-
 def project_initial(initial: InitialData, params: ModelParams,
                     grid: GridSpec) -> State:
     """Sample the initial profiles at the grid nodes.
 
-    The gas field is shifted by the inlet value and forced to zero at the
-    pinned node.  Negative concentrations are rejected.
+    Every profile is checked finite before any is checked nonnegative;
+    negative concentrations are rejected.  The gas field is shifted by the
+    inlet value and forced to zero at the pinned node.
     """
     x = grid.x_nodes()
-    y = grid.y_nodes()
-    u1 = _sample_macro(initial.u1, x, "u1")
-    u2 = _sample_micro(initial.u2, x, y, "u2")
-    u3 = _sample_micro(initial.u3, x, y, "u3")
-    u4 = _sample_macro(initial.u4, x, "u4")
-    for name, vals in (("u1", u1), ("u2", u2), ("u3", u3), ("u4", u4)):
+    xy = (x[:, None], grid.y_nodes()[None, :])
+    fields = {}
+    for name, f, args in (("u1", initial.u1, (x,)), ("u2", initial.u2, xy),
+                          ("u3", initial.u3, xy), ("u4", initial.u4, (x,))):
+        shape = np.broadcast_shapes(*(a.shape for a in args))
+        fields[name] = np.broadcast_to(np.asarray(f(*args), dtype=float), shape).copy()
+        if not np.all(np.isfinite(fields[name])):
+            raise AssumptionError("A4", f"initial {name} must be finite")
+    for name, vals in fields.items():
         if np.any(vals < 0.0):
             raise AssumptionError("A4", f"initial {name} must be nonnegative")
-    u1_shifted = u1 - params.u1_d
-    u1_shifted[0] = 0.0
-    return State(t=0.0, u1=u1_shifted, u2=u2, u3=u3, u4=u4)
+    fields["u1"] -= params.u1_d
+    fields["u1"][0] = 0.0
+    return State(t=0.0, **fields)
 
 
 def unshifted_u1(state: State, params: ModelParams) -> np.ndarray:

@@ -95,6 +95,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="nope"):
             load_config(str(p))
 
+    def test_zero_scenario_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "z.ini", scenario="zero", t_end=1.0,
+                           snapshots="0 0.5 1")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown scenario 'zero'" in capsys.readouterr().err
+
     def test_default_step_follows_default_mode(self, tmp_path):
         # the scenario's default dt holds only while the file leaves the
         # mode alone; a file that sets the mode without a dt drops it
@@ -114,7 +120,7 @@ class TestConfig:
     @pytest.mark.parametrize("extra", ["", "dt = 0.2\n"], ids=["no-dt", "with-dt"])
     def test_rkc_mode_exits_2(self, tmp_path, capsys, extra):
         p = tmp_path / "c.ini"
-        p.write_text(f"[run]\nscenario = zero\n\n[time]\nt_end = 1\nmode = rkc\n{extra}")
+        p.write_text(f"[run]\nscenario = dissipation\n\n[time]\nt_end = 1\nmode = rkc\n{extra}")
         assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "mode must be 'fixed' or 'adaptive', got 'rkc'" in capsys.readouterr().err
 
@@ -159,12 +165,20 @@ class TestConfig:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "adaptive mode" in capsys.readouterr().err
 
-    def test_seed_only_on_verify(self):
+    def test_seed_only_on_verify(self, tmp_path, monkeypatch):
         # the flags each command takes: verify alone has random input, mms
-        # solves its built-in problem, and only mms chooses its levels
+        # solves its built-in problem, and only mms chooses its levels;
+        # run and sweep cannot start without a config file
         takes = {"run": ("--config",), "mms": ("--levels",),
                  "verify": ("--config", "--seed"), "sweep": ("--config",)}
+        monkeypatch.chdir(tmp_path)
         for command, flags in takes.items():
+            if command in ("run", "sweep"):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main([command])
+                assert exc.value.code == 2, command
+            else:
+                cli.build_parser().parse_args([command])
             for flag in ("--config", "--seed", "--levels"):
                 argv = [command, flag, "1"]
                 if flag in flags:
@@ -174,6 +188,7 @@ class TestConfig:
                     cli.build_parser().parse_args(argv)
                 assert exc.value.code == 2, argv
         assert cli.build_parser().parse_args(["verify", "--seed", "1"]).seed == 1
+        assert not any(tmp_path.iterdir())
 
     def test_hash_stable_under_key_order(self, tmp_path):
         a = tmp_path / "a.ini"
@@ -184,15 +199,6 @@ class TestConfig:
 
 
 class TestRunCommand:
-    def test_zero_scenario_all_zero_profiles(self, tmp_path):
-        cfg = write_config(tmp_path / "z.ini", scenario="zero", t_end=1.0,
-                           snapshots="0 0.5 1")
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
-        _, rows = read_csv(out / "macro_profiles.csv")
-        for row in rows:
-            assert float(row[2]) == 0.0 and float(row[3]) == 0.0
-
     def test_fig1_outputs_and_monotone_gypsum(self, tmp_path):
         cfg = write_config(tmp_path / "f.ini")
         out = tmp_path / "out"
@@ -406,6 +412,23 @@ class TestSweepCommand:
         assert diverged[0].shape == (fine.n_x + 1, fine.n_y + 1)
         assert_diverged_files(out, diverged[0], fine, resolved.params)
         assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "mms", "verify"])
+def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys, command):
+    # --out names a regular file: main returns 2 with a one-line message, no
+    # exception escapes, and verify stops before its suites
+    def never(*args, **kwargs):
+        raise AssertionError("verify ran its suites before making --out")
+
+    monkeypatch.setattr(cli, "run_all", never)
+    out = tmp_path / "afile"
+    out.write_text("")
+    cfg = write_config(tmp_path / "f.ini")
+    extra = {"run": ["--config", cfg], "sweep": ["--config", cfg],
+             "mms": ["--levels", "2"], "verify": []}[command]
+    assert cli.main([command, *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("cannot write output: ")
 
 
 def test_cli_import_loads_no_test_dependency():

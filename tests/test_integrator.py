@@ -40,7 +40,7 @@ def case_timespec(case, t_end, rkc_dt, **kwargs):
 class TestTimeSpec:
     def test_defaults(self):
         ts = TimeSpec(t_end=2.0)
-        assert ts.snapshots() == (0.0, 2.0)
+        assert ts.snapshot_times == (0.0, 2.0)
 
     def test_bad_horizon(self):
         with pytest.raises(ValueError):

@@ -4,44 +4,58 @@ names."""
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import corrosim
 
 SRC = Path(corrosim.__file__).parent
+# a method named like an array attribute (`view`, `copy`, ...) is not used
+# by `arr.copy()`; only a lookup on its class, `cls` or `self` reaches it
+ARRAY_ATTRS = frozenset(dir(np.ndarray))
 
 
 def definitions(tree):
-    """Top-level functions and classes, and the methods of those classes,
-    as (name, first line, last line); dunder methods run implicitly."""
-    for node in tree.body:
+    """Functions and classes at any depth, nested ones included, as (name,
+    first line, last line, owner), owner being the class of a method and
+    None otherwise; dunder methods run implicitly."""
+    owners = {id(item): node.name for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for item in node.body}
+    for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno, node.end_lineno
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if (isinstance(item, ast.FunctionDef)
-                        and not (item.name.startswith("__") and item.name.endswith("__"))):
-                    yield item.name, item.lineno, item.end_lineno
+            owner = owners.get(id(node))
+            if not (owner and node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node.lineno, node.end_lineno, owner
 
 
 def references(tree):
-    """Names read and attributes looked up, with their lines; imports and
-    `__all__` strings do not count."""
+    """Names read and attributes looked up, with their lines and the name an
+    attribute is looked up on (None for a name, or for a lookup on anything
+    but a name); imports and `__all__` strings do not count."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, None
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            base = node.value.id if isinstance(node.value, ast.Name) else None
+            yield node.attr, node.lineno, base
+
+
+def reaches(ref, base, name, owner):
+    if ref != name:
+        return False
+    return not (owner and name in ARRAY_ATTRS) or base in (owner, "cls", "self")
 
 
 def test_every_definition_is_used_inside_the_package():
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
-    refs = [(name, module, line) for module, tree in trees.items()
-            for name, line in references(tree)]
+    refs = [(name, base, module, line) for module, tree in trees.items()
+            for name, line, base in references(tree)]
     unused = []
     for module, tree in trees.items():
-        for name, first, last in definitions(tree):
-            if not any(ref == name and not (where == module and first <= line <= last)
-                       for ref, where, line in refs):
+        for name, first, last, owner in definitions(tree):
+            if not any(reaches(ref, base, name, owner)
+                       and not (where == module and first <= line <= last)
+                       for ref, base, where, line in refs):
                 unused.append(f"{module}:{first} {name}")
     assert not unused, "defined in src but used only from outside it: " + ", ".join(unused)
 
