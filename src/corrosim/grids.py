@@ -10,6 +10,10 @@ arrays with the following shape conventions:
 * macro edge field   shape (n_x,)              values at x_{i+1/2}
 * micro edge field   shape (n_x + 1, n_y)      values at (x_i, y_{j+1/2})
 
+A stack of fields adds a leading batch axis: the checks look at the
+trailing grid axes only, and the products and norms reduce over them, giving
+one value per field of a stack and a Python float for a single field.
+
 Micro storage is row-major with the macro index i slow, so the cell attached
 to one macro node is contiguous, and the traces of a micro field u at y = 0
 and y = ell are the macro fields u[:, 0] and u[:, -1].
@@ -50,6 +54,10 @@ class GridSpec:
             raise GridError(f"macro length must be positive, got {self.length}")
         if not (self.cell_length > 0.0 and np.isfinite(self.cell_length)):
             raise GridError(f"cell length must be positive, got {self.cell_length}")
+        if not (isinstance(self.n_x, (int, np.integer))
+                and isinstance(self.n_y, (int, np.integer))):
+            raise GridError(f"subinterval counts must be integers, "
+                            f"got {self.n_x!r} and {self.n_y!r}")
         if self.n_x < 2:
             raise GridError(f"need at least 2 macro subintervals, got {self.n_x}")
         if self.n_y < 2:
@@ -87,9 +95,21 @@ def _trapezoid_weights(n: int) -> np.ndarray:
 
 def _check_shape(u: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if u.shape != shape:
+    if u.shape[u.ndim - len(shape):] != shape:
         raise GridError(f"{what} must have shape {shape}, got {u.shape}")
     return u
+
+
+def _value(x):
+    """A Python float for one field, the array itself for a stack."""
+    return x if np.ndim(x) else float(x)
+
+
+def field_sum(terms: np.ndarray, axes: int):
+    """Sum over the trailing `axes` grid axes, one value per field; in C
+    order, so each field of a stack (fancy indexing may leave it batch-last
+    in memory) adds up exactly as it does alone."""
+    return _value(np.sum(np.ascontiguousarray(terms), axis=tuple(range(-axes, 0))))
 
 
 def check_macro(grid: GridSpec, u: np.ndarray) -> np.ndarray:
@@ -113,7 +133,7 @@ def ip_macro(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
     u = check_macro(grid, u)
     v = check_macro(grid, v)
     g = _trapezoid_weights(grid.n_x)
-    return grid.h_x * float(np.sum(g * u * v))
+    return grid.h_x * field_sum(g * u * v, 1)
 
 
 def ip_micro(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
@@ -122,14 +142,14 @@ def ip_micro(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
     v = check_micro(grid, v)
     g1 = _trapezoid_weights(grid.n_x)
     g2 = _trapezoid_weights(grid.n_y)
-    return grid.h_x * grid.h_y * float(np.sum(g1[:, None] * g2[None, :] * u * v))
+    return grid.h_x * grid.h_y * field_sum(g1[:, None] * g2[None, :] * u * v, 2)
 
 
 def ip_macro_edge(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
     """Unweighted product h_x * sum_i u_{i+1/2} v_{i+1/2}."""
     u = check_macro_edge(grid, u)
     v = check_macro_edge(grid, v)
-    return grid.h_x * float(np.sum(u * v))
+    return grid.h_x * field_sum(u * v, 1)
 
 
 def ip_micro_edge(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
@@ -140,21 +160,21 @@ def ip_micro_edge(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
     u = check_micro_edge(grid, u)
     v = check_micro_edge(grid, v)
     g1 = _trapezoid_weights(grid.n_x)
-    return grid.h_x * grid.h_y * float(np.sum(g1[:, None] * u * v))
+    return grid.h_x * grid.h_y * field_sum(g1[:, None] * u * v, 2)
 
 
 def norm_macro(grid: GridSpec, u: np.ndarray) -> float:
-    return float(np.sqrt(ip_macro(grid, u, u)))
+    return _value(np.sqrt(ip_macro(grid, u, u)))
 
 
 def norm_micro(grid: GridSpec, u: np.ndarray) -> float:
-    return float(np.sqrt(ip_micro(grid, u, u)))
+    return _value(np.sqrt(ip_micro(grid, u, u)))
 
 
 def norm_macro_edge(grid: GridSpec, u: np.ndarray) -> float:
-    return float(np.sqrt(ip_macro_edge(grid, u, u)))
+    return _value(np.sqrt(ip_macro_edge(grid, u, u)))
 
 
 def norm_micro_edge(grid: GridSpec, u: np.ndarray) -> float:
-    return float(np.sqrt(ip_micro_edge(grid, u, u)))
+    return _value(np.sqrt(ip_micro_edge(grid, u, u)))
 

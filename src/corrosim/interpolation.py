@@ -28,6 +28,7 @@ from .grids import (
     GridSpec,
     check_macro,
     check_micro,
+    field_sum,
     ip_macro,
     ip_macro_edge,
     ip_micro,
@@ -42,7 +43,7 @@ from .operators import grad_macro, grad_micro
 
 def _axis_points(x: np.ndarray, length: float, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > length):
+    if not np.all((x >= 0.0) & (x <= length)):  # NaN fails both
         raise ValueError(f"{what} coordinate outside [0, {length}]")
     return x
 
@@ -81,7 +82,7 @@ def pwc_eval_macro(grid: GridSpec, u: np.ndarray, x) -> np.ndarray:
     """Piecewise-constant extension of a macro field, evaluated at x."""
     u = check_macro(grid, u)
     x = _axis_points(x, grid.length, "x")
-    return u[_dual_index(x, grid.h_x, grid.n_x)]
+    return u[..., _dual_index(x, grid.h_x, grid.n_x)]
 
 
 def pwc_eval_micro(grid: GridSpec, u: np.ndarray, x, y) -> np.ndarray:
@@ -91,7 +92,7 @@ def pwc_eval_micro(grid: GridSpec, u: np.ndarray, x, y) -> np.ndarray:
     y = _axis_points(y, grid.cell_length, "y")
     i = _dual_index(x, grid.h_x, grid.n_x)
     j = _dual_index(y, grid.h_y, grid.n_y)
-    return u[i, j]
+    return u[..., i, j]
 
 
 def pwl_eval_macro(grid: GridSpec, u: np.ndarray, x) -> np.ndarray:
@@ -100,7 +101,7 @@ def pwl_eval_macro(grid: GridSpec, u: np.ndarray, x) -> np.ndarray:
     x = _axis_points(x, grid.length, "x")
     i = _interval_index(x, grid.h_x, grid.n_x)
     xi = (x - i * grid.h_x) / grid.h_x
-    return u[i] + (u[i + 1] - u[i]) * xi
+    return u[..., i] + (u[..., i + 1] - u[..., i]) * xi
 
 
 def pwl_eval_micro(grid: GridSpec, u: np.ndarray, x, y) -> np.ndarray:
@@ -117,12 +118,12 @@ def pwl_eval_micro(grid: GridSpec, u: np.ndarray, x, y) -> np.ndarray:
     j = _interval_index(y, grid.h_y, grid.n_y)
     xi = (x - i * grid.h_x) / grid.h_x
     ups = (y - j * grid.h_y) / grid.h_y
-    lower = (u[i, j]
-             + (u[i + 1, j] - u[i, j]) * xi
-             + (u[i, j + 1] - u[i, j]) * ups)
-    upper = (u[i + 1, j + 1]
-             + (u[i + 1, j + 1] - u[i, j + 1]) * (xi - 1.0)
-             + (u[i + 1, j + 1] - u[i + 1, j]) * (ups - 1.0))
+    lower = (u[..., i, j]
+             + (u[..., i + 1, j] - u[..., i, j]) * xi
+             + (u[..., i, j + 1] - u[..., i, j]) * ups)
+    upper = (u[..., i + 1, j + 1]
+             + (u[..., i + 1, j + 1] - u[..., i, j + 1]) * (xi - 1.0)
+             + (u[..., i + 1, j + 1] - u[..., i + 1, j]) * (ups - 1.0))
     return np.where(xi + ups <= 1.0, lower, upper)
 
 
@@ -140,7 +141,8 @@ def extension_products(grid: GridSpec, u_g: np.ndarray, v_g: np.ndarray,
 
     The L2 side integrates piecewise-constant integrands cell by cell
     through the evaluation maps, so it is exact quadrature computed on an
-    independent path.
+    independent path.  For stacks of fields (a leading batch axis on all
+    four) every value is an array with one entry per field.
     """
     u_g = check_macro(grid, u_g)
     v_g = check_macro(grid, v_g)
@@ -155,31 +157,31 @@ def extension_products(grid: GridSpec, u_g: np.ndarray, v_g: np.ndarray,
     cx = 0.5 * (bounds_x[:, 0] + bounds_x[:, 1])
     cy = 0.5 * (bounds_y[:, 0] + bounds_y[:, 1])
 
-    macro_vals_l2 = float(np.sum(
-        mx * pwc_eval_macro(grid, u_g, cx) * pwc_eval_macro(grid, v_g, cx)))
+    macro_vals_l2 = field_sum(
+        mx * pwc_eval_macro(grid, u_g, cx) * pwc_eval_macro(grid, v_g, cx), 1)
 
     cxy = (cx[:, None], cy[None, :])
-    micro_vals_l2 = float(np.sum(
+    micro_vals_l2 = field_sum(
         mx[:, None] * my[None, :]
-        * pwc_eval_micro(grid, u_f, *cxy) * pwc_eval_micro(grid, v_f, *cxy)))
+        * pwc_eval_micro(grid, u_f, *cxy) * pwc_eval_micro(grid, v_f, *cxy), 2)
 
     # macro gradient: slope per interval recovered from endpoint evaluations
     nodes = grid.x_nodes()
-    su = np.diff(pwl_eval_macro(grid, u_g, nodes)) / hx
-    sv = np.diff(pwl_eval_macro(grid, v_g, nodes)) / hx
-    macro_grad_l2 = float(np.sum(hx * su * sv))
+    su = np.diff(pwl_eval_macro(grid, u_g, nodes), axis=-1) / hx
+    sv = np.diff(pwl_eval_macro(grid, v_g, nodes), axis=-1) / hx
+    macro_grad_l2 = field_sum(hx * su * sv, 1)
 
     # micro cell-axis gradient: constant per triangle, recovered from the
     # vertex evaluations of each rectangle
     corners = (nodes[:, None], grid.y_nodes()[None, :])
     cu = pwl_eval_micro(grid, u_f, *corners)
     cv = pwl_eval_micro(grid, v_f, *corners)
-    gy_low_u = (cu[:-1, 1:] - cu[:-1, :-1]) / hy   # left edge of each rectangle
-    gy_low_v = (cv[:-1, 1:] - cv[:-1, :-1]) / hy
-    gy_up_u = (cu[1:, 1:] - cu[1:, :-1]) / hy      # right edge
-    gy_up_v = (cv[1:, 1:] - cv[1:, :-1]) / hy
-    micro_grad_l2 = float(np.sum(
-        0.5 * hx * hy * (gy_low_u * gy_low_v + gy_up_u * gy_up_v)))
+    gy_low_u = (cu[..., :-1, 1:] - cu[..., :-1, :-1]) / hy   # left edge of each rectangle
+    gy_low_v = (cv[..., :-1, 1:] - cv[..., :-1, :-1]) / hy
+    gy_up_u = (cu[..., 1:, 1:] - cu[..., 1:, :-1]) / hy      # right edge
+    gy_up_v = (cv[..., 1:, 1:] - cv[..., 1:, :-1]) / hy
+    micro_grad_l2 = field_sum(
+        0.5 * hx * hy * (gy_low_u * gy_low_v + gy_up_u * gy_up_v), 2)
 
     return {
         "macro_values": (macro_vals_l2, ip_macro(grid, u_g, v_g)),

@@ -10,6 +10,9 @@ The summation-by-parts residuals below check the discrete Green-like
 formulas that pair divergence against gradient plus boundary flux terms,
 and `trace_inequality_check` evaluates both sides of the discrete trace
 bound with its explicit constant.
+
+Every function indexes fields from their trailing grid axes, so a stack of
+fields (see `grids`) gives one result per field.
 """
 
 from __future__ import annotations
@@ -34,13 +37,13 @@ from .grids import (
 def grad_macro(grid: GridSpec, u: np.ndarray) -> np.ndarray:
     """Forward difference (u_{i+1} - u_i)/h_x on the staggered macro grid."""
     u = check_macro(grid, u)
-    return np.diff(u) / grid.h_x
+    return np.diff(u, axis=-1) / grid.h_x
 
 
 def grad_micro(grid: GridSpec, u: np.ndarray) -> np.ndarray:
     """Forward difference (u_{i,j+1} - u_{ij})/h_y along the cell axis."""
     u = check_micro(grid, u)
-    return np.diff(u, axis=1) / grid.h_y
+    return np.diff(u, axis=-1) / grid.h_y
 
 
 def div_macro(grid: GridSpec, v: np.ndarray, right_ghost: float) -> np.ndarray:
@@ -50,8 +53,7 @@ def div_macro(grid: GridSpec, v: np.ndarray, right_ghost: float) -> np.ndarray:
     right_ghost.
     """
     v = check_macro_edge(grid, v)
-    ext = np.concatenate([v, [right_ghost]])
-    return np.diff(ext) / grid.h_x
+    return np.diff(v, axis=-1, append=np.expand_dims(right_ghost, -1)) / grid.h_x
 
 
 def div_micro(grid: GridSpec, v: np.ndarray,
@@ -64,8 +66,8 @@ def div_micro(grid: GridSpec, v: np.ndarray,
     v = check_micro_edge(grid, v)
     bottom = check_macro(grid, bottom_ghost)
     top = check_macro(grid, top_ghost)
-    ext = np.concatenate([bottom[:, None], v, top[:, None]], axis=1)
-    return np.diff(ext, axis=1) / grid.h_y
+    ext = np.concatenate([bottom[..., None], v, top[..., None]], axis=-1)
+    return np.diff(ext, axis=-1) / grid.h_y
 
 
 def green_macro_residual(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
@@ -78,14 +80,14 @@ def green_macro_residual(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
 
     holds exactly, with div v, defined at i = 1..n_x, set to zero at the
     node x = 0, where u vanishes.  Returns the absolute residual; u_0 = 0
-    is required.
+    is required of every field.
     """
     u = check_macro(grid, u)
     v = check_macro_edge(grid, v)
-    if u[0] != 0.0:
+    if np.any(u[..., 0] != 0.0):
         raise ValueError("macro identity requires u = 0 at x = 0")
-    dv = div_macro(grid, v, right_ghost=-v[-1])
-    full = np.concatenate([[0.0], dv])
+    dv = div_macro(grid, v, right_ghost=-v[..., -1])
+    full = np.concatenate([np.zeros_like(dv[..., :1]), dv], axis=-1)
     lhs = ip_macro(grid, full, u)
     rhs = ip_macro_edge(grid, grad_macro(grid, u), v)
     return abs(lhs + rhs)
@@ -111,13 +113,13 @@ def green_micro_residual(grid: GridSpec, u: np.ndarray, v: np.ndarray,
     v = check_micro_edge(grid, v)
     delta1 = check_macro(grid, delta1)
     delta2 = check_macro(grid, delta2)
-    bottom = -2.0 * delta1 - v[:, 0]
-    top = 2.0 * delta2 - v[:, -1]
+    bottom = -2.0 * delta1 - v[..., 0]
+    top = 2.0 * delta2 - v[..., -1]
     dv = div_micro(grid, v, bottom_ghost=bottom, top_ghost=top)
     res = (ip_micro(grid, u, dv)
            + ip_micro_edge(grid, grad_micro(grid, u), v)
-           - ip_macro(grid, u[:, 0], delta1)
-           - ip_macro(grid, u[:, -1], delta2))
+           - ip_macro(grid, u[..., 0], delta1)
+           - ip_macro(grid, u[..., -1], delta2))
     return abs(res)
 
 
@@ -134,7 +136,7 @@ def trace_inequality_check(grid: GridSpec, u: np.ndarray) -> tuple[float, float]
     reference value of the constructive bound, not a universal ceiling.
     """
     u = check_micro(grid, u)
-    lhs = ip_macro(grid, u[:, -1], u[:, -1])
+    lhs = ip_macro(grid, u[..., -1], u[..., -1])
     rhs = 2.0 * grid.cell_length * (
         norm_micro_edge(grid, grad_micro(grid, u))**2 + norm_micro(grid, u)**2)
-    return float(lhs), float(rhs)
+    return lhs, rhs

@@ -10,7 +10,9 @@ from corrosim.grids import (
     ip_micro,
     ip_micro_edge,
     norm_macro,
+    norm_macro_edge,
     norm_micro,
+    norm_micro_edge,
 )
 
 
@@ -71,6 +73,16 @@ class TestMakeGrid:
             GridSpec(-1.0, 1.0, 4, 4)
         with pytest.raises(GridError):
             GridSpec(1.0, 0.0, 4, 4)
+
+    @pytest.mark.parametrize("n_x, n_y", [(4.5, 4), (4, 4.0), (4, "4")])
+    def test_subinterval_counts_must_be_integers(self, n_x, n_y):
+        # 4.5 would give 6 nodes at h_x = 1/4.5
+        with pytest.raises(GridError, match="integers"):
+            GridSpec(1.0, 1.0, n_x, n_y)
+
+    def test_numpy_integer_counts_accepted(self):
+        g = GridSpec(1.0, 1.0, np.int64(4), np.int32(8))
+        assert g.x_nodes().size == 5 and g.y_nodes().size == 9
 
     def test_nodes(self):
         g = GridSpec(1.0, 2.0, 4, 2)
@@ -206,3 +218,36 @@ class TestProductProperties:
             uf = rng.normal(size=(g.n_x + 1, g.n_y + 1))
             vf = rng.normal(size=(g.n_x + 1, g.n_y + 1))
             assert abs(ip_micro(g, uf, vf)) <= norm_micro(g, uf) * norm_micro(g, vf) * (1 + 1e-12)
+
+
+class TestStacks:
+    """A leading batch axis: one value per field, exactly the per-field one."""
+
+    FUNCTIONS = [  # (product, norm, field shape for the grid)
+        (ip_macro, norm_macro, lambda g: (g.n_x + 1,)),
+        (ip_micro, norm_micro, lambda g: (g.n_x + 1, g.n_y + 1)),
+        (ip_macro_edge, norm_macro_edge, lambda g: (g.n_x,)),
+        (ip_micro_edge, norm_micro_edge, lambda g: (g.n_x + 1, g.n_y)),
+    ]
+
+    @pytest.mark.parametrize("ip, norm, shape", FUNCTIONS)
+    def test_stack_gives_the_per_field_values(self, ip, norm, shape):
+        rng = np.random.default_rng(23)
+        for g in (GridSpec(1.0, 1.0, 16, 16), GridSpec(1.7, 0.6, 9, 5)):
+            u = rng.normal(size=(7, *shape(g)))
+            v = rng.normal(size=(7, *shape(g)))
+            products, norms = ip(g, u, v), norm(g, u)
+            assert products.shape == norms.shape == (7,)
+            single = [ip(g, a, b) for a, b in zip(u, v)]
+            assert all(type(x) is float for x in single)
+            assert np.array_equal(products, single)
+            assert np.array_equal(norms, [norm(g, a) for a in u])
+
+    @pytest.mark.parametrize("ip, norm, shape", FUNCTIONS)
+    def test_wrong_trailing_shape_rejected(self, ip, norm, shape):
+        g = GridSpec(1.0, 1.0, 4, 6)
+        bad = np.ones((3, *shape(g)[:-1], shape(g)[-1] + 1))
+        with pytest.raises(GridError):
+            ip(g, bad, bad)
+        with pytest.raises(GridError):
+            norm(g, bad)

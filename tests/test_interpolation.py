@@ -71,6 +71,20 @@ class TestPwcEval:
         with pytest.raises(ValueError):
             pwc_eval_micro(g, np.zeros((5, 5)), np.array([0.5]), np.array([1.5]))
 
+    @pytest.mark.parametrize("evaluate", [pwc_eval_macro, pwl_eval_macro])
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_macro_non_finite_coordinate_rejected(self, evaluate, x):
+        # NaN used to give the last node's value (pwc) or NaN (pwl)
+        g = GridSpec(1.0, 1.0, 4, 4)
+        with pytest.raises(ValueError, match="coordinate outside"):
+            evaluate(g, np.arange(5.0), [0.5, x])
+
+    @pytest.mark.parametrize("evaluate", [pwc_eval_micro, pwl_eval_micro])
+    def test_micro_nan_coordinate_rejected(self, evaluate):
+        g = GridSpec(1.0, 1.0, 4, 4)
+        with pytest.raises(ValueError, match="coordinate outside"):
+            evaluate(g, np.zeros((5, 5)), [0.5], [np.nan])
+
 
 class TestPwlEval:
     def test_macro_affine_reproduction(self):
@@ -172,6 +186,22 @@ class TestExtensionProducts:
                 rng.normal(size=n + 1), rng.normal(size=n + 1),
                 rng.normal(size=(n + 1, n + 1)), rng.normal(size=(n + 1, n + 1)))
             assert max(res.values()) <= 1e-12
+
+    @pytest.mark.parametrize("grid", [GridSpec(1.0, 1.0, 8, 8), GridSpec(1.3, 0.7, 5, 7)])
+    def test_stack_gives_the_per_field_values(self, grid):
+        # the eval maps' fancy indexing leaves a stack batch-last in memory;
+        # each field must still add up exactly as it does alone
+        rng = np.random.default_rng(41)
+        nm, nc = grid.n_x + 1, grid.n_y + 1
+        fields = [rng.normal(size=(6, *s)) for s in ((nm,), (nm,), (nm, nc), (nm, nc))]
+        pairs = extension_products(grid, *fields)
+        res = extension_product_residuals(grid, *fields)
+        for k in range(6):
+            one = extension_products(grid, *(f[k] for f in fields))
+            for name, (l2, disc) in one.items():
+                assert (pairs[name][0][k], pairs[name][1][k]) == (l2, disc)
+            one = extension_product_residuals(grid, *(f[k] for f in fields))
+            assert {name: val[k] for name, val in res.items()} == one
 
 
 def levels(base, count):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corrosim.grids import GridSpec, norm_macro, norm_macro_edge
+from corrosim.grids import GridError, GridSpec, norm_macro, norm_macro_edge
 from corrosim.grids import norm_micro, norm_micro_edge
 from corrosim.operators import (
     div_macro,
@@ -260,3 +260,60 @@ class TestTraceInequality:
             u = rng.normal(size=(17, 17))
             lhs, rhs = trace_inequality_check(g, u)
             assert lhs <= rhs
+
+
+class TestStacks:
+    """A leading batch axis gives exactly the per-field values."""
+
+    def test_gradients(self):
+        rng = np.random.default_rng(29)
+        g = GridSpec(1.3, 0.7, 6, 5)
+        u = rng.normal(size=(4, 7))
+        f = rng.normal(size=(4, 7, 6))
+        assert np.array_equal(grad_macro(g, u), [grad_macro(g, a) for a in u])
+        assert np.array_equal(grad_micro(g, f), [grad_micro(g, a) for a in f])
+
+    def test_green_residuals(self):
+        rng = np.random.default_rng(31)
+        for g in (GridSpec(1.0, 1.0, 16, 16), GridSpec(1.3, 0.7, 6, 5)):
+            u = rng.normal(size=(8, g.n_x + 1))
+            u[:, 0] = 0.0
+            v = rng.normal(size=(8, g.n_x))
+            res = green_macro_residual(g, u, v)
+            assert res.shape == (8,)
+            assert np.array_equal(res, [green_macro_residual(g, *p) for p in zip(u, v)])
+            uf = rng.normal(size=(8, g.n_x + 1, g.n_y + 1))
+            vf = rng.normal(size=(8, g.n_x + 1, g.n_y))
+            d1, d2 = rng.normal(size=(2, 8, g.n_x + 1))
+            res = green_micro_residual(g, uf, vf, d1, d2)
+            assert res.shape == (8,)
+            assert np.array_equal(
+                res, [green_micro_residual(g, *p) for p in zip(uf, vf, d1, d2)])
+
+    def test_trace_inequality(self):
+        rng = np.random.default_rng(37)
+        g = GridSpec(1.0, 1.0, 16, 16)
+        u = rng.normal(size=(10, 17, 17))
+        lhs, rhs = trace_inequality_check(g, u)
+        single = [trace_inequality_check(g, a) for a in u]
+        assert np.array_equal(lhs, [a for a, _ in single])
+        assert np.array_equal(rhs, [b for _, b in single])
+
+    def test_wrong_trailing_shape_rejected(self):
+        g = GridSpec(1.0, 1.0, 4, 4)
+        with pytest.raises(GridError):
+            grad_macro(g, np.zeros((3, 6)))
+        with pytest.raises(GridError):
+            green_macro_residual(g, np.zeros((3, 5)), np.zeros((3, 5)))
+        with pytest.raises(GridError):
+            green_micro_residual(g, np.zeros((3, 5, 5)), np.zeros((3, 5, 5)),
+                                 np.zeros((3, 5)), np.zeros((3, 5)))
+        with pytest.raises(GridError):
+            trace_inequality_check(g, np.zeros((3, 5, 4)))
+
+    def test_one_nonzero_dirichlet_value_rejects_the_stack(self):
+        g = GridSpec(1.0, 1.0, 4, 4)
+        u = np.zeros((5, 5))
+        u[3, 0] = 1e-300
+        with pytest.raises(ValueError, match="u = 0 at x = 0"):
+            green_macro_residual(g, u, np.ones((5, 4)))

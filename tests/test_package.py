@@ -1,7 +1,10 @@
-"""The package ships only code its own modules reach, and exports what it
-names."""
+"""The package ships only code its own modules reach, exports what it
+names, and imports nothing but numpy beyond the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -63,3 +66,17 @@ def test_every_definition_is_used_inside_the_package():
 def test_all_names_resolve():
     missing = [name for name in corrosim.__all__ if not hasattr(corrosim, name)]
     assert not missing
+
+
+def test_cli_import_loads_only_numpy_beyond_the_standard_library():
+    # every run pays for what importing the command line loads; scipy,
+    # sympy, hypothesis and pytest are installed for the tests, so a stray
+    # import of one of them would show here. Modules the interpreter loads
+    # at startup (site hooks) are not the package's.
+    code = ("import sys; before = set(sys.modules); import corrosim.cli; "
+            "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names))))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.split() == ["corrosim", "numpy"]
