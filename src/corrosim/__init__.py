@@ -4,8 +4,7 @@ A one-dimensional gas diffusion problem on the wall cross-section is
 coupled, at every grid node, to a reactive cell problem for the dissolved
 species, plus a surface equation for the gypsum layer.  The package
 provides the coupled grids with their weighted products (`grids`), the
-difference operators and their exact summation-by-parts identities
-(`operators`), the reaction model and semi-discrete right-hand side
+discrete gradients and the trace bound (`operators`), the reaction model and semi-discrete right-hand side
 (`model`), explicit time stepping (`integrator`), boundedness diagnostics
 (`diagnostics`), grid-function extensions and the manufactured-solution
 harness (`interpolation`), and a config-driven CLI (`cli`).

@@ -10,6 +10,10 @@ residual against a fixed threshold.  The residual conventions:
   negative value means satisfied with margin),
 * the boundedness suite reports the largest level-to-level growth ratio.
 
+The two summation-by-parts suites evaluate `_add_diffusion`, the kernel
+`rhs` calls, once per field w, drawing w's gradient as a random edge field;
+the other identity suites evaluate whole blocks of fields in one call.
+
 A NaN residual propagates to the suite's result and fails it.
 """
 
@@ -23,7 +27,12 @@ from .config import RunConfig, scenario_config
 from .diagnostics import RATIO_THRESHOLD, energy_record, refinement_sweep
 from .grids import (
     GridSpec,
+    check_macro,
+    check_micro,
+    ip_macro,
+    ip_macro_edge,
     ip_micro,
+    ip_micro_edge,
     norm_macro,
     norm_macro_edge,
     norm_micro,
@@ -31,12 +40,15 @@ from .grids import (
 )
 from .integrator import POSITIVITY_SLACK, DivergedError, integrate
 from .interpolation import extension_product_residuals
-from .model import project_initial, unshifted_u1
-from .operators import (
-    green_macro_residual,
-    green_micro_residual,
-    trace_inequality_check,
+from .model import (
+    ModelParams,
+    State,
+    Tendency,
+    _add_diffusion,
+    project_initial,
+    unshifted_u1,
 )
+from .operators import grad_macro, grad_micro, trace_inequality_check
 
 GREEN_GRID_SIZES = (4, 8, 16, 32)
 GREEN_PAIRS = 200
@@ -50,6 +62,11 @@ IDENTITY_THRESHOLD = 1e-12
 MONOTONE_SLACK = 1e-9
 MASS_SLACK = 1e-9
 FIELDS_PER_BLOCK = 10   # larger stacks raise verify's peak memory
+# the green suites' cell is not square and their diffusivities differ, so a
+# kernel that swaps h_x for h_y or d2 for d3 fails them
+GREEN_LENGTH, GREEN_CELL_LENGTH = 1.3, 0.7
+GREEN_PARAMS = ModelParams(d1=0.8, d2=1.6, d3=0.5, bi_m=0.0, henry=1.0,
+                           u1_d=0.0, k=0.0, alpha=0.0, beta=0.0)
 
 
 @dataclass
@@ -74,13 +91,83 @@ def _blocks(rng: np.random.Generator, count: int, *shapes):
         yield [np.stack(fields) for fields in zip(*draws)]
 
 
+def antiderivative(h: float, v: np.ndarray) -> np.ndarray:
+    """The node field w with w_0 = 0 and w_{k+1} = w_k + h v_k along the
+    last axis, whose forward difference is the edge field v."""
+    w = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
+    np.cumsum(h * v, axis=-1, out=w[..., 1:])
+    return w
+
+
+def _diffusion(grid: GridSpec, gas, cell, flux: np.ndarray, surface: np.ndarray):
+    """The diffusion terms of `rhs` at the states with gas rows `gas` and
+    with `cell` in both their u2 and u3 rows, and with the boundary data
+    flux (into u2 at y = 0) and surface (out of u3 at y = ell): one
+    `_add_diffusion` call per row of flux, on views of one block of state
+    vectors y = (u1, u2, u3, u4).  Returns the gas rows and the (u2, u3)
+    row pairs of the tendencies."""
+    nm, nc = grid.n_x + 1, grid.n_y + 1
+    ys = np.zeros((len(flux), nm * (2 * nc + 2)))
+    ys[:, :nm] = gas
+    ys[:, nm:-nm].reshape(-1, 2, nm, nc)[...] = cell
+    out = np.zeros_like(ys)
+    for y, dy, f, s in zip(ys, out, flux, surface):
+        _add_diffusion(State.view(0.0, y, grid), GREEN_PARAMS, grid, f, s,
+                       Tendency.view(dy, grid))
+    return out[:, :nm], out[:, nm:-nm].reshape(-1, 2, nm, nc)
+
+
+def gas_green_residual(grid: GridSpec, u: np.ndarray, w: np.ndarray):
+    """|<u, L1 w> + d1 (grad u, grad w)| for the gas row L1 of `rhs`'s
+    diffusion kernel.
+
+    The identity needs u = 0 at x = 0, where the kernel leaves a finite
+    value that `rhs` overwrites.  One value per field of a stack.
+    """
+    u, w = check_macro(grid, u), check_macro(grid, w)
+    if np.any(u[..., 0] != 0.0):
+        raise ValueError("gas identity requires u = 0 at x = 0")
+    nm = grid.n_x + 1
+    no_data = np.zeros((w.size // nm, nm))
+    lw = _diffusion(grid, w.reshape(-1, nm), 0.0, no_data, no_data)[0]
+    res = (ip_macro(grid, u, lw.reshape(w.shape)) + GREEN_PARAMS.d1
+           * ip_macro_edge(grid, grad_macro(grid, u), grad_macro(grid, w)))
+    return abs(res)
+
+
+def cell_green_residual(grid: GridSpec, u: np.ndarray, w: np.ndarray,
+                        flux: np.ndarray, surface: np.ndarray):
+    """The larger of the residuals
+
+        |<u, L2 w> + d2 (grad u, grad w) - <u|_{y=0}, flux>|,
+        |<u, L3 w> + d3 (grad u, grad w) + <u|_{y=ell}, surface>|
+
+    of the u2 rows L2 and the u3 rows L3 of `rhs`'s diffusion kernel, from
+    one kernel call with w in both.  The first checks the Robin ghost at
+    y = 0, the second the surface ghost at y = ell.  One value per field of
+    a stack.
+    """
+    u, w = check_micro(grid, u), check_micro(grid, w)
+    flux, surface = check_macro(grid, flux), check_macro(grid, surface)
+    nm = grid.n_x + 1
+    _, lw = _diffusion(grid, 0.0, w.reshape(-1, 1, *w.shape[-2:]),
+                       flux.reshape(-1, nm), surface.reshape(-1, nm))
+    lw = lw.reshape(w.shape[:-2] + lw.shape[1:])
+    grads = ip_micro_edge(grid, grad_micro(grid, u), grad_micro(grid, w))
+    bottom = (ip_micro(grid, u, lw[..., 0, :, :]) + GREEN_PARAMS.d2 * grads
+              - ip_macro(grid, u[..., 0], flux))
+    top = (ip_micro(grid, u, lw[..., 1, :, :]) + GREEN_PARAMS.d3 * grads
+           + ip_macro(grid, u[..., -1], surface))
+    return np.maximum(abs(bottom), abs(top))
+
+
 def suite_green_macro(rng: np.random.Generator) -> SuiteResult:
     worst = 0.0
     for n in GREEN_GRID_SIZES:
-        g = GridSpec(1.0, 1.0, n, n)
+        g = GridSpec(GREEN_LENGTH, GREEN_CELL_LENGTH, n, n)
         for u, v in _blocks(rng, GREEN_PAIRS, n + 1, n):
             u[:, 0] = 0.0
-            res = green_macro_residual(g, u, v)
+            res = gas_green_residual(g, u, antiderivative(g.h_x, v))
             scale = 1.0 + norm_macro(g, u) * norm_macro_edge(g, v)
             worst = float(np.max(res / scale, initial=worst))
     return SuiteResult("green_macro", worst <= IDENTITY_THRESHOLD,
@@ -90,10 +177,10 @@ def suite_green_macro(rng: np.random.Generator) -> SuiteResult:
 def suite_green_micro(rng: np.random.Generator) -> SuiteResult:
     worst = 0.0
     for n in GREEN_GRID_SIZES:
-        g = GridSpec(1.0, 1.0, n, n)
+        g = GridSpec(GREEN_LENGTH, GREEN_CELL_LENGTH, n, n)
         for u, v, d1, d2 in _blocks(rng, GREEN_PAIRS, (n + 1, n + 1), (n + 1, n),
                                     n + 1, n + 1):
-            res = green_micro_residual(g, u, v, d1, d2)
+            res = cell_green_residual(g, u, antiderivative(g.h_y, v), d1, d2)
             scale = 1.0 + norm_micro(g, u) * norm_micro_edge(g, v)
             worst = float(np.max(res / scale, initial=worst))
     return SuiteResult("green_micro", worst <= IDENTITY_THRESHOLD,

@@ -1,7 +1,7 @@
 import pytest
 
 import corrosim.model
-import corrosim.operators
+import corrosim.verify
 
 
 @pytest.fixture
@@ -13,14 +13,14 @@ def no_diffusion(monkeypatch):
 
 
 @pytest.fixture
-def lower_bottom_ghost(monkeypatch):
-    """Call with an offset to make `div_micro` lower its bottom ghost edge
-    by it: a ghost closure built inconsistently with the boundary flux data
-    (mutation check)."""
-    def lower(offset):
-        original = corrosim.operators.div_micro
+def skew_bottom_flux(monkeypatch):
+    """Call with an offset to make the `_add_diffusion` that `verify` calls
+    fold flux + offset into its ghost at y = 0: a Robin closure built
+    inconsistently with the boundary flux data (mutation check)."""
+    def skew(offset):
+        original = corrosim.verify._add_diffusion
 
-        def broken(grid, v, bottom_ghost, top_ghost):
-            return original(grid, v, bottom_ghost - offset, top_ghost)
-        monkeypatch.setattr(corrosim.operators, "div_micro", broken)
-    return lower
+        def broken(state, params, grid, flux, surface, out):
+            original(state, params, grid, flux + offset, surface, out)
+        monkeypatch.setattr(corrosim.verify, "_add_diffusion", broken)
+    return skew

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from corrosim import cli, verify
 from corrosim.config import ConfigError, load_config, scenario_config
-from corrosim.model import State
+from corrosim.grids import GridSpec
+from corrosim.model import State, _add_diffusion
 from corrosim.verify import run_all, suite_green_micro
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
@@ -367,7 +369,10 @@ class TestVerifyCommand:
         # skipped it would report the suite as passed
         def nans(u):
             return np.full(len(u), np.nan)
-        monkeypatch.setattr(verify, "green_macro_residual", lambda g, u, v: nans(u))
+
+        def nan_diffusion(state, params, grid, flux, surface, out):
+            out.y[:] = np.nan
+        monkeypatch.setattr(verify, "_add_diffusion", nan_diffusion)
         monkeypatch.setattr(verify, "trace_inequality_check",
                             lambda g, u: (nans(u), np.zeros(len(u))))
         monkeypatch.setattr(verify, "extension_product_residuals",
@@ -377,13 +382,39 @@ class TestVerifyCommand:
                        *verify.suite_extensions(rng)[:1]):
             assert not result.passed and np.isnan(result.max_residual)
 
-    def test_broken_ghost_closure_fails_green_micro(self, lower_bottom_ghost):
-        # bottom flux data skewed by 0.05 lowers the ghost edge by 0.1
-        lower_bottom_ghost(0.1)
+    def test_broken_ghost_closure_fails_green_micro(self, skew_bottom_flux):
+        # the kernel folds flux + 0.1 into its Robin ghost at y = 0
+        skew_bottom_flux(0.1)
         rng = np.random.default_rng(0)
         result = suite_green_micro(rng)
         assert not result.passed
         assert result.max_residual > result.threshold
+
+    def test_green_suites_run_the_kernel_rhs_runs(self):
+        assert verify._add_diffusion is _add_diffusion
+
+    @pytest.mark.parametrize("suite, mutation", [
+        ("green_macro", "reflection"), ("green_micro", "d2_d3"),
+        ("green_macro", "h_x_h_y"), ("green_micro", "h_x_h_y")])
+    def test_broken_diffusion_kernel_fails_its_suite(self, monkeypatch, suite, mutation):
+        # the ghost at x = L taken as 1.1 u_{n_x-1} instead of u_{n_x-1};
+        # d2 and d3 swapped; h_x and h_y swapped, which only a cell that is
+        # not square shows
+        original = verify._add_diffusion
+
+        def broken(state, params, grid, flux, surface, out):
+            if mutation == "d2_d3":
+                params = replace(params, d2=params.d3, d3=params.d2)
+            elif mutation == "h_x_h_y":
+                grid = GridSpec(grid.cell_length, grid.length, grid.n_y, grid.n_x)
+            original(state, params, grid, flux, surface, out)
+            if mutation == "reflection":
+                out.u1[-1] += 0.1 * params.d1 / grid.h_x**2 * state.u1[-2]
+        monkeypatch.setattr(verify, "_add_diffusion", broken)
+        rng = np.random.default_rng(0)
+        result = getattr(verify, f"suite_{suite}")(rng)
+        assert not result.passed
+        assert result.max_residual > 1e-3
 
 
 class TestSweepCommand:

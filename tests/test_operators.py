@@ -1,18 +1,39 @@
+"""The discrete gradients, the trace bound, and the summation-by-parts
+identities of `rhs`'s diffusion kernel as `verify` evaluates them."""
+
 import numpy as np
 import pytest
 
-from corrosim.grids import GridError, GridSpec, norm_macro, norm_macro_edge
+from corrosim.grids import GridError, GridSpec, ip_macro, norm_macro, norm_macro_edge
 from corrosim.grids import norm_micro, norm_micro_edge
-from corrosim.operators import (
-    div_macro,
-    div_micro,
-    grad_macro,
-    grad_micro,
-    green_macro_residual,
-    green_micro_residual,
-    trace_inequality_check,
+from corrosim.model import State, Tendency, _add_diffusion
+from corrosim.operators import grad_macro, grad_micro, trace_inequality_check
+from corrosim.verify import (
+    GREEN_PARAMS,
+    antiderivative,
+    cell_green_residual,
+    gas_green_residual,
 )
 from reference import laplace_macro, laplace_micro
+
+
+def ghost_stencil(w, d, h, bottom=0, top=0):
+    """d (w_{j-1} - 2 w_j + w_{j+1}) / h^2 at every node of the list w,
+    closed by the ghosts w_{-1} = w_1 + 2 h bottom / d and
+    w_{n+1} = w_{n-1} - 2 h top / d: inflow `bottom` at the first node,
+    outflow `top` at the last, a reflection where the datum is zero."""
+    ext = [w[1] + 2 * h * bottom / d, *w, w[-2] - 2 * h * top / d]
+    return [d * (ext[j] - 2 * ext[j + 1] + ext[j + 2]) / h**2 for j in range(len(w))]
+
+
+def kernel(grid, gas, cell, flux, surface):
+    """`_add_diffusion` on the state with `gas` in its gas row and `cell`
+    in both its u2 and u3 rows, with GREEN_PARAMS."""
+    nm, nc = grid.n_x + 1, grid.n_y + 1
+    state = State(0.0, gas, cell, cell, np.zeros(nm))
+    out = Tendency(np.zeros(nm), np.zeros((nm, nc)), np.zeros((nm, nc)), np.zeros(nm))
+    _add_diffusion(state, GREEN_PARAMS, grid, flux, surface, out)
+    return out
 
 
 class TestGradients:
@@ -41,38 +62,6 @@ class TestGradients:
         g = GridSpec(1.0, 2.0, 2, 2)  # h_y = 1
         u = np.array([[0.0, 1.0, 4.0]] * 3)
         assert np.allclose(grad_micro(g, u), [[1.0, 3.0]] * 3)
-
-
-class TestDivergence:
-    def test_constant_flux_interior(self):
-        g = GridSpec(2.0, 1.0, 8, 2)
-        v = np.full(8, 3.0)
-        d = div_macro(g, v, right_ghost=3.0)
-        assert np.allclose(d[:-1], 0.0)
-
-    def test_linear_flux(self):
-        g = GridSpec(2.0, 1.0, 8, 2)
-        v = (np.arange(g.n_x) + 0.5) * g.h_x  # v(x) = x at the edges
-        ghost = (g.n_x + 0.5) * g.h_x
-        assert np.allclose(div_macro(g, v, right_ghost=ghost), 1.0)
-
-    def test_hand_case(self):
-        g = GridSpec(2.0, 1.0, 2, 2)  # h_x = 1, div at i=1 from v=[1,3]
-        d = div_macro(g, np.array([1.0, 3.0]), right_ghost=0.0)
-        assert d[0] == pytest.approx(2.0)
-
-    def test_missing_closure(self):
-        g = GridSpec(2.0, 1.0, 8, 2)
-        with pytest.raises(TypeError):
-            div_macro(g, np.ones(8))
-        with pytest.raises(TypeError):
-            div_micro(g, np.ones((9, 2)))
-
-    def test_micro_constant_flux(self):
-        g = GridSpec(1.0, 2.0, 3, 5)
-        v = np.full((4, 5), 2.0)
-        ghosts = np.full(4, 2.0)
-        assert np.allclose(div_micro(g, v, ghosts, ghosts), 0.0)
 
 
 class TestLaplacian:
@@ -104,33 +93,37 @@ class TestLaplacian:
         ghost_t = np.full(4, (g.cell_length + g.h_y) ** 2)
         assert np.allclose(laplace_micro(g, u, ghost_b, ghost_t), 2.0)
 
-    def test_div_of_grad_of_affine_is_zero(self):
-        g = GridSpec(1.0, 1.0, 6, 6)
-        u = 1.0 - 0.5 * g.x_nodes()
-        v = grad_macro(g, u)
-        d = div_macro(g, v, right_ghost=v[-1])
-        assert np.allclose(d, 0.0, atol=1e-13)
-
 
 class TestGreenMacro:
     def test_symbolic_expansion_n3(self):
-        # independent symbolic oracle for the identity the residual encodes
+        # independent symbolic oracle: the gas row's stencil with the
+        # reflection at x = L satisfies the identity, and the kernel
+        # computes that stencil
         sp = pytest.importorskip("sympy")
-        hx = sp.symbols("h_x", positive=True)
+        h, d = sp.symbols("h d", positive=True)
         u = (sp.Integer(0),) + sp.symbols("u1:4")
-        v = sp.symbols("v0:3")
+        w = sp.symbols("w0:4")
         gamma = [sp.Rational(1, 2), 1, 1, sp.Rational(1, 2)]
-        div = [(v[1] - v[0]) / hx, (v[2] - v[1]) / hx, (-v[2] - v[2]) / hx]
-        lhs = hx * sum(gamma[i] * u[i] * div[i - 1] for i in range(1, 4))
-        rhs = hx * sum((u[k + 1] - u[k]) / hx * v[k] for k in range(3))
-        assert sp.simplify(lhs + rhs) == 0
+        lw = ghost_stencil(w, d, h)
+        lhs = h * sum(gamma[i] * u[i] * lw[i] for i in range(1, 4))
+        grads = h * sum((u[k + 1] - u[k]) / h * (w[k + 1] - w[k]) / h for k in range(3))
+        assert sp.expand(lhs + d * grads) == 0
+
+        g = GridSpec(1.3, 0.7, 3, 3)
+        rng = np.random.default_rng(17)
+        wv = rng.normal(size=4)
+        got = kernel(g, wv, rng.normal(size=(4, 4)), rng.normal(size=4),
+                     rng.normal(size=4)).u1
+        want = [float(e.subs({h: g.h_x, d: GREEN_PARAMS.d1, **dict(zip(w, wv))}))
+                for e in lw]
+        assert np.allclose(got[1:], want[1:], rtol=1e-13, atol=0.0)
 
     def test_zero_fields(self):
         g = GridSpec(1.0, 1.0, 8, 4)
-        assert green_macro_residual(g, np.zeros(9), np.arange(8.0)) == 0.0
+        assert gas_green_residual(g, np.zeros(9), np.arange(9.0)) == 0.0
         u = np.arange(9.0)
         u[0] = 0.0
-        assert green_macro_residual(g, u, np.zeros(8)) == 0.0
+        assert gas_green_residual(g, u, np.zeros(9)) == 0.0
 
     def test_random_admissible(self):
         rng = np.random.default_rng(3)
@@ -138,43 +131,56 @@ class TestGreenMacro:
         for _ in range(100):
             u = rng.normal(size=9)
             u[0] = 0.0
-            v = rng.normal(size=8)
-            res = green_macro_residual(g, u, v)
-            scale = norm_macro(g, u) * norm_macro_edge(g, v)
+            w = rng.normal(size=9)
+            res = gas_green_residual(g, u, w)
+            scale = norm_macro(g, u) * norm_macro_edge(g, grad_macro(g, w))
             assert res <= 1e-13 * (1.0 + scale)
 
     def test_rejects_nonzero_dirichlet(self):
         g = GridSpec(1.0, 1.0, 4, 4)
         with pytest.raises(ValueError):
-            green_macro_residual(g, np.ones(5), np.ones(4))
+            gas_green_residual(g, np.ones(5), np.ones(5))
 
 
 class TestGreenMicro:
     def test_symbolic_expansion_n3(self):
+        # the u2 rows take the inflow at y = 0 and the u3 rows the surface
+        # loss at y = ell through their ghosts; both satisfy the identity
+        # with their flux term, and the kernel computes both stencils
         sp = pytest.importorskip("sympy")
-        hx, hy = sp.symbols("h_x h_y", positive=True)
+        hx, hy, d = sp.symbols("h_x h_y d", positive=True)
         U = sp.Matrix(4, 4, sp.symbols("U0:4_0:4"))
-        V = sp.Matrix(4, 3, sp.symbols("V0:4_0:3"))
-        d1 = sp.symbols("a0:4")
-        d2 = sp.symbols("b0:4")
+        W = sp.Matrix(4, 4, sp.symbols("W0:4_0:4"))
+        flux = sp.symbols("a0:4")
+        surface = sp.symbols("b0:4")
         gm = [sp.Rational(1, 2), 1, 1, sp.Rational(1, 2)]
-        total = 0
-        for i in range(4):
-            ext = [-2 * d1[i] - V[i, 0], V[i, 0], V[i, 1], V[i, 2],
-                   2 * d2[i] - V[i, 2]]
-            for j in range(4):
-                total += hx * hy * gm[i] * gm[j] * U[i, j] * (ext[j + 1] - ext[j]) / hy
-        for i in range(4):
-            for k in range(3):
-                total += hx * hy * gm[i] * (U[i, k + 1] - U[i, k]) / hy * V[i, k]
-        total -= hx * sum(gm[i] * U[i, 0] * d1[i] for i in range(4))
-        total -= hx * sum(gm[i] * U[i, 3] * d2[i] for i in range(4))
-        assert sp.simplify(total) == 0
+        rows = {"u2": [ghost_stencil(list(W.row(i)), d, hy, bottom=flux[i])
+                       for i in range(4)],
+                "u3": [ghost_stencil(list(W.row(i)), d, hy, top=surface[i])
+                       for i in range(4)]}
+        grads = sum(hx * hy * gm[i] * (U[i, k + 1] - U[i, k]) / hy
+                    * (W[i, k + 1] - W[i, k]) / hy for i in range(4) for k in range(3))
+        boundary = {"u2": -hx * sum(gm[i] * U[i, 0] * flux[i] for i in range(4)),
+                    "u3": hx * sum(gm[i] * U[i, 3] * surface[i] for i in range(4))}
+        for name, lw in rows.items():
+            lhs = sum(hx * hy * gm[i] * gm[j] * U[i, j] * lw[i][j]
+                      for i in range(4) for j in range(4))
+            assert sp.expand(lhs + d * grads + boundary[name]) == 0
+
+        g = GridSpec(1.3, 0.7, 3, 3)
+        rng = np.random.default_rng(19)
+        wv, fv, sv = rng.normal(size=(4, 4)), rng.normal(size=4), rng.normal(size=4)
+        out = kernel(g, np.zeros(4), wv, fv, sv)
+        values = {hy: g.h_y, **dict(zip(W, wv.ravel())), **dict(zip(flux, fv)),
+                  **dict(zip(surface, sv))}
+        for name, dk in (("u2", GREEN_PARAMS.d2), ("u3", GREEN_PARAMS.d3)):
+            want = [[float(e.subs({**values, d: dk})) for e in row] for row in rows[name]]
+            assert np.allclose(getattr(out, name), want, rtol=1e-13, atol=0.0)
 
     def test_zero_field(self):
         g = GridSpec(1.0, 1.0, 4, 4)
-        res = green_micro_residual(g, np.zeros((5, 5)), np.ones((5, 4)),
-                                   np.ones(5), np.ones(5))
+        res = cell_green_residual(g, np.zeros((5, 5)), np.ones((5, 5)),
+                                  np.ones(5), np.ones(5))
         assert res == 0.0
 
     def test_random_with_zero_flux(self):
@@ -183,9 +189,9 @@ class TestGreenMicro:
         z = np.zeros(7)
         for _ in range(100):
             u = rng.normal(size=(7, 6))
-            v = rng.normal(size=(7, 5))
-            res = green_micro_residual(g, u, v, z, z)
-            scale = norm_micro(g, u) * norm_micro_edge(g, v)
+            w = rng.normal(size=(7, 6))
+            res = cell_green_residual(g, u, w, z, z)
+            scale = norm_micro(g, u) * norm_micro_edge(g, grad_micro(g, w))
             assert res <= 1e-13 * (1.0 + scale)
 
     def test_random_with_random_flux(self):
@@ -193,36 +199,34 @@ class TestGreenMicro:
         g = GridSpec(1.0, 2.0, 5, 6)
         for _ in range(100):
             u = rng.normal(size=(6, 7))
-            v = rng.normal(size=(6, 6))
-            d1 = rng.normal(size=6)
-            d2 = rng.normal(size=6)
-            res = green_micro_residual(g, u, v, d1, d2)
-            scale = norm_micro(g, u) * norm_micro_edge(g, v)
+            w = rng.normal(size=(6, 7))
+            flux = rng.normal(size=6)
+            surface = rng.normal(size=6)
+            res = cell_green_residual(g, u, w, flux, surface)
+            scale = norm_micro(g, u) * norm_micro_edge(g, grad_micro(g, w))
             assert res <= 1e-12 * (1.0 + scale)
 
     def test_flux_term_cancels_divergence(self):
-        # u constant, v zero: the divergence built from the ghost closure
-        # must cancel the explicit flux products exactly
+        # u constant, w zero: the diffusion the kernel builds from the ghost
+        # closures must cancel the explicit flux products exactly
         g = GridSpec(1.0, 1.0, 4, 4)
         u = np.ones((5, 5))
-        v = np.zeros((5, 4))
-        d1 = np.full(5, 0.7)
-        assert green_micro_residual(g, u, v, d1, np.zeros(5)) == pytest.approx(0.0, abs=1e-15)
+        w = np.zeros((5, 5))
+        res = cell_green_residual(g, u, w, np.full(5, 0.7), np.full(5, -0.4))
+        assert res == pytest.approx(0.0, abs=1e-15)
 
-    def test_ghost_offset_leaves_the_bottom_trace_product(self, lower_bottom_ghost):
-        # offsetting the bottom flux data by delta lowers the ghost edge by
-        # 2 delta and shifts row j = 0 of the divergence by 2 delta / h_y;
-        # the residual is then |delta * (u|_{y=0}, 1)|
-        from corrosim.grids import ip_macro
-
+    def test_ghost_offset_leaves_the_bottom_trace_product(self, skew_bottom_flux):
+        # the kernel folding flux + delta into its ghost at y = 0 adds
+        # delta (u|_{y=0}, 1) to the u2 rows' residual; the u3 rows' stays
+        # at rounding level
         rng = np.random.default_rng(9)
         g = GridSpec(1.0, 2.0, 5, 6)
         u = rng.normal(size=(6, 7))
-        v = rng.normal(size=(6, 6))
-        d1, d2 = rng.normal(size=6), rng.normal(size=6)
+        w = rng.normal(size=(6, 7))
+        flux, surface = rng.normal(size=6), rng.normal(size=6)
         delta = 0.05
-        lower_bottom_ghost(2.0 * delta)
-        res = green_micro_residual(g, u, v, d1, d2)
+        skew_bottom_flux(delta)
+        res = cell_green_residual(g, u, w, flux, surface)
         assert res == pytest.approx(abs(delta * ip_macro(g, u[:, 0], np.ones(6))),
                                     rel=1e-10)
 
@@ -278,17 +282,27 @@ class TestStacks:
         for g in (GridSpec(1.0, 1.0, 16, 16), GridSpec(1.3, 0.7, 6, 5)):
             u = rng.normal(size=(8, g.n_x + 1))
             u[:, 0] = 0.0
-            v = rng.normal(size=(8, g.n_x))
-            res = green_macro_residual(g, u, v)
+            w = rng.normal(size=(8, g.n_x + 1))
+            res = gas_green_residual(g, u, w)
             assert res.shape == (8,)
-            assert np.array_equal(res, [green_macro_residual(g, *p) for p in zip(u, v)])
+            assert np.array_equal(res, [gas_green_residual(g, *p) for p in zip(u, w)])
             uf = rng.normal(size=(8, g.n_x + 1, g.n_y + 1))
-            vf = rng.normal(size=(8, g.n_x + 1, g.n_y))
-            d1, d2 = rng.normal(size=(2, 8, g.n_x + 1))
-            res = green_micro_residual(g, uf, vf, d1, d2)
+            wf = rng.normal(size=(8, g.n_x + 1, g.n_y + 1))
+            flux, surface = rng.normal(size=(2, 8, g.n_x + 1))
+            res = cell_green_residual(g, uf, wf, flux, surface)
             assert res.shape == (8,)
             assert np.array_equal(
-                res, [green_micro_residual(g, *p) for p in zip(uf, vf, d1, d2)])
+                res, [cell_green_residual(g, *p) for p in zip(uf, wf, flux, surface)])
+
+    def test_antiderivative(self):
+        rng = np.random.default_rng(41)
+        g = GridSpec(1.3, 0.7, 6, 5)
+        v = rng.normal(size=(3, g.n_x))
+        vf = rng.normal(size=(3, g.n_x + 1, g.n_y))
+        w, wf = antiderivative(g.h_x, v), antiderivative(g.h_y, vf)
+        assert np.all(w[:, 0] == 0.0) and np.all(wf[..., 0] == 0.0)
+        assert np.allclose(grad_macro(g, w), v, rtol=0.0, atol=1e-14)
+        assert np.allclose(grad_micro(g, wf), vf, rtol=0.0, atol=1e-14)
 
     def test_trace_inequality(self):
         rng = np.random.default_rng(37)
@@ -304,10 +318,10 @@ class TestStacks:
         with pytest.raises(GridError):
             grad_macro(g, np.zeros((3, 6)))
         with pytest.raises(GridError):
-            green_macro_residual(g, np.zeros((3, 5)), np.zeros((3, 5)))
+            gas_green_residual(g, np.zeros((3, 5)), np.zeros((3, 4)))
         with pytest.raises(GridError):
-            green_micro_residual(g, np.zeros((3, 5, 5)), np.zeros((3, 5, 5)),
-                                 np.zeros((3, 5)), np.zeros((3, 5)))
+            cell_green_residual(g, np.zeros((3, 5, 5)), np.zeros((3, 5, 4)),
+                                np.zeros((3, 5)), np.zeros((3, 5)))
         with pytest.raises(GridError):
             trace_inequality_check(g, np.zeros((3, 5, 4)))
 
@@ -316,4 +330,4 @@ class TestStacks:
         u = np.zeros((5, 5))
         u[3, 0] = 1e-300
         with pytest.raises(ValueError, match="u = 0 at x = 0"):
-            green_macro_residual(g, u, np.ones((5, 4)))
+            gas_green_residual(g, u, np.ones((5, 5)))
