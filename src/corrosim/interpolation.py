@@ -1,6 +1,6 @@
 """Extensions of grid functions to almost-everywhere-defined functions, the
-scalar-product identities they satisfy, and the manufactured-solution
-convergence harness.
+scalar-product identities they satisfy, and the one manufactured problem
+whose refinement study `corrosim mms` reports.
 
 Two extensions are provided.  The piecewise-constant one lives on dual
 cells: node i owns [x_i - h_x/2, x_i + h_x/2] clipped to the domain, so the
@@ -15,12 +15,16 @@ gradients equal the staggered-grid products, both as exact identities.
 `extension_products` evaluates the L2 side by exact per-cell quadrature
 through the evaluation maps, so agreement is a real cross-check of the
 extension code against the discrete products.
+
+`ManufacturedSolution` is a fixed forced problem on the unit square with
+fixed parameters; `mms_convergence` integrates it from its exact state on
+an 8^2 grid and its refinements by 2^k to t = 0.5 and returns the error and
+observed-order arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -203,20 +207,20 @@ def extension_product_residuals(grid: GridSpec, u_g, v_g, u_f, v_f) -> dict[str,
 
 
 # ---------------------------------------------------------------------------
-# manufactured solutions
+# the manufactured solution
 
 
-@dataclass(frozen=True)
 class ManufacturedSolution:
     """Closed-form fields on the unit square satisfying all boundary
     conditions exactly, with the volume sources that make them solve the
-    system.
+    system for the fixed parameters `params`.
 
     The gas field is given in shifted form (zero at the inlet).  The cell
     boundary data are compatible by construction: the dissolved-gas trace at
     y = 0 equals the solubility ratio times the gas value, its slope
     vanishes there and at y = 1, and the acid profile cos(lam*y), lam = pi/4,
-    satisfies the surface-reaction flux balance when k*c_bar = d3*lam*tan(lam).
+    satisfies the surface-reaction flux balance because k is set to
+    d3*lam*tan(lam)/c_bar, with the constant gypsum kernel Q = c_bar.
     `exact_state` samples the fields at the grid nodes; at t = 0 it is the
     start state of the convergence study.
 
@@ -224,29 +228,14 @@ class ManufacturedSolution:
     and c and the growth of u4 are affine in e^{-t}.  `sources` evaluates
     P = f(t = inf) and Q = f(0) - P once per grid, so the closed forms stay
     the only definition of the sources, and a new envelope must stay affine
-    in e^{-t}.  The closed forms need the constant gypsum kernel Q = c_bar
-    and the flux balance above to 1e-12 relative; other parameters raise
-    ValueError.
-
-    `manufactured_default` builds it with amp_x = 1; amp_x = 0 removes
-    every x-variation, so that refining the cell axis alone shows that
-    axis's order.
+    in e^{-t}.
     """
 
-    params: ModelParams
-    amp_x: float = 1.0      # 0 gives data without any x-variation
-    lam = np.pi / 4.0       # acid profile wavenumber, a constant
-
-    def __post_init__(self):
-        p = self.params
-        if p.q_kind != "constant":
-            raise ValueError(
-                f"ManufacturedSolution needs q_kind 'constant', got {p.q_kind!r}")
-        balance = p.d3 * self.lam * np.tan(self.lam)
-        if abs(p.k * p.c_bar - balance) > 1e-12 * balance:
-            raise ValueError(
-                f"ManufacturedSolution needs k = d3*lam*tan(lam)/c_bar = "
-                f"{balance / p.c_bar!r}, got k = {p.k!r}")
+    lam = np.pi / 4.0       # acid profile wavenumber
+    params = ModelParams(
+        d1=0.1, d2=0.1, d3=0.1, bi_m=0.5, henry=0.8, u1_d=1.0,
+        k=0.1 * lam * np.tan(lam),      # the flux balance d3*lam*tan(lam)/c_bar
+        alpha=0.4, beta=0.3, c_bar=1.0, q_kind="constant", m3=10.0, m4=2.0)
 
     # time envelopes
     @staticmethod
@@ -261,14 +250,16 @@ class ManufacturedSolution:
     def _c(t):
         return 0.4 + 0.2 * np.exp(-t)
 
-    def _g2(self, x):
-        return 1.5 + self.amp_x * np.cos(np.pi * x)
+    @staticmethod
+    def _g2(x):
+        return 1.5 + np.cos(np.pi * x)
 
-    def _g3(self, x):
-        return 1.0 + 0.5 * self.amp_x * np.cos(np.pi * x)
+    @staticmethod
+    def _g3(x):
+        return 1.0 + 0.5 * np.cos(np.pi * x)
 
     def u1(self, x, t):
-        return self._a(t) * self.amp_x * np.sin(0.5 * np.pi * x)
+        return self._a(t) * np.sin(0.5 * np.pi * x)
 
     def u2(self, x, y, t):
         p = self.params
@@ -287,14 +278,15 @@ class ManufacturedSolution:
         sin = np.sin(0.5 * np.pi * x)
         da = -0.2 * np.exp(-t)
         ddx = -self._a(t) * (0.5 * np.pi) ** 2 * sin
-        return self.amp_x * (da * sin - p.d1 * ddx)
+        return da * sin - p.d1 * ddx
 
     def f2(self, x, y, t):
         p = self.params
         psi = 1.0 - np.cos(2.0 * np.pi * y)
         ddy = (2.0 * np.pi) ** 2 * np.cos(2.0 * np.pi * y)
         db = -0.125 * np.exp(-t)
-        du2_dt = p.henry * self.du1_dt(x, t) + db * self._g2(x) * psi
+        du1_dt = -0.2 * np.exp(-t) * np.sin(0.5 * np.pi * x)
+        du2_dt = p.henry * du1_dt + db * self._g2(x) * psi
         exch = p.alpha * self.u2(x, y, t) - p.beta * self.u3(x, y, t)
         return du2_dt - p.d2 * self._b(t) * self._g2(x) * ddy + exch
 
@@ -312,9 +304,6 @@ class ManufacturedSolution:
         du4_dt = 0.1 * np.exp(-t) * self._g3(x)
         surface = p.k * p.c_bar * self.u3(x, 1.0, t)
         return du4_dt - surface
-
-    def du1_dt(self, x, t):
-        return -0.2 * np.exp(-t) * self.amp_x * np.sin(0.5 * np.pi * x)
 
     def sources(self, grid: GridSpec) -> SourceTerms:
         x = grid.x_nodes()
@@ -352,70 +341,32 @@ class ManufacturedSolution:
         )
 
 
-def manufactured_default() -> ManufacturedSolution:
-    """Smooth separable manufactured solution on the unit square."""
-    lam = ManufacturedSolution.lam
-    d3 = 0.1
-    c_bar = 1.0
-    params = ModelParams(
-        d1=0.1, d2=0.1, d3=d3, bi_m=0.5, henry=0.8, u1_d=1.0,
-        k=d3 * lam * np.tan(lam) / c_bar,
-        alpha=0.4, beta=0.3, c_bar=c_bar, q_kind="constant", m3=10.0, m4=2.0)
-    return ManufacturedSolution(params)
+MMS_BASE = GridSpec(1.0, 1.0, 8, 8)   # the coarsest level of the study
+MMS_T_END = 0.5
 
 
-@dataclass
-class ConvergenceRow:
-    level: int
-    n_x: int
-    n_y: int
-    e_u1: float
-    e_u2: float
-    e_u3: float
-    e_u4: float
+def mms_convergence(solution, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Errors and observed orders under grid refinement.
 
-
-@dataclass
-class ConvergenceTable:
-    rows: list[ConvergenceRow] = field(default_factory=list)
-    orders: dict[str, list[float]] = field(default_factory=dict)
-
-    FIELDS = ("u1", "u2", "u3", "u4")
-
-
-def mms_convergence(solution, grids: list[GridSpec], t_end: float) -> ConvergenceTable:
-    """Error table and observed orders under grid refinement.
-
-    Integrates the forced system from the exact state at t = 0 on each
-    grid of `grids`, coarsest first, and reports the discrete L2 errors
-    against the exact fields at t_end, plus the observed order
-    log2(e_k / e_{k+1}) between consecutive grids; each grid should halve
-    the steps it refines.
+    Level k integrates the forced system on MMS_BASE refined by 2^k, from
+    the exact state at t = 0 to MMS_T_END.  Returns the discrete L2 errors
+    of u1, u2, u3 and u4 against the exact fields there, shape (levels, 4),
+    and the observed orders log2(e_k / e_{k+1}) between consecutive levels,
+    shape (levels - 1, 4); an order is NaN where either error is zero.
     """
-    if len(grids) < 2:
-        raise ValueError(f"order measurement needs at least 2 levels, got {len(grids)}")
-    table = ConvergenceTable()
-    params = solution.params
-    for lvl, g in enumerate(grids):
+    errors = np.empty((levels, 4))
+    ts = TimeSpec(t_end=MMS_T_END, snapshot_times=(MMS_T_END,))
+    for lvl in range(levels):
+        g = MMS_BASE.refine(2**lvl)
         state0 = solution.exact_state(g, 0.0)
-        ts = TimeSpec(t_end=t_end, snapshot_times=(t_end,))
-        traj = integrate(state0, params, g, ts, sources=solution.sources(g))
+        traj = integrate(state0, solution.params, g, ts, sources=solution.sources(g))
         final = traj.snapshots[-1]
-        exact = solution.exact_state(g, t_end)
-        table.rows.append(ConvergenceRow(
-            level=lvl, n_x=g.n_x, n_y=g.n_y,
-            e_u1=norm_macro(g, final.u1 - exact.u1),
-            e_u2=norm_micro(g, final.u2 - exact.u2),
-            e_u3=norm_micro(g, final.u3 - exact.u3),
-            e_u4=norm_macro(g, final.u4 - exact.u4),
-        ))
-    for name in ConvergenceTable.FIELDS:
-        errs = [getattr(r, f"e_{name}") for r in table.rows]
-        orders = []
-        for a, b in zip(errs, errs[1:]):
-            if a > 0.0 and b > 0.0:
-                orders.append(float(np.log2(a / b)))
-            else:
-                orders.append(float("nan"))
-        table.orders[name] = orders
-    return table
+        exact = solution.exact_state(g, MMS_T_END)
+        errors[lvl] = (norm_macro(g, final.u1 - exact.u1),
+                       norm_micro(g, final.u2 - exact.u2),
+                       norm_micro(g, final.u3 - exact.u3),
+                       norm_macro(g, final.u4 - exact.u4))
+    coarse, fine = errors[:-1], errors[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        orders = np.where((coarse > 0.0) & (fine > 0.0), np.log2(coarse / fine), np.nan)
+    return errors, orders

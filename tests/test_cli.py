@@ -294,11 +294,18 @@ class TestMmsCommand:
 
     def test_defaults_write_table(self, tmp_path):
         out = tmp_path / "o"
-        assert cli.main(["mms", "--levels", "2", "--out", str(out)]) == 0
+        assert cli.main(["mms", "--levels", "3", "--out", str(out)]) == 0
         header, rows = read_csv(out / "mms.csv")
-        assert header[:7] == ["level", "N_x", "N_y", "e_u1", "e_u2", "e_u3", "e_u4"]
-        assert len(rows) == 2
-        assert float(rows[1][7]) >= 1.9  # p_u1 on the refined level
+        assert header == ["level", "N_x", "N_y", "e_u1", "e_u2", "e_u3", "e_u4",
+                          "p_u1", "p_u2", "p_u3", "p_u4"]
+        assert [row[:3] for row in rows] == [["0", "8", "8"], ["1", "16", "16"],
+                                             ["2", "32", "32"]]
+        errors = np.array([[float(v) for v in row[3:7]] for row in rows])
+        orders = np.array([[float(v) for v in row[7:]] for row in rows])
+        assert np.all(np.isnan(orders[0]))
+        # each level's orders come from its own errors and the level above
+        np.testing.assert_array_equal(orders[1:], np.log2(errors[:-1] / errors[1:]))
+        assert np.all(orders[1:, 0] >= 1.9)  # p_u1 on the refined levels
 
     @pytest.mark.parametrize("grid", ["length = 2\ncell_length = 3", "cell_length = 3"],
                              ids=["length", "cell_length"])

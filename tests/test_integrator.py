@@ -250,6 +250,20 @@ class TestSnapshotLanding:
         assert traj.stats.last_dt == pytest.approx(dt, rel=1e-9)
         assert tuple(traj.times()) == snaps
 
+    def test_next_step_starts_at_the_snapshot(self):
+        # 0.2 + (0.9 - 0.2) rounds to 0.8999999999999999: the step that lands
+        # on 0.9 must leave t at 0.9, where the next step's first stage and
+        # its sources then run; 4 RK4 stages per step
+        g = GridSpec(1.0, 1.0, 4, 4)
+        p = params(d1=0.01, d2=0.01, d3=0.01)
+        times = []
+        traj = integrate(zero_state(g), p, g,
+                         TimeSpec(t_end=1.0, dt=0.7, snapshot_times=(0.2, 0.9)),
+                         sources=recording_sources(g, times))
+        assert traj.stats.method == "rk4" and traj.stats.accepted == 3
+        assert tuple(traj.times()) == (0.2, 0.9)
+        assert times[8] == 0.9
+
 
 class TestExchangeOnlyDynamics:
     def test_combined_micro_mass_conserved(self, no_diffusion):

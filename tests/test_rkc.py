@@ -21,7 +21,7 @@ from corrosim.integrator import (
     spectral_radius_bound,
     stability_dt,
 )
-from corrosim.interpolation import manufactured_default
+from corrosim.interpolation import ManufacturedSolution
 from corrosim.model import ModelParams, State, project_initial, unshifted_u1
 from reference import zero_state
 
@@ -179,7 +179,7 @@ class TestInvariants:
         # take steps 1.6 times RK4's reach (0.031, 0.0078 and 0.0020), cut
         # by 4 per level like h^2, so that the second-order time error
         # falls like h^4, faster than the spatial error
-        solution = manufactured_default()
+        solution = ManufacturedSolution()
         errors = []
         for n, dt in ((8, 0.05), (16, 0.0125), (32, 0.003125)):
             g = GridSpec(1.0, 1.0, n, n)
