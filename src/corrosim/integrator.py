@@ -2,18 +2,19 @@
 
 Two explicit modes:
 
-* fixed     a fixed step dt, RK4's reach `stability_dt` when none is given.
-            Up to that reach it runs classical fourth-order Runge-Kutta, the
-            reference; beyond it the damped second-order Runge-Kutta-Chebyshev
-            method (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88,
-            1998), whose stability interval grows with the square of the
-            stage count s, so the step is not tied to h_y^2:
-            s = max(2, 1 + floor(sqrt(1 + 1.54 dt rho))) with rho the
-            Gershgorin bound of `spectral_radius_bound`, chosen once per
-            integration.  The damping (eps = 2/13) shrinks stiff modes by
-            a factor of only about 0.95 per step, so rough data, or data
-            off the Robin closure, converges slowly in time; smooth,
-            transient-free data sees second order.
+* fixed     a fixed step dt, RK4's reach `stability_dt` = 2 / rho when
+            none is given, with rho the Gershgorin bound of
+            `spectral_radius_bound`.  Up to that reach it runs classical
+            fourth-order Runge-Kutta, the reference; beyond it the damped
+            second-order Runge-Kutta-Chebyshev method (Sommeijer, Shampine &
+            Verwer, J. Comput. Appl. Math. 88, 1998), whose stability
+            interval grows with the square of the stage count s, so the step
+            is not tied to h_y^2: s = 1 + floor(sqrt(1 + 1.54 dt rho)),
+            chosen once per integration, at least 3 beyond the reach.  The
+            damping (eps = 2/13) shrinks stiff modes by a factor of only
+            about 0.95 per step, so rough data, or data off the Robin
+            closure, converges slowly in time; smooth, transient-free data
+            sees second order.
 * adaptive  RK4 with proportional-integral step control, starting from
             RK4's reach; its first-same-as-last evaluation F(y_new) gives
             the error estimate and is the next step's first stage.
@@ -44,7 +45,6 @@ import numpy as np
 from .grids import GridSpec
 from .model import ModelParams, SourceTerms, State, Tendency, rhs, unshifted_u1
 
-SAFETY = 0.4          # margin applied to the explicit diffusion limit
 _RK_SAFETY = 0.9      # step controller safety factor
 _FACMIN, _FACMAX = 0.2, 5.0
 _ERR_ORDER = 4.0      # local error order of RK4's FSAL companion
@@ -114,14 +114,11 @@ class Trajectory:
 
 
 def stability_dt(params: ModelParams, grid: GridSpec) -> float:
-    """RK4's reach, the largest fixed step RK4 takes:
-    min(SAFETY * min(h_x^2 / (2 d1), h_y^2 / (2 max(d2, d3))), 2 / rho),
-    with rho from `spectral_radius_bound`; RK4 is stable on the disc
-    |z + 1| <= 1, which holds dt * rho <= 2.
+    """RK4's reach, the largest fixed step RK4 takes: 2 / rho, with rho from
+    `spectral_radius_bound`; RK4 is stable on the disc |z + 1| <= 1, which
+    holds dt * rho <= 2.
     """
-    macro = grid.h_x**2 / (2.0 * params.d1)
-    micro = grid.h_y**2 / (2.0 * max(params.d2, params.d3))
-    return min(SAFETY * min(macro, micro), 2.0 / spectral_radius_bound(params, grid))
+    return 2.0 / spectral_radius_bound(params, grid)
 
 
 def spectral_radius_bound(params: ModelParams, grid: GridSpec) -> float:
@@ -150,7 +147,7 @@ def spectral_radius_bound(params: ModelParams, grid: GridSpec) -> float:
 def _rkc_stages(dt: float, rho: float) -> int:
     """Stage count whose damped stability interval, about 0.65 (s^2 - 1),
     covers dt * rho."""
-    return max(2, 1 + int(np.sqrt(1.0 + 1.54 * dt * rho)))
+    return 1 + int(np.sqrt(1.0 + 1.54 * dt * rho))
 
 
 def _inadmissible(state: State, params: ModelParams) -> str:

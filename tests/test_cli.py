@@ -274,8 +274,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("bi_m", [0.3, 0.5, 1.0, 2.0])
     def test_coarse_stiff_exchange_finishes_under_rk4(self, tmp_path, bi_m):
         # at 8^2 the exchange row of the Gershgorin bound, not diffusion,
-        # limits RK4's step; with the diffusion limit alone these runs go
-        # negative at t = 0.625
+        # limits RK4's step; RK4 at 0.4 h_y^2 / (2 d2) = 0.625, a step set by
+        # diffusion alone, runs these negative at t = 0.625
         cfg = write_config(tmp_path / "f.ini", t_end=2.0, snapshots="0 1 2",
                            extra=f"mode = fixed\n\n[grid]\nnx = 8\nny = 8\n\n"
                                  f"[params]\nbi_m = {bi_m}\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from corrosim.diagnostics import energy_record
 from corrosim.grids import GridSpec
 from corrosim.integrator import (
     ATOL,
@@ -76,7 +77,8 @@ class TestTimeSpec:
 class TestStabilityLimit:
     def test_reference_value(self):
         g = GridSpec(1.0, 1.0, 10, 10)  # h = 0.1
-        assert stability_dt(params(), g) == pytest.approx(0.002)
+        # 2 / rho with rho = 4 d/h^2 = 400
+        assert stability_dt(params(), g) == pytest.approx(0.005)
 
     def test_micro_diffusivity_binds(self):
         g = GridSpec(1.0, 1.0, 10, 10)
@@ -97,6 +99,49 @@ class TestStabilityLimit:
         assert spectral_radius_bound(p, g) == pytest.approx(4400.0)
         assert stability_dt(p, g) == pytest.approx(2.0 / 4400.0)
         assert stability_dt(p, g) < stability_dt(params(), g)
+
+    # one case per binding row of the Gershgorin bound: params, grid, rho
+    BINDING_ROWS = {
+        # every diffusion row, 4 d/h^2
+        "diffusion": (params(), GridSpec(1.0, 1.0, 10, 10), 400.0),
+        # the dissolved-gas row, 4 d2/h_y^2 + 2 bi_m (1 + H)/h_y; a small H
+        # puts the exchange eigenvalue, about -bi_m (H + 2/h_y), near it
+        "exchange": (params(d1=0.1, d2=0.1, d3=0.1, bi_m=100.0, henry=0.05),
+                     GridSpec(1.0, 1.0, 10, 10), 2140.0),
+        # the gypsum row, k c_bar (1 + m3/m4), on test_rkc's coarse stiff
+        # case: acid at m3 drives the gypsum to m4 at the rate k c_bar m3/m4
+        "gypsum": (params(d1=1e-3, d2=1e-3, d3=1e-3, u1_d=1.0, k=5.0,
+                          q_kind="linear_cutoff", m3=10.0, m4=0.5),
+                   GridSpec(1.0, 1.0, 2, 2), 105.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BINDING_ROWS))
+    def test_rk4_is_stable_at_its_reach(self, case):
+        # checkerboard data, the highest frequencies on both axes, under 500
+        # RK4 steps of exactly the reach.  The energy H |u1|^2 + |u2|^2 +
+        # |u3|^2 + |u4|^2 cannot grow along the exact flow: the weight H
+        # makes the exchange -bi_m |H u1 - u2(y = 0)|^2, and the reaction
+        # moves acid to gypsum while the gypsum stays below the acid.  The
+        # gypsum must also stop at m4, where Q cuts its growth off.  Beyond
+        # the reach the checkerboard grows until a step turns it negative,
+        # and the run raises DivergedError
+        p, g, rho = self.BINDING_ROWS[case]
+        assert spectral_radius_bound(p, g) == pytest.approx(rho, rel=1e-14)
+        i, j = np.ogrid[:g.n_x + 1, :g.n_y + 1]
+        board = ((i + j) % 2).astype(float)
+        st = zero_state(g)
+        st.u1[...] = board[:, 0]         # zero at the pinned node
+        st.u2[...] = 1.0 - board
+        st.u3[...] = p.m3 * board
+        st.u4[...] = p.m4 * (1.0 - board[:, -1])   # zero where the acid is m3
+        h, steps = stability_dt(p, g), 500
+        traj = integrate(st, p, g, TimeSpec(
+            t_end=steps * h, snapshot_times=tuple(n * h for n in range(steps + 1))))
+        assert traj.stats.method == "rk4" and traj.stats.accepted == steps
+        energy = np.array([p.henry * r.n1 + r.n2 + r.n3 + r.n4
+                           for r in (energy_record(g, s) for s in traj.snapshots)])
+        assert np.all(np.diff(energy) <= 1e-12 * energy[:-1])
+        assert max(s.u4.max() for s in traj.snapshots) <= p.m4
 
 
 class TestMethodSelection:
@@ -238,7 +283,7 @@ class TestSnapshotLanding:
         # 0.2 is no binary fraction: summed 2000 times, t falls short of 400
         # by about 1e-11, which used to cost one extra step of that size
         # the diffusivity puts both steps within RK4's reach on this grid
-        # (1.25) for "fixed" and beyond it (0.0125) for "rkc"
+        # (3.125) for "fixed" and beyond it (0.03125) for "rkc"
         g = GridSpec(1.0, 1.0, 4, 4)
         d = {"fixed": 0.01, "rkc": 1.0}[mode]
         p = params(d1=d, d2=d, d3=d)
@@ -348,7 +393,7 @@ class TestDivergence:
         assert 0.4 <= err.value.last_state.t <= 0.5
 
     @pytest.mark.parametrize("mode,message", [
-        ("fixed", r"negative concentration u4 = -0\.0125 at node \(0,\) at t=0\.5125"),
+        ("fixed", r"negative concentration u4 = -0\.03125 at node \(0,\) at t=0\.53125"),
         ("rkc", r"negative concentration u4 = -0\.05 at node \(0,\) at t=0\.55"),
         # adaptive stepping rejects the negative steps and halves the step
         # until it underflows
@@ -383,25 +428,34 @@ class TestDivergence:
             f4=lambda t: np.zeros(5),
         )
         with pytest.raises(DivergedError, match=r"negative concentration u1 = "
-                           r"-0\.0125 at node \(3,\) at t=0\.5125"):
+                           r"-0\.03125 at node \(3,\) at t=0\.53125"):
             integrate(zero_state(g), params(d1=1e-6, u1_d=0.5), g,
                       TimeSpec(t_end=1.0), sources=drain)
 
     def test_adaptive_retry_after_a_non_finite_attempt(self):
-        # the source is infinite only at t = h0, where the first attempt's
-        # last stage lands: the retry must not multiply what that attempt
-        # left in the stage buffers by a zero coefficient (0 * inf = NaN)
+        # the source is infinite once, at the first evaluation at t = h0,
+        # where the first attempt's last stage lands: the retry must not
+        # multiply what that attempt left in the stage buffers by a zero
+        # coefficient (0 * inf = NaN).  h0 = 2^-5 is a binary fraction, so
+        # later attempts land on h0 exactly and must see a finite source
         g = GridSpec(1.0, 1.0, 4, 4)
         h0 = stability_dt(params(), g)
+        fired = []
+
+        def f1(t):
+            spike_now = t == h0 and not fired
+            if spike_now:
+                fired.append(t)
+            return np.full(5, np.inf if spike_now else 0.0)
         spike = SourceTerms(
-            f1=lambda t: np.full(5, np.inf if t == h0 else 0.0),
+            f1=f1,
             f2=lambda t: np.zeros((5, 5)),
             f3=lambda t: np.zeros((5, 5)),
             f4=lambda t: np.zeros(5),
         )
         traj = integrate(zero_state(g), params(), g,
                          TimeSpec(t_end=4 * h0, mode="adaptive"), sources=spike)
-        assert traj.stats.rejected >= 1
+        assert fired and traj.stats.rejected >= 1
         assert np.all(traj.snapshots[-1].u1 == 0.0)
 
     def test_adaptive_underflow(self):
@@ -525,7 +579,8 @@ class TestTableauLoop:
 
         g = GridSpec(1.0, 1.0, 6, 4)
         p = params(**self.P)
-        ts = case_timespec(mode, 0.2, 0.05)
+        # RK4's reach is 0.0685 here, so rkc steps by 0.1
+        ts = case_timespec(mode, 0.2, 0.1)
         plain = integrate(random_state(g, 5), p, g, ts)
         assert plain.stats.method == METHOD[mode]
         plain = plain.snapshots[-1]

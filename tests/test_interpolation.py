@@ -216,16 +216,17 @@ class TestMmsConvergence:
         assert np.all(orders[:, :3] >= 1.9), orders
 
     def test_error_table_pinned(self):
-        # recorded with the sources evaluated from their closed forms on every
-        # call; a sign or factor slip in the P + e^{-t} Q split moves these
-        # long before it reaches the order floor
+        # recorded with RK4 at its reach 2/rho and the sources evaluated from
+        # their closed forms on every call; a sign or factor slip in the
+        # P + e^{-t} Q split moves these long before it reaches the order
+        # floor
         expected = [
-            (0.0015526712340893404, 0.015635502732135112,
-             0.0011122146722058316, 3.0959175487144204e-05),
-            (0.0003815007430799709, 0.0038760397961368313,
-             0.0002718619747394876, 7.620194494710175e-06),
-            (9.494768405948405e-05, 0.0009668631191692442,
-             6.757348289443223e-05, 1.8973203890239793e-06),
+            (0.0015526676546726002, 0.015635501435030952,
+             0.0011122109782349488, 3.0959185300732806e-05),
+            (0.0003815006082587346, 0.003876040538755391,
+             0.00027186183185451597, 7.620195813012265e-06),
+            (9.494768311150536e-05, 0.000966863125034775,
+             6.757348185063701e-05, 1.897320398319832e-06),
         ]
         errors, _ = mms_convergence(ManufacturedSolution(), 3)
         np.testing.assert_allclose(errors, expected, rtol=1e-9, atol=0.0)

@@ -133,14 +133,16 @@ def half_sine(grid):
 
 
 class TestTemporalOrder:
-    @pytest.mark.parametrize("dts,stages", [((0.016, 0.008), 2),
+    @pytest.mark.parametrize("dts,stages", [((1 / 12, 1 / 18), 4),
                                             ((0.05, 0.025), 3)])
     def test_second_order_on_the_eigenmode(self, dts, stages):
         # the discrete half-sine is an exact eigenvector of the pinned and
         # reflected gas Laplacian (see test_eigenmode_decay_rate), so the
         # data carry no transient and the error is the stepper's alone;
         # the step pairs keep the stage count, and with it the error
-        # constant, fixed
+        # constant, fixed.  Every step beyond RK4's reach (2/rho = 0.0195)
+        # takes at least 3 stages, and only 3 hold a step and its half: the
+        # 4-stage pair steps by a ratio of 1.5
         g = GridSpec(1.0, 1.0, 16, 2)
         p = ModelParams(d1=0.1, d2=0.1, d3=0.1, bi_m=0.0, henry=1.0, u1_d=0.0,
                         k=0.0, alpha=0.0, beta=0.0)
@@ -153,7 +155,7 @@ class TestTemporalOrder:
             assert traj.stats.method == "rkc" and traj.stats.stages == stages
             exact = np.exp(-lam * t_end) * st.u1
             errors.append(np.max(np.abs(traj.snapshots[-1].u1 - exact)))
-        assert np.log2(errors[0] / errors[1]) >= ORDER_FLOOR
+        assert np.log(errors[0] / errors[1]) / np.log(dts[0] / dts[1]) >= ORDER_FLOOR
 
 
 class TestInvariants:
@@ -164,7 +166,8 @@ class TestInvariants:
         energies = [energy_record(cfg.grid, s).field_total() for s in traj.snapshots]
         assert max(b - a for a, b in zip(energies, energies[1:])) <= ENERGY_SLACK
 
-    @pytest.mark.parametrize("dt", [0.1, 0.5])
+    # both beyond RK4's reach in this scenario, 0.156
+    @pytest.mark.parametrize("dt", [0.25, 0.5])
     def test_conservation(self, dt):
         cfg = scenario_config("conservation", dt=dt)
         traj = run(cfg)
@@ -176,12 +179,12 @@ class TestInvariants:
 
     def test_mms_spatial_order(self):
         # mms_convergence runs the RK4 reference; the same levels under rkc
-        # take steps 1.6 times RK4's reach (0.031, 0.0078 and 0.0020), cut
-        # by 4 per level like h^2, so that the second-order time error
-        # falls like h^4, faster than the spatial error
+        # take steps 1.75 to 2.4 times RK4's reach (0.049, 0.015 and
+        # 0.0043), cut by 4 per level like h^2, so that the second-order
+        # time error falls like h^4, faster than the spatial error
         solution = ManufacturedSolution()
         errors = []
-        for n, dt in ((8, 0.05), (16, 0.0125), (32, 0.003125)):
+        for n, dt in ((8, 0.12), (16, 0.03), (32, 0.0075)):
             g = GridSpec(1.0, 1.0, n, n)
             assert dt >= 1.5 * stability_dt(solution.params, g)
             state0 = solution.exact_state(g, 0.0)
@@ -220,9 +223,10 @@ class TestFig1Default:
     @pytest.mark.parametrize("bi_m,k,n",
                              list(itertools.product((2, 20, 50), (0.1, 2), (16, 64))))
     def test_stiff_corners_stay_nonnegative_and_bounded(self, bi_m, k, n):
-        # RK4 at the diffusion limit alone exits with a non-finite state, or
-        # (bi_m = 2 at 64^2) ends near 1e217, on each of these to t = 20;
-        # rkc takes as many stages as the exchange and surface terms need
+        # RK4 at 0.4 h_y^2 / (2 d2), a step set by diffusion alone, exits
+        # with a non-finite state, or (bi_m = 2 at 64^2) ends near 1e217, on
+        # each of these to t = 20; rkc takes as many stages as the exchange
+        # and surface terms need
         cfg = fig1(grid={"nx": n, "ny": n}, params={"bi_m": bi_m, "k": k},
                    time={"t_end": 20, "snapshots": "0 5 10 15 20"})
         traj = run(cfg)
