@@ -2,19 +2,24 @@
 
 Two explicit modes:
 
-* fixed     a fixed step dt, RK4's reach `stability_dt` = 2 / rho when
-            none is given, with rho the Gershgorin bound of
-            `spectral_radius_bound`.  Up to that reach it runs classical
-            fourth-order Runge-Kutta, the reference; beyond it the damped
-            second-order Runge-Kutta-Chebyshev method (Sommeijer, Shampine &
-            Verwer, J. Comput. Appl. Math. 88, 1998), whose stability
-            interval grows with the square of the stage count s, so the step
-            is not tied to h_y^2: s = 1 + floor(sqrt(1 + 1.54 dt rho)),
-            chosen once per integration, at least 3 beyond the reach.  The
-            damping (eps = 2/13) shrinks stiff modes by a factor of only
-            about 0.95 per step, so rough data, or data off the Robin
-            closure, converges slowly in time; smooth, transient-free data
-            sees second order.
+* fixed     a fixed step dt, RK4's reach `stability_dt` =
+            min(2.7 / rho, 2 / delta) when none is given, with rho the
+            Gershgorin bound of `spectral_radius_bound` and delta the
+            diagonal bound of `diagonal_bound`: 2.7 lies inside RK4's real
+            stability interval [-2.785, 0], and dt * delta <= 2 keeps the
+            half-step Euler stage from overshooting any row's own decay.
+            The reach is never shorter than 2 / rho.  Up to it the mode
+            runs classical fourth-order Runge-Kutta, the reference; beyond
+            it the damped second-order Runge-Kutta-Chebyshev method
+            (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998),
+            whose stability interval grows with the square of the stage
+            count s, so the step is not tied to h_y^2:
+            s = 1 + floor(sqrt(1 + 1.54 dt rho)), chosen once per
+            integration, at least 3 beyond the reach.  The damping
+            (eps = 2/13) shrinks stiff modes by a factor of only about 0.95
+            per step, so rough data, or data off the Robin closure,
+            converges slowly in time; smooth, transient-free data sees
+            second order.
 * adaptive  RK4 with proportional-integral step control, starting from
             RK4's reach; its first-same-as-last evaluation F(y_new) gives
             the error estimate and is the next step's first stage.
@@ -50,6 +55,7 @@ _FACMIN, _FACMAX = 0.2, 5.0
 _ERR_ORDER = 4.0      # local error order of RK4's FSAL companion
 RTOL, ATOL = 1e-6, 1e-9   # adaptive mode's relative and absolute error tolerances
 _RKC_DAMPING = 2.0 / 13.0
+_RK4_REACH = 2.7     # dt * rho of RK4's reach, inside its real stability interval [-2.785, 0]
 _LANDING = 1e-9       # a step ending this close (relative to h) to a target lands on it
 POSITIVITY_SLACK = 1e-8  # lowest concentration a step may leave behind is -POSITIVITY_SLACK
 
@@ -114,34 +120,73 @@ class Trajectory:
 
 
 def stability_dt(params: ModelParams, grid: GridSpec) -> float:
-    """RK4's reach, the largest fixed step RK4 takes: 2 / rho, with rho from
-    `spectral_radius_bound`; RK4 is stable on the disc |z + 1| <= 1, which
-    holds dt * rho <= 2.
+    """RK4's reach, the largest fixed step RK4 takes: min(2.7 / rho, 2 / delta),
+    with rho from `spectral_radius_bound` and delta from `diagonal_bound`.
+
+    RK4's stability region holds the disc |z + r| <= r for every r up to
+    1.3926, and with it the real interval [-2.785, 0]; the Jacobians of `rhs`
+    probed in the tests have real spectra, so dt * rho <= 2.7 keeps every
+    mode inside it (|R(-2.7)| = 0.88).  The second clause keeps dt * delta <= 2,
+    so the half-step Euler stage y + (dt/2) F(y) leaves each row's own
+    factor 1 - dt * delta_row / 2 nonnegative: without it the gypsum of the
+    stiff linear-cutoff case overshoots m4.
     """
-    return 2.0 / spectral_radius_bound(params, grid)
+    return min(_RK4_REACH / spectral_radius_bound(params, grid),
+               2.0 / diagonal_bound(params, grid))
 
 
 def spectral_radius_bound(params: ModelParams, grid: GridSpec) -> float:
     """Gershgorin bound on the spectral radius of the linearised `rhs`.
 
-    The largest of four row bounds:
+    The rows are those of D^-1 J D, with the gypsum scaled by
+    D = sigma = h_y/2, which moves the factor 2/h_y of the surface-loss
+    ghost from the acid row's gypsum entry to the gypsum row's acid entry.
+    The largest of three row bounds:
 
-    * macro gas       4 d1/h_x^2 + bi_m H
+    * macro gas       4 d1/h_x^2 + bi_m (1 + H)
+                      (bi_m, its coupling to the dissolved gas at y = 0)
     * dissolved gas   4 d2/h_y^2 + 2 bi_m (1 + H)/h_y + alpha + beta
                       (the Robin exchange ghost at y = 0)
     * acid            4 d3/h_y^2 + 2 k c_bar/h_y + alpha + beta
-                      (the surface-loss ghost at y = ell; eta is linear in the acid)
-    * gypsum          k c_bar (1 + m3/m4 for the linear cutoff), the
-                      Lipschitz bound of eta on the admissible range
+                      + k m3 c_bar/m4 (the surface-loss ghost at y = ell;
+                      the last term, its gypsum coupling, for the linear
+                      cutoff only)
+
+    The scaled gypsum row, 2 k c_bar/h_y + k m3 c_bar/m4, never exceeds
+    the acid row.  The reaction terms take the acid to be at most m3.
     """
     henry, bi_m, k, c_bar = params.henry, params.bi_m, params.k, params.c_bar
     exchange = params.alpha + params.beta
     h_y = grid.h_y
-    q_slope = c_bar / params.m4 if params.q_kind == "linear_cutoff" else 0.0
-    return max(4.0 * params.d1 / grid.h_x**2 + bi_m * henry,
+    return max(4.0 * params.d1 / grid.h_x**2 + bi_m * (1.0 + henry),
                4.0 * params.d2 / h_y**2 + 2.0 * bi_m * (1.0 + henry) / h_y + exchange,
-               4.0 * params.d3 / h_y**2 + 2.0 * k * c_bar / h_y + exchange,
-               k * (c_bar + params.m3 * q_slope))
+               4.0 * params.d3 / h_y**2 + 2.0 * k * c_bar / h_y + exchange
+               + _gypsum_slope(params))
+
+
+def diagonal_bound(params: ModelParams, grid: GridSpec) -> float:
+    """Bound on the largest diagonal magnitude of the linearised `rhs`.
+
+    The largest of four row bounds:
+
+    * macro gas       2 d1/h_x^2 + bi_m H
+    * dissolved gas   2 d2/h_y^2 + 2 bi_m/h_y + alpha   (the Robin row at y = 0)
+    * acid            2 d3/h_y^2 + 2 k c_bar/h_y + beta (the surface row at y = ell)
+    * gypsum          k m3 c_bar/m4 for the linear cutoff, else 0
+    """
+    bi_m, h_y = params.bi_m, grid.h_y
+    return max(2.0 * params.d1 / grid.h_x**2 + bi_m * params.henry,
+               2.0 * params.d2 / h_y**2 + 2.0 * bi_m / h_y + params.alpha,
+               2.0 * params.d3 / h_y**2 + 2.0 * params.k * params.c_bar / h_y + params.beta,
+               _gypsum_slope(params))
+
+
+def _gypsum_slope(params: ModelParams) -> float:
+    """k m3 c_bar/m4, the largest |d eta/d s| with the acid at most m3, for
+    the linear cutoff; 0 for the constant kernel."""
+    if params.q_kind != "linear_cutoff":
+        return 0.0
+    return params.k * params.m3 * params.c_bar / params.m4
 
 
 def _rkc_stages(dt: float, rho: float) -> int:

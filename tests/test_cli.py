@@ -206,7 +206,7 @@ class TestRunCommand:
                      "energy.csv", "summary.txt"):
             assert (out / name).exists(), name
         summary = (out / "summary.txt").read_text().splitlines()
-        # fig1 at 16^2 with steps of 0.2, beyond RK4's reach (0.133): rkc
+        # fig1 at 16^2 with steps of 0.2, beyond RK4's reach (0.180): rkc
         # with 3 stages, 500 steps to t = 100
         assert "method rkc" in summary and "stages_per_step 3" in summary
         assert "steps_accepted 500" in summary and "rhs_evaluations 1500" in summary

@@ -11,6 +11,7 @@ from corrosim.integrator import (
     TimeSpec,
     _rkc_coefficients,
     _rkc_stages,
+    diagonal_bound,
     integrate,
     spectral_radius_bound,
     stability_dt,
@@ -77,8 +78,8 @@ class TestTimeSpec:
 class TestStabilityLimit:
     def test_reference_value(self):
         g = GridSpec(1.0, 1.0, 10, 10)  # h = 0.1
-        # 2 / rho with rho = 4 d/h^2 = 400
-        assert stability_dt(params(), g) == pytest.approx(0.005)
+        # 2.7 / rho with rho = 4 d/h^2 = 400; 2 / delta = 2 / (2 d/h^2) is longer
+        assert stability_dt(params(), g) == pytest.approx(0.00675)
 
     def test_micro_diffusivity_binds(self):
         g = GridSpec(1.0, 1.0, 10, 10)
@@ -93,26 +94,32 @@ class TestStabilityLimit:
 
     def test_exchange_binds(self):
         # a stiff Robin exchange: the gas row of the Gershgorin bound,
-        # 4 d2/h_y^2 + 2 bi_m (1 + H)/h_y = 400 + 4000, binds, not diffusion
+        # 4 d2/h_y^2 + 2 bi_m (1 + H)/h_y = 400 + 4000, binds, not diffusion;
+        # the Robin diagonal, 2 d2/h_y^2 + 2 bi_m/h_y = 2200, does not
         g = GridSpec(1.0, 1.0, 10, 10)
         p = params(bi_m=100.0)
         assert spectral_radius_bound(p, g) == pytest.approx(4400.0)
-        assert stability_dt(p, g) == pytest.approx(2.0 / 4400.0)
+        assert diagonal_bound(p, g) == pytest.approx(2200.0)
+        assert stability_dt(p, g) == pytest.approx(2.7 / 4400.0)
         assert stability_dt(p, g) < stability_dt(params(), g)
 
-    # one case per binding row of the Gershgorin bound: params, grid, rho
+    # one case per binding row of the Gershgorin bound: params, grid, rho,
+    # delta, and the clause of the reach min(2.7 / rho, 2 / delta) that binds
     BINDING_ROWS = {
-        # every diffusion row, 4 d/h^2
-        "diffusion": (params(), GridSpec(1.0, 1.0, 10, 10), 400.0),
+        # every diffusion row, 4 d/h^2, against the diagonal 2 d/h^2
+        "diffusion": (params(), GridSpec(1.0, 1.0, 10, 10), 400.0, 200.0, "rho"),
         # the dissolved-gas row, 4 d2/h_y^2 + 2 bi_m (1 + H)/h_y; a small H
-        # puts the exchange eigenvalue, about -bi_m (H + 2/h_y), near it
+        # puts the exchange eigenvalue, about -bi_m (H + 2/h_y), near it,
+        # and its diagonal 2 d2/h_y^2 + 2 bi_m/h_y = 2020 binds
         "exchange": (params(d1=0.1, d2=0.1, d3=0.1, bi_m=100.0, henry=0.05),
-                     GridSpec(1.0, 1.0, 10, 10), 2140.0),
-        # the gypsum row, k c_bar (1 + m3/m4), on test_rkc's coarse stiff
-        # case: acid at m3 drives the gypsum to m4 at the rate k c_bar m3/m4
+                     GridSpec(1.0, 1.0, 10, 10), 2140.0, 2020.0, "delta"),
+        # test_rkc's coarse stiff case: the acid row with its gypsum coupling,
+        # 2 k c_bar/h_y + k m3 c_bar/m4, binds rho, and the gypsum diagonal
+        # k m3 c_bar/m4, the rate at which acid at m3 drives the gypsum to
+        # m4, binds the reach
         "gypsum": (params(d1=1e-3, d2=1e-3, d3=1e-3, u1_d=1.0, k=5.0,
                           q_kind="linear_cutoff", m3=10.0, m4=0.5),
-                   GridSpec(1.0, 1.0, 2, 2), 105.0),
+                   GridSpec(1.0, 1.0, 2, 2), 120.016, 100.0, "delta"),
     }
 
     @pytest.mark.parametrize("case", sorted(BINDING_ROWS))
@@ -124,9 +131,13 @@ class TestStabilityLimit:
         # moves acid to gypsum while the gypsum stays below the acid.  The
         # gypsum must also stop at m4, where Q cuts its growth off.  Beyond
         # the reach the checkerboard grows until a step turns it negative,
-        # and the run raises DivergedError
-        p, g, rho = self.BINDING_ROWS[case]
+        # and the run raises DivergedError, or the gypsum passes m4
+        p, g, rho, delta, clause = self.BINDING_ROWS[case]
         assert spectral_radius_bound(p, g) == pytest.approx(rho, rel=1e-14)
+        assert diagonal_bound(p, g) == pytest.approx(delta, rel=1e-14)
+        reach = {"rho": 2.7 / rho, "delta": 2.0 / delta}
+        assert min(reach, key=reach.get) == clause
+        assert stability_dt(p, g) == pytest.approx(reach[clause], rel=1e-14)
         i, j = np.ogrid[:g.n_x + 1, :g.n_y + 1]
         board = ((i + j) % 2).astype(float)
         st = zero_state(g)
@@ -142,6 +153,51 @@ class TestStabilityLimit:
                            for r in (energy_record(g, s) for s in traj.snapshots)])
         assert np.all(np.diff(energy) <= 1e-12 * energy[:-1])
         assert max(s.u4.max() for s in traj.snapshots) <= p.m4
+
+    # reaction-stiff linear-cutoff corners, where the acid row's gypsum
+    # coupling decides the bound, and a long cell, where the gas row's
+    # exchange coupling bi_m does: params, grid
+    PROBED = {
+        "coarse-stiff-k": (BINDING_ROWS["gypsum"][0], GridSpec(1.0, 1.0, 2, 2)),
+        "stiff-k": (BINDING_ROWS["gypsum"][0], GridSpec(1.0, 1.0, 8, 8)),
+        "fig1-k1": (params(d1=0.0012, d2=0.005, d3=0.005, bi_m=0.15, u1_d=1.0,
+                           k=1.0, alpha=0.3, beta=0.01, q_kind="linear_cutoff",
+                           m3=10.0, m4=0.1), GridSpec(1.0, 1.0, 16, 16)),
+        "long-cell": (params(d1=0.01, d2=0.01, d3=0.01, bi_m=10.0, henry=0.1,
+                             u1_d=1.0, alpha=0.3, beta=0.01),
+                      GridSpec(1.0, 8.0, 4, 2)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PROBED))
+    def test_bounds_hold_the_probed_jacobian(self, case):
+        # the Jacobian of rhs by central differences, column by column, at
+        # admissible states with the acid below m3 and the gypsum below m4:
+        # rhs is bilinear there, so the differences are exact up to
+        # rounding.  The second state sits in the stiff corner, the acid
+        # above 0.9 m3 and the gypsum below 0.1 m4.  The eigenvalues are
+        # real and within rho, and the diagonal within delta, the premises
+        # of RK4's reach
+        from corrosim.model import rhs
+
+        p, g = self.PROBED[case]
+        rho, delta = spectral_radius_bound(p, g), diagonal_bound(p, g)
+        rng = np.random.default_rng(4)
+        for corner in (0.0, 0.9):
+            st = random_state(g, rng)
+            st.u1[1:] -= p.u1_d
+            st.u3[...] = p.m3 * (corner + (1.0 - corner) * st.u3)
+            st.u4[...] *= p.m4 * (1.0 - corner)
+            jac = np.empty((st.y.size, st.y.size))
+            for j in range(st.y.size):
+                e = np.zeros(st.y.size)
+                e[j] = 1e-6
+                up, down = (rhs(State.view(0.0, st.y + sign * e, g), p, g).y
+                            for sign in (1.0, -1.0))
+                jac[:, j] = (up - down) / 2e-6
+            eigenvalues = np.linalg.eigvals(jac)
+            assert np.abs(eigenvalues.imag).max() <= 1e-9 * rho
+            assert np.abs(eigenvalues).max() <= rho
+            assert np.abs(np.diag(jac)).max() <= delta * (1.0 + 1e-8)
 
 
 class TestMethodSelection:
@@ -283,7 +339,7 @@ class TestSnapshotLanding:
         # 0.2 is no binary fraction: summed 2000 times, t falls short of 400
         # by about 1e-11, which used to cost one extra step of that size
         # the diffusivity puts both steps within RK4's reach on this grid
-        # (3.125) for "fixed" and beyond it (0.03125) for "rkc"
+        # (4.22) for "fixed" and beyond it (0.0422) for "rkc"
         g = GridSpec(1.0, 1.0, 4, 4)
         d = {"fixed": 0.01, "rkc": 1.0}[mode]
         p = params(d1=d, d2=d, d3=d)
@@ -393,7 +449,7 @@ class TestDivergence:
         assert 0.4 <= err.value.last_state.t <= 0.5
 
     @pytest.mark.parametrize("mode,message", [
-        ("fixed", r"negative concentration u4 = -0\.03125 at node \(0,\) at t=0\.53125"),
+        ("fixed", r"negative concentration u4 = -0\.0421875 at node \(0,\) at t=0\.542188"),
         ("rkc", r"negative concentration u4 = -0\.05 at node \(0,\) at t=0\.55"),
         # adaptive stepping rejects the negative steps and halves the step
         # until it underflows
@@ -410,7 +466,8 @@ class TestDivergence:
         )
         st = zero_state(g)
         st.u4[:] = 0.5
-        ts = case_timespec(mode, 1.0, 0.05)
+        # a snapshot at 0.5 lands every stepper on the zero crossing
+        ts = case_timespec(mode, 1.0, 0.05, snapshot_times=(0.0, 0.5, 1.0))
         with pytest.raises(DivergedError, match=message) as err:
             integrate(st, params(), g, ts, sources=drain)
         last = err.value.last_state
@@ -428,7 +485,7 @@ class TestDivergence:
             f4=lambda t: np.zeros(5),
         )
         with pytest.raises(DivergedError, match=r"negative concentration u1 = "
-                           r"-0\.03125 at node \(3,\) at t=0\.53125"):
+                           r"-0\.00625 at node \(3,\) at t=0\.50625"):
             integrate(zero_state(g), params(d1=1e-6, u1_d=0.5), g,
                       TimeSpec(t_end=1.0), sources=drain)
 
@@ -494,6 +551,8 @@ class TestDivergence:
 
 
 def random_state(grid, seed):
+    """Uniform draws on [0, 1) in every field, the pinned node zero; seed
+    is a seed or a Generator."""
     rng = np.random.default_rng(seed)
     st = zero_state(grid)
     st.u1[...] = rng.uniform(size=grid.n_x + 1)
@@ -579,7 +638,7 @@ class TestTableauLoop:
 
         g = GridSpec(1.0, 1.0, 6, 4)
         p = params(**self.P)
-        # RK4's reach is 0.0685 here, so rkc steps by 0.1
+        # RK4's reach is 0.0925 here, so rkc steps by 0.1
         ts = case_timespec(mode, 0.2, 0.1)
         plain = integrate(random_state(g, 5), p, g, ts)
         assert plain.stats.method == METHOD[mode]

@@ -216,17 +216,17 @@ class TestMmsConvergence:
         assert np.all(orders[:, :3] >= 1.9), orders
 
     def test_error_table_pinned(self):
-        # recorded with RK4 at its reach 2/rho and the sources evaluated from
-        # their closed forms on every call; a sign or factor slip in the
-        # P + e^{-t} Q split moves these long before it reaches the order
-        # floor
+        # recorded with RK4 at its reach min(2.7/rho, 2/delta) and the sources
+        # evaluated from their closed forms on every call; a sign or factor
+        # slip in the P + e^{-t} Q split moves these long before it reaches
+        # the order floor
         expected = [
-            (0.0015526676546726002, 0.015635501435030952,
-             0.0011122109782349488, 3.0959185300732806e-05),
-            (0.0003815006082587346, 0.003876040538755391,
-             0.00027186183185451597, 7.620195813012265e-06),
-            (9.494768311150536e-05, 0.000966863125034775,
-             6.757348185063701e-05, 1.897320398319832e-06),
+            (0.0015526714421303645, 0.015635462275531652,
+             0.0011122088166633881, 3.09590799327141e-05),
+            (0.00038150032356584415, 0.0038760423110251858,
+             0.00027186149141534947, 7.620198879960563e-06),
+            (9.494768102166305e-05, 0.0009668631390551505,
+             6.757347935829333e-05, 1.8973204210440196e-06),
         ]
         errors, _ = mms_convergence(ManufacturedSolution(), 3)
         np.testing.assert_allclose(errors, expected, rtol=1e-9, atol=0.0)
