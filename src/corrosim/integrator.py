@@ -136,49 +136,48 @@ def stability_dt(params: ModelParams, grid: GridSpec) -> float:
 
 
 def spectral_radius_bound(params: ModelParams, grid: GridSpec) -> float:
-    """Gershgorin bound on the spectral radius of the linearised `rhs`.
-
-    The rows are those of D^-1 J D, with the gypsum scaled by
-    D = sigma = h_y/2, which moves the factor 2/h_y of the surface-loss
-    ghost from the acid row's gypsum entry to the gypsum row's acid entry.
-    The largest of three row bounds:
-
-    * macro gas       4 d1/h_x^2 + bi_m (1 + H)
-                      (bi_m, its coupling to the dissolved gas at y = 0)
-    * dissolved gas   4 d2/h_y^2 + 2 bi_m (1 + H)/h_y + alpha + beta
-                      (the Robin exchange ghost at y = 0)
-    * acid            4 d3/h_y^2 + 2 k c_bar/h_y + alpha + beta
-                      + k m3 c_bar/m4 (the surface-loss ghost at y = ell;
-                      the last term, its gypsum coupling, for the linear
-                      cutoff only)
-
-    The scaled gypsum row, 2 k c_bar/h_y + k m3 c_bar/m4, never exceeds
-    the acid row.  The reaction terms take the acid to be at most m3.
-    """
-    henry, bi_m, k, c_bar = params.henry, params.bi_m, params.k, params.c_bar
-    exchange = params.alpha + params.beta
-    h_y = grid.h_y
-    return max(4.0 * params.d1 / grid.h_x**2 + bi_m * (1.0 + henry),
-               4.0 * params.d2 / h_y**2 + 2.0 * bi_m * (1.0 + henry) / h_y + exchange,
-               4.0 * params.d3 / h_y**2 + 2.0 * k * c_bar / h_y + exchange
-               + _gypsum_slope(params))
+    """Gershgorin bound on the spectral radius of the linearised `rhs`: the
+    largest row sum of `_row_bounds`."""
+    return max(diag + off for diag, off in _row_bounds(params, grid))
 
 
 def diagonal_bound(params: ModelParams, grid: GridSpec) -> float:
-    """Bound on the largest diagonal magnitude of the linearised `rhs`.
+    """Bound on the largest diagonal magnitude of the linearised `rhs`: the
+    largest diagonal term of `_row_bounds`."""
+    return max(diag for diag, _ in _row_bounds(params, grid))
 
-    The largest of four row bounds:
 
-    * macro gas       2 d1/h_x^2 + bi_m H
-    * dissolved gas   2 d2/h_y^2 + 2 bi_m/h_y + alpha   (the Robin row at y = 0)
-    * acid            2 d3/h_y^2 + 2 k c_bar/h_y + beta (the surface row at y = ell)
-    * gypsum          k m3 c_bar/m4 for the linear cutoff, else 0
+def _row_bounds(params: ModelParams, grid: GridSpec) -> list[tuple[float, float]]:
+    """(diagonal, off-diagonal) magnitudes of the stiffest row of each field.
+
+    The rows are those of D^-1 J D, with the gypsum scaled by
+    D = sigma = h_y/2, which moves the factor 2/h_y of the surface-loss
+    ghost from the acid row's gypsum entry to the gypsum row's acid entry:
+
+    * macro gas       2 d1/h_x^2 + bi_m H, and 2 d1/h_x^2 + bi_m
+                      (bi_m, its coupling to the dissolved gas at y = 0)
+    * dissolved gas   2 d2/h_y^2 + 2 bi_m/h_y + alpha, and
+                      2 d2/h_y^2 + 2 bi_m H/h_y + beta
+                      (the Robin exchange ghost at y = 0)
+    * acid            2 d3/h_y^2 + 2 k c_bar/h_y + beta, and
+                      2 d3/h_y^2 + alpha + k m3 c_bar/m4
+                      (the surface-loss ghost at y = ell; the last term,
+                      its gypsum coupling, for the linear cutoff only)
+    * gypsum          k m3 c_bar/m4 for the linear cutoff, else 0, and
+                      2 k c_bar/h_y
+
+    The gypsum row sum never exceeds the acid row's.  The reaction terms
+    take the acid to be at most m3.
     """
-    bi_m, h_y = params.bi_m, grid.h_y
-    return max(2.0 * params.d1 / grid.h_x**2 + bi_m * params.henry,
-               2.0 * params.d2 / h_y**2 + 2.0 * bi_m / h_y + params.alpha,
-               2.0 * params.d3 / h_y**2 + 2.0 * params.k * params.c_bar / h_y + params.beta,
-               _gypsum_slope(params))
+    bi_m, henry, k, c_bar = params.bi_m, params.henry, params.k, params.c_bar
+    h_x, h_y = grid.h_x, grid.h_y
+    slope = _gypsum_slope(params)
+    return [(2.0 * params.d1 / h_x**2 + bi_m * henry, 2.0 * params.d1 / h_x**2 + bi_m),
+            (2.0 * params.d2 / h_y**2 + 2.0 * bi_m / h_y + params.alpha,
+             2.0 * params.d2 / h_y**2 + 2.0 * bi_m * henry / h_y + params.beta),
+            (2.0 * params.d3 / h_y**2 + 2.0 * k * c_bar / h_y + params.beta,
+             2.0 * params.d3 / h_y**2 + params.alpha + slope),
+            (slope, 2.0 * k * c_bar / h_y)]
 
 
 def _gypsum_slope(params: ModelParams) -> float:

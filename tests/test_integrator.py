@@ -466,8 +466,10 @@ class TestDivergence:
         )
         st = zero_state(g)
         st.u4[:] = 0.5
-        # a snapshot at 0.5 lands every stepper on the zero crossing
-        ts = case_timespec(mode, 1.0, 0.05, snapshot_times=(0.0, 0.5, 1.0))
+        # RK4's reach on this grid, 0.0421875, does not divide 0.5: a
+        # snapshot there lands the fixed steps on the zero crossing
+        snapshots = (0.0, 0.5, 1.0) if mode == "fixed" else None
+        ts = case_timespec(mode, 1.0, 0.05, snapshot_times=snapshots)
         with pytest.raises(DivergedError, match=message) as err:
             integrate(st, params(), g, ts, sources=drain)
         last = err.value.last_state
