@@ -29,7 +29,7 @@ from .diagnostics import (MONITORED, RATIO_THRESHOLD, EnergyRecord, energy_recor
 from .grids import GridSpec
 from .integrator import DivergedError, integrate
 from .interpolation import MMS_BASE, ManufacturedSolution, mms_convergence
-from .model import AssumptionError, project_initial, unshifted_u1
+from .model import AssumptionError, project_initial
 from .verify import run_all
 
 
@@ -47,12 +47,10 @@ def _write_csv(path: str, header: list[str], rows, config_hash: str) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _write_macro_rows(path: str, states, x: np.ndarray, cfg: RunConfig,
-                      chash: str) -> None:
+def _write_macro_rows(path: str, states, x: np.ndarray, chash: str) -> None:
     rows = []
     for s in states:
-        u1 = unshifted_u1(s, cfg.params)
-        rows.extend((s.t, x[i], u1[i], s.u4[i]) for i in range(x.size))
+        rows.extend((s.t, x[i], s.u1[i], s.u4[i]) for i in range(x.size))
     _write_csv(path, ["t", "x", "u1", "u4"], rows, chash)
 
 
@@ -63,7 +61,7 @@ def _write_diverged(out: str, err: DivergedError, cfg: RunConfig, chash: str) ->
     nm, nc = last.shape
     grid = GridSpec(cfg.grid.length, cfg.grid.cell_length, nm - 1, nc - 1)
     x, y = grid.x_nodes(), grid.y_nodes()
-    _write_macro_rows(os.path.join(out, "diverged_state.csv"), [last], x, cfg, chash)
+    _write_macro_rows(os.path.join(out, "diverged_state.csv"), [last], x, chash)
     _write_csv(os.path.join(out, "diverged_micro.csv"),
                ["t", "x", "y", "u2", "u3"],
                ((last.t, x[i], y[j], last.u2[i, j], last.u3[i, j])
@@ -83,7 +81,7 @@ def cmd_run(args) -> int:
 
     x = cfg.grid.x_nodes()
     _write_macro_rows(os.path.join(args.out, "macro_profiles.csv"),
-                      traj.snapshots, x, cfg, chash)
+                      traj.snapshots, x, chash)
 
     if cfg.micro_slice_x is not None:
         i_star = int(np.argmin(np.abs(x - cfg.micro_slice_x)))

@@ -15,11 +15,11 @@ Two explicit modes:
             whose stability interval grows with the square of the stage
             count s, so the step is not tied to h_y^2:
             s = 1 + floor(sqrt(1 + 1.54 dt rho)), chosen once per
-            integration, at least 3 beyond the reach.  The damping
-            (eps = 2/13) shrinks stiff modes by a factor of only about 0.95
-            per step, so rough data, or data off the Robin closure,
-            converges slowly in time; smooth, transient-free data sees
-            second order.
+            integration with dt capped at the horizon t_end - t0, at
+            least 3 beyond the reach.  The damping (eps = 2/13) shrinks
+            stiff modes by a factor of only about 0.95 per step, so rough
+            data, or data off the Robin closure, converges slowly in time;
+            smooth, transient-free data sees second order.
 * adaptive  RK4 with proportional-integral step control, starting from
             RK4's reach; its first-same-as-last evaluation F(y_new) gives
             the error estimate and is the next step's first stage.
@@ -33,12 +33,12 @@ times, so stored snapshots are states of the integrated trajectory, not
 interpolants.  A step that lands sets t to the snapshot time itself, not
 to t + h, so the next step and its sources start from that time.
 
-The pinned gas node at x = 0 carries zero tendency, and the integrator
-re-asserts the pin after every accepted step.  A step is admissible only
-if every concentration (the gas field with its inlet value added back)
-stays finite and above -POSITIVITY_SLACK: fixed stepping raises
-DivergedError on the first step that is not, adaptive stepping rejects it
-and halves the step.
+Every entry of the state vector is a concentration.  The gas node at
+x = 0 holds the Dirichlet value u1_d with zero tendency, so every stage
+adds exactly 0 to it; the integrator still sets it to u1_d after every
+accepted step.  A step is admissible only if every entry stays finite and
+above -POSITIVITY_SLACK: fixed stepping raises DivergedError on the first
+step that is not, adaptive stepping rejects it and halves the step.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec
-from .model import ModelParams, SourceTerms, State, Tendency, rhs, unshifted_u1
+from .model import ModelParams, SourceTerms, State, Tendency, rhs
 
 _RK_SAFETY = 0.9      # step controller safety factor
 _FACMIN, _FACMAX = 0.2, 5.0
@@ -194,11 +194,10 @@ def _rkc_stages(dt: float, rho: float) -> int:
     return 1 + int(np.sqrt(1.0 + 1.54 * dt * rho))
 
 
-def _inadmissible(state: State, params: ModelParams) -> str:
+def _inadmissible(state: State) -> str:
     """Why a state fails the step check, with field and node: its first
     non-finite concentration, else its most negative one."""
-    fields = {"u1": unshifted_u1(state, params), "u2": state.u2,
-              "u3": state.u3, "u4": state.u4}
+    fields = {"u1": state.u1, "u2": state.u2, "u3": state.u3, "u4": state.u4}
     ranked = {f: np.where(np.isfinite(u), u, -np.inf) for f, u in fields.items()}
     name = min(ranked, key=lambda f: ranked[f].min())
     u = fields[name]
@@ -242,21 +241,23 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     """Advance the state to t_end, storing snapshots at the requested times.
 
     Fixed mode runs RK4 up to RK4's reach (`stability_dt`, also the step
-    when dt is None) and RKC with the stages dt times the spectral radius
-    bound needs beyond it; adaptive mode runs RK4 with its FSAL error
-    estimate.  Raises DivergedError (carrying the last good state) on
-    non-finite values, on a concentration below -POSITIVITY_SLACK (adaptive
-    mode rejects such steps instead) or on step-size underflow.
+    when dt is None) and RKC beyond it, with the stages that the longest
+    step, min(dt, t_end - t0), times the spectral radius bound needs;
+    adaptive mode runs RK4 with its FSAL error estimate.  Raises
+    DivergedError (carrying the last good state) on non-finite values, on
+    a concentration below -POSITIVITY_SLACK (adaptive mode rejects such
+    steps instead) or on step-size underflow.
     """
     state0.validate(grid)
     adaptive = timespec.mode == "adaptive"
     reach = stability_dt(params, grid)
     h_base = reach if timespec.dt is None else float(timespec.dt)
-    if adaptive or h_base <= reach:  # adaptive: a conservative start, the controller grows it
+    h_plan = min(h_base, timespec.t_end - state0.t)  # no step outlasts the horizon
+    if adaptive or h_plan <= reach:  # adaptive: a conservative start, the controller grows it
         method, rows = "rk4", _RK4
     else:
         method = "rkc"
-        rows = _rkc_coefficients(_rkc_stages(h_base, spectral_radius_bound(params, grid)))
+        rows = _rkc_coefficients(_rkc_stages(h_plan, spectral_radius_bound(params, grid)))
     stats = StepStats(stages=len(rows), method=method)
 
     t = float(state0.t)
@@ -267,7 +268,6 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     # stage buffers and views, built once: D_j = W[j] @ inputs[lo:hi], W = A + h B,
     # over F(Y_0), F(Y_{j-1}) and two slots, D_j replacing D_{j-2}; lo:hi spans
     # only rows written in the same attempt, so no 0 * inf from a rejected one
-    n_macro = grid.n_x + 1      # y[:n_macro] is the shifted gas field
     inputs = np.empty((4, y.size))
     d, Y, f_new = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     current, stage = State.view(t, y, grid), State.view(t, Y, grid)
@@ -324,12 +324,10 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 np.dot(w, span, out=d)
                 keep[...] = d
                 np.add(y, d, out=Y)
-            admissible = bool(np.isfinite(Y).all()) and min(
-                float(Y[:n_macro].min()) + params.u1_d,
-                float(Y[n_macro:].min())) >= -POSITIVITY_SLACK
+            admissible = bool(np.isfinite(Y).all()) and Y.min() >= -POSITIVITY_SLACK
             err = 0.0
             if not adaptive and not admissible:
-                reason = _inadmissible(State.view(t_new, Y, grid), params)
+                reason = _inadmissible(State.view(t_new, Y, grid))
                 raise DivergedError(f"{reason} at t={t_new:g}", State.view(t, y.copy(), grid))
             if adaptive and admissible:
                 # F(y_new), the next F(Y_0), gives the gap h (F(Y_3) - F(y_new))/6 to RK4's
@@ -347,7 +345,7 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
             if admissible and err <= 1.0:
                 t = t_new
                 y[:] = Y
-                y[0] = 0.0
+                y[0] = params.u1_d
                 stats.accepted += 1
                 stats.last_dt = h
                 record_due(t, y)

@@ -215,12 +215,13 @@ class ManufacturedSolution:
     conditions exactly, with the volume sources that make them solve the
     system for the fixed parameters `params`.
 
-    The gas field is given in shifted form (zero at the inlet).  The cell
-    boundary data are compatible by construction: the dissolved-gas trace at
-    y = 0 equals the solubility ratio times the gas value, its slope
-    vanishes there and at y = 1, and the acid profile cos(lam*y), lam = pi/4,
-    satisfies the surface-reaction flux balance because k is set to
-    d3*lam*tan(lam)/c_bar, with the constant gypsum kernel Q = c_bar.
+    The gas field u1_d + a(t) sin(pi x/2) holds the inlet value u1_d at
+    x = 0.  The cell boundary data are compatible by construction: the
+    dissolved-gas trace at y = 0 equals the solubility ratio times the gas
+    value, its slope vanishes there and at y = 1, and the acid profile
+    cos(lam*y), lam = pi/4, satisfies the surface-reaction flux balance
+    because k is set to d3*lam*tan(lam)/c_bar, with the constant gypsum
+    kernel Q = c_bar.
     `exact_state` samples the fields at the grid nodes; at t = 0 it is the
     start state of the convergence study.
 
@@ -259,12 +260,12 @@ class ManufacturedSolution:
         return 1.0 + 0.5 * np.cos(np.pi * x)
 
     def u1(self, x, t):
-        return self._a(t) * np.sin(0.5 * np.pi * x)
+        return self.params.u1_d + self._a(t) * np.sin(0.5 * np.pi * x)
 
     def u2(self, x, y, t):
         p = self.params
         psi = 1.0 - np.cos(2.0 * np.pi * y)
-        return p.henry * (self.u1(x, t) + p.u1_d) + self._b(t) * self._g2(x) * psi
+        return p.henry * self.u1(x, t) + self._b(t) * self._g2(x) * psi
 
     def u3(self, x, y, t):
         return self._c(t) * self._g3(x) * np.cos(self.lam * y)

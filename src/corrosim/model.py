@@ -1,9 +1,9 @@
 """Model parameters, the surface reaction, and the semi-discrete right-hand side.
 
-The unknowns are the gas-phase concentration on the macro grid (stored in
-shifted form, with the inlet value subtracted so the node at x = 0 is pinned
-to zero), the dissolved-gas and acid concentrations on the micro grid, and
-the gypsum concentration on the macro grid.
+The unknowns are the gas-phase concentration on the macro grid, whose node
+at x = 0 holds the Dirichlet inlet value u1_d, the dissolved-gas and acid
+concentrations on the micro grid, and the gypsum concentration on the macro
+grid.  Every entry of a state is a concentration.
 
 Parameter validation groups its constraints under four labels that the CLI
 surfaces on rejection:
@@ -73,7 +73,10 @@ class ModelParams:
     beta: float                    # acid back-reaction coefficient
     c_bar: float = 1.0             # upper bound of the gypsum kernel Q
     q_kind: str = "constant"       # gypsum kernel: "constant" or "linear_cutoff"
-    m3: float = 10.0               # acid bound in the step bound's gypsum row
+    # acid bound that the step bound's gypsum coupling assumes; nothing
+    # checks it, and fig1 at 16^2 with dt = 0.2 exceeds it (acid 10.58 at
+    # t = 400 against m3 = 10)
+    m3: float = 10.0
     m4: float = 1.0                # gypsum bound used by "linear_cutoff"
 
     def __post_init__(self):
@@ -174,9 +177,8 @@ class _Fields:
 class State(_Fields):
     """The four concentration fields at time t, as views of one vector y.
 
-    u1 holds the shifted gas concentration (inlet value subtracted), so its
-    entry at i = 0 is zero at all times.  The physical gas concentration is
-    u1 + u1_d.
+    u1 is the gas concentration; its entry at i = 0 is the Dirichlet inlet
+    value u1_d, which `rhs` gives zero tendency.
     """
 
     def __init__(self, t: float, u1, u2, u3, u4):
@@ -201,9 +203,8 @@ class Tendency(_Fields):
 
 
 def henry_flux(state: State, params: ModelParams) -> np.ndarray:
-    """Interfacial exchange rate bi_m * (H*(u1 + u1_d) - u2|_{y=0})."""
-    flux = state.u1 + params.u1_d
-    flux *= params.henry
+    """Interfacial exchange rate bi_m * (H*u1 - u2|_{y=0})."""
+    flux = state.u1 * params.henry
     flux -= state.u2[:, 0]
     flux *= params.bi_m
     return flux
@@ -312,8 +313,8 @@ def project_initial(initial: InitialData, params: ModelParams,
     """Sample the initial profiles at the grid nodes.
 
     Every profile is checked finite before any is checked nonnegative;
-    negative concentrations are rejected.  The gas field is shifted by the
-    inlet value and forced to zero at the pinned node.
+    negative concentrations are rejected.  The gas field's node at x = 0 is
+    set to the inlet value u1_d.
     """
     x = grid.x_nodes()
     xy = (x[:, None], grid.y_nodes()[None, :])
@@ -327,11 +328,5 @@ def project_initial(initial: InitialData, params: ModelParams,
     for name, vals in fields.items():
         if np.any(vals < 0.0):
             raise AssumptionError("A4", f"initial {name} must be nonnegative")
-    fields["u1"] -= params.u1_d
-    fields["u1"][0] = 0.0
+    fields["u1"][0] = params.u1_d
     return State(t=0.0, **fields)
-
-
-def unshifted_u1(state: State, params: ModelParams) -> np.ndarray:
-    """Physical gas concentration, inlet value added back."""
-    return state.u1 + params.u1_d

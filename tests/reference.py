@@ -90,8 +90,9 @@ def laplace_micro(grid: GridSpec, u: np.ndarray,
 class ConstantSolution:
     """Space- and time-constant fields, reproduced exactly by the scheme.
 
-    The dissolved gas sits at the solubility equilibrium H*u1_d, so the
-    interfacial flux vanishes; the sources cancel the volume exchange.
+    The gas sits at its inlet value u1_d and the dissolved gas at the
+    solubility equilibrium H*u1_d, so the interfacial flux vanishes; the
+    sources cancel the volume exchange.
     """
 
     params: ModelParams
@@ -111,7 +112,7 @@ class ConstantSolution:
     def exact_state(self, grid: GridSpec, t: float) -> State:
         return State(
             t=t,
-            u1=np.zeros(grid.n_x + 1),
+            u1=np.full(grid.n_x + 1, self.params.u1_d),
             u2=np.full((grid.n_x + 1, grid.n_y + 1), self.u2_value),
             u3=np.zeros((grid.n_x + 1, grid.n_y + 1)),
             u4=np.full(grid.n_x + 1, self.u4_value),

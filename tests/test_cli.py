@@ -39,13 +39,13 @@ def perturbed(state, t, grid):
     return last
 
 
-def assert_diverged_files(out, last, grid, params):
+def assert_diverged_files(out, last, grid):
     """diverged_state.csv and diverged_micro.csv hold `last` exactly, on the
     nodes of `grid`."""
     header, rows = read_csv(out / "diverged_state.csv")
     assert header == ["t", "x", "u1", "u4"]
     want = np.column_stack([np.full(grid.n_x + 1, last.t), grid.x_nodes(),
-                            last.u1 + params.u1_d, last.u4])
+                            last.u1, last.u4])
     assert np.array_equal(np.array(rows, dtype=float), want)
     header, rows = read_csv(out / "diverged_micro.csv")
     assert header == ["t", "x", "y", "u2", "u3"]
@@ -212,6 +212,9 @@ class TestRunCommand:
         assert "steps_accepted 500" in summary and "rhs_evaluations 1500" in summary
         header, rows = read_csv(out / "macro_profiles.csv")
         assert header == ["t", "x", "u1", "u4"]
+        # the gas at x = 0 reads the inlet value at every snapshot
+        inlet = [float(row[2]) for row in rows if float(row[1]) == 0.0]
+        assert inlet == [load_config(cfg).params.u1_d] * 5
         by_x: dict[str, list[float]] = {}
         for row in rows:
             by_x.setdefault(row[1], []).append(float(row[3]))
@@ -249,7 +252,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
         assert "diverged: non-finite state at t=4.5" in capsys.readouterr().err
-        assert_diverged_files(out, last, resolved.grid, resolved.params)
+        assert_diverged_files(out, last, resolved.grid)
         assert not (out / "macro_profiles.csv").exists()
 
     @pytest.mark.parametrize("extra", [
@@ -468,7 +471,7 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 3
         assert "diverged: non-finite state at t=0.8" in capsys.readouterr().err
         assert diverged[0].shape == (fine.n_x + 1, fine.n_y + 1)
-        assert_diverged_files(out, diverged[0], fine, resolved.params)
+        assert_diverged_files(out, diverged[0], fine)
         assert not (out / "sweep.csv").exists()
 
 

@@ -16,6 +16,7 @@ from corrosim.integrator import (
     spectral_radius_bound,
     stability_dt,
 )
+from corrosim.interpolation import ManufacturedSolution
 from corrosim.model import ModelParams, SourceTerms, State
 from reference import zero_state
 
@@ -141,7 +142,7 @@ class TestStabilityLimit:
         i, j = np.ogrid[:g.n_x + 1, :g.n_y + 1]
         board = ((i + j) % 2).astype(float)
         st = zero_state(g)
-        st.u1[...] = board[:, 0]         # zero at the pinned node
+        st.u1[...] = p.u1_d + board[:, 0]   # the inlet value at x = 0
         st.u2[...] = 1.0 - board
         st.u3[...] = p.m3 * board
         st.u4[...] = p.m4 * (1.0 - board[:, -1])   # zero where the acid is m3
@@ -183,8 +184,7 @@ class TestStabilityLimit:
         rho, delta = spectral_radius_bound(p, g), diagonal_bound(p, g)
         rng = np.random.default_rng(4)
         for corner in (0.0, 0.9):
-            st = random_state(g, rng)
-            st.u1[1:] -= p.u1_d
+            st = random_state(g, rng, p.u1_d)
             st.u3[...] = p.m3 * (corner + (1.0 - corner) * st.u3)
             st.u4[...] *= p.m4 * (1.0 - corner)
             jac = np.empty((st.y.size, st.y.size))
@@ -209,7 +209,7 @@ class TestMethodSelection:
         g = GridSpec(1.0, 1.0, 8, 6)
         p = params(**self.P)
         dt = factor * stability_dt(p, g)
-        traj = integrate(random_state(g, 3), p, g, TimeSpec(t_end=3 * dt, dt=dt))
+        traj = integrate(random_state(g, 3, p.u1_d), p, g, TimeSpec(t_end=3 * dt, dt=dt))
         stages = 4 if method == "rk4" else _rkc_stages(dt, spectral_radius_bound(p, g))
         assert traj.stats.method == method and traj.stats.stages == stages
         assert traj.stats.accepted == 3 and traj.stats.rhs_evals == 3 * stages
@@ -217,7 +217,7 @@ class TestMethodSelection:
     def test_no_step_is_rk4_at_its_reach(self):
         g = GridSpec(1.0, 1.0, 8, 6)
         p = params(**self.P)
-        traj = integrate(random_state(g, 3), p, g, TimeSpec(t_end=1.0))
+        traj = integrate(random_state(g, 3, p.u1_d), p, g, TimeSpec(t_end=1.0))
         assert traj.stats.method == "rk4"
         assert traj.stats.accepted == int(np.ceil(1.0 / stability_dt(p, g)))
 
@@ -249,14 +249,27 @@ class TestFixedStep:
             assert np.allclose(s.u4, s.t, rtol=1e-12, atol=1e-12)
             assert np.allclose(s.u3, 1.0)
 
-    def test_dirichlet_pin_held(self):
-        g = GridSpec(1.0, 1.0, 8, 4)
-        p = params(bi_m=0.5, u1_d=1.0, alpha=0.2, beta=0.1, k=0.1)
-        st = zero_state(g)
-        st.u1[...] = np.sin(np.pi * g.x_nodes())
-        st.u1[0] = 0.0
-        traj = integrate(st, p, g, TimeSpec(t_end=0.5))
-        assert traj.snapshots[-1].u1[0] == 0.0
+    @pytest.mark.parametrize("case", ["fixed", "rkc", "adaptive", "mms"])
+    def test_dirichlet_pin_held(self, case):
+        # the gas node at x = 0 holds the inlet value bit for bit at every
+        # snapshot, in each stepping path and under the manufactured sources
+        snaps = (0.0, 0.25, 0.5)
+        if case == "mms":
+            ms = ManufacturedSolution()
+            g, p = GridSpec(1.0, 1.0, 8, 8), ms.params
+            st, sources = ms.exact_state(g, 0.0), ms.sources(g)
+            ts = TimeSpec(t_end=0.5, snapshot_times=snaps)
+        else:
+            g = GridSpec(1.0, 1.0, 8, 4)
+            p = params(bi_m=0.5, u1_d=1.0, alpha=0.2, beta=0.1, k=0.1)
+            st, sources = zero_state(g), None
+            st.u1[...] = p.u1_d + np.sin(np.pi * g.x_nodes())
+            # RK4's reach is about 0.02 here, so rkc steps by 0.1
+            ts = case_timespec(case, 0.5, 0.1, snapshot_times=snaps)
+        traj = integrate(st, p, g, ts, sources=sources)
+        assert traj.stats.method == METHOD.get(case, "rk4")
+        assert tuple(traj.times()) == snaps
+        assert all(s.u1[0] == p.u1_d for s in traj.snapshots)
 
     def test_eigenmode_decay_rate(self):
         # decoupled gas diffusion; the half-sine mode satisfies both boundary
@@ -394,7 +407,7 @@ class TestAdaptive:
         p = params(d1=0.05, d2=0.05, d3=0.05, bi_m=0.2, u1_d=1.0,
                    alpha=0.2, beta=0.05, k=0.1, q_kind="linear_cutoff", m4=1.0)
         st = zero_state(g)
-        st.u1[...] = 1.0 - (1.0 - g.x_nodes()) ** 2  # zero at x = 0
+        st.u1[...] = p.u1_d + 1.0 - (1.0 - g.x_nodes()) ** 2  # u1_d at x = 0
         return g, p, st
 
     def test_agrees_with_fixed_mode(self):
@@ -477,8 +490,9 @@ class TestDivergence:
         assert last.u4.min() >= -POSITIVITY_SLACK
 
     def test_negative_gas_counts_the_inlet_value(self):
-        # the gas field is stored shifted by u1_d = 0.5: a sink of rate 1
-        # empties the physical field at t = 0.5, not at once
+        # the gas field starts at its inlet value u1_d = 0.5: a sink of rate 1
+        # empties it at t = 0.5, not at once.  The far wall x = L, node 4, is
+        # lowest: diffusion from the inlet leaves node 3 above it by 1.1e-17
         g = GridSpec(1.0, 1.0, 4, 4)
         drain = SourceTerms(
             f1=lambda t: np.full(5, -1.0),
@@ -486,9 +500,11 @@ class TestDivergence:
             f3=lambda t: np.zeros((5, 5)),
             f4=lambda t: np.zeros(5),
         )
+        st = zero_state(g)
+        st.u1[...] = 0.5
         with pytest.raises(DivergedError, match=r"negative concentration u1 = "
-                           r"-0\.00625 at node \(3,\) at t=0\.50625"):
-            integrate(zero_state(g), params(d1=1e-6, u1_d=0.5), g,
+                           r"-0\.00625 at node \(4,\) at t=0\.50625"):
+            integrate(st, params(d1=1e-6, u1_d=0.5), g,
                       TimeSpec(t_end=1.0), sources=drain)
 
     def test_adaptive_retry_after_a_non_finite_attempt(self):
@@ -552,13 +568,13 @@ class TestDivergence:
                 integrate(state0, cfg.params, cfg.grid, cfg.time, sources=bomb)
 
 
-def random_state(grid, seed):
-    """Uniform draws on [0, 1) in every field, the pinned node zero; seed
-    is a seed or a Generator."""
+def random_state(grid, seed, u1_d):
+    """Uniform draws on [0, 1) in every field, the gas node at x = 0 at its
+    inlet value u1_d; seed is a seed or a Generator."""
     rng = np.random.default_rng(seed)
     st = zero_state(grid)
     st.u1[...] = rng.uniform(size=grid.n_x + 1)
-    st.u1[0] = 0.0
+    st.u1[0] = u1_d
     st.u2[...] = rng.uniform(size=(grid.n_x + 1, grid.n_y + 1))
     st.u3[...] = rng.uniform(size=(grid.n_x + 1, grid.n_y + 1))
     st.u4[...] = rng.uniform(size=grid.n_x + 1)
@@ -591,7 +607,7 @@ class TestTableauLoop:
 
         g = GridSpec(1.0, 1.0, 8, 6)
         p = params(**self.P)
-        st = random_state(g, 3)
+        st = random_state(g, 3, p.u1_d)
         h = stability_dt(p, g)
         traj = integrate(State.view(st.t, st.y.copy(), g), p, g, TimeSpec(t_end=h))
         assert traj.stats.accepted == 1 and traj.stats.rhs_evals == 4
@@ -642,7 +658,7 @@ class TestTableauLoop:
         p = params(**self.P)
         # RK4's reach is 0.0925 here, so rkc steps by 0.1
         ts = case_timespec(mode, 0.2, 0.1)
-        plain = integrate(random_state(g, 5), p, g, ts)
+        plain = integrate(random_state(g, 5, p.u1_d), p, g, ts)
         assert plain.stats.method == METHOD[mode]
         plain = plain.snapshots[-1]
 
@@ -652,10 +668,10 @@ class TestTableauLoop:
                 return Tendency(*(scale * getattr(tend, f)
                                   for f in ("u1", "u2", "u3", "u4")))
             monkeypatch.setattr(integrator, "rhs", scaled)
-            return integrate(random_state(g, 5), p, g, ts).snapshots[-1]
+            return integrate(random_state(g, 5, p.u1_d), p, g, ts).snapshots[-1]
 
         frozen = run(0.0)
-        start = random_state(g, 5)
+        start = random_state(g, 5, p.u1_d)
         for f in ("u1", "u2", "u3", "u4"):
             assert np.array_equal(getattr(frozen, f), getattr(start, f))
         assert np.max(np.abs(run(1.01).u2 - plain.u2)) > 1e-6

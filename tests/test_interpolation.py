@@ -258,7 +258,7 @@ class TestMmsConvergence:
         f3_fd = dd(ms.u3, x, y, t, idx=2) - p.d3 * d2(ms.u3, x, y, t, idx=1) - exch
         assert ms.f3(x, y, t) == pytest.approx(f3_fd, rel=1e-5, abs=1e-6)
         f1_fd = dd(ms.u1, x, t, idx=1) - p.d1 * d2(ms.u1, x, t, idx=0)
-        henry = p.bi_m * (p.henry * (ms.u1(x, t) + p.u1_d) - ms.u2(x, 0.0, t))
+        henry = p.bi_m * (p.henry * ms.u1(x, t) - ms.u2(x, 0.0, t))
         assert henry == pytest.approx(0.0, abs=1e-14)
         assert ms.f1(x, t) == pytest.approx(f1_fd, rel=1e-4, abs=1e-7)
 

@@ -13,7 +13,6 @@ from corrosim.model import (
     eta,
     project_initial,
     rhs,
-    unshifted_u1,
 )
 from reference import ghost_values, zero_state, zeta
 
@@ -172,7 +171,7 @@ class TestRhs:
         rng = np.random.default_rng(1)
         st = zero_state(g)
         st.u1[...] = rng.uniform(size=7)
-        st.u1[0] = 0.0
+        st.u1[0] = 0.3
         st.u2[...] = rng.uniform(size=(7, 5))
         st.u3[...] = rng.uniform(size=(7, 5))
         st.u4[...] = rng.uniform(size=7)
@@ -206,6 +205,7 @@ class TestRhs:
         g = GridSpec(1.0, 1.0, 4, 4)
         rng = np.random.default_rng(4)
         st = zero_state(g)
+        st.u1[...] = 1.0
         st.u3[...] = rng.uniform(size=(5, 5))
         t = rhs(st, params(alpha=0.4, beta=0.2, u1_d=1.0), g)
         assert np.all(t.u2 >= 0.0)
@@ -315,7 +315,7 @@ class TestLayout:
 
 
 class TestProjection:
-    def test_inlet_matching_data_shifts_to_zero(self):
+    def test_inlet_matching_data_keeps_the_inlet_value(self):
         g = GridSpec(1.0, 1.0, 4, 4)
         p = params(u1_d=0.7)
         st = project_initial(InitialData(
@@ -324,8 +324,7 @@ class TestProjection:
             u3=lambda x, y: 0.0 * x * y,
             u4=lambda x: 0.0 * x,
         ), p, g)
-        assert np.allclose(st.u1, 0.0)
-        assert np.allclose(unshifted_u1(st, p), 0.7)
+        assert np.array_equal(st.u1, np.full(5, 0.7))
 
     def test_pointwise_sampling(self):
         g = GridSpec(1.0, 1.0, 2, 2)
@@ -338,7 +337,7 @@ class TestProjection:
         assert st.u2[2, 2] == pytest.approx(1.0)
         assert st.u2[1, 2] == pytest.approx(0.5)
         assert st.u3[0, 1] == pytest.approx(0.5)
-        assert st.u1[0] == 0.0  # forced at the pinned node
+        assert st.u1[0] == 0.0  # the inlet value u1_d
 
     def test_negative_data_rejected(self):
         g = GridSpec(1.0, 1.0, 4, 4)

@@ -22,7 +22,7 @@ from corrosim.integrator import (
     stability_dt,
 )
 from corrosim.interpolation import ManufacturedSolution
-from corrosim.model import ModelParams, State, project_initial, unshifted_u1
+from corrosim.model import ModelParams, State, project_initial
 from reference import zero_state
 
 POSITIVITY_SLACK = 1e-8
@@ -218,9 +218,20 @@ class TestFig1Default:
         assert rk4.time.dt is None
         a, b = run(rkc).snapshots[-1], run(rk4, "rk4").snapshots[-1]
         assert a.t == b.t == 80.0
-        u1 = lambda s: unshifted_u1(s, rkc.params)
-        for field in (u1, lambda s: s.u2, lambda s: s.u3, lambda s: s.u4):
-            assert relative_l2(rkc.grid, field(a), field(b)) <= AGREEMENT_RTOL
+        for field in ("u1", "u2", "u3", "u4"):
+            got, want = getattr(a, field), getattr(b, field)
+            assert relative_l2(rkc.grid, got, want) <= AGREEMENT_RTOL
+
+    def test_dt_beyond_the_horizon_plans_for_the_horizon(self):
+        # no step outlasts t_end - t0 = 1, so dt = 1e6 runs the stages and
+        # steps of dt = 1: 4 stages at 8^2, where a plan sized from 1e6
+        # would take about 3,100
+        runs = [run(fig1(grid={"nx": 8, "ny": 8},
+                         time={"t_end": 1, "dt": dt, "snapshots": "0 0.5 1"}))
+                for dt in (1, 1e6)]
+        assert runs[0].stats == runs[1].stats and runs[0].stats.stages == 4
+        for a, b in zip(runs[0].snapshots, runs[1].snapshots, strict=True):
+            assert a.t == b.t and np.array_equal(a.y, b.y)
 
     @pytest.mark.parametrize("bi_m,k,n",
                              list(itertools.product((2, 20, 50), (0.1, 2), (16, 64))))
@@ -232,9 +243,7 @@ class TestFig1Default:
         cfg = fig1(grid={"nx": n, "ny": n}, params={"bi_m": bi_m, "k": k},
                    time={"t_end": 20, "snapshots": "0 5 10 15 20"})
         traj = run(cfg)
-        low = min(min(float(unshifted_u1(s, cfg.params).min()), float(s.u2.min()),
-                      float(s.u3.min()), float(s.u4.min())) for s in traj.snapshots)
-        high = max(max(float(unshifted_u1(s, cfg.params).max()), float(s.u2.max()),
-                       float(s.u3.max()), float(s.u4.max())) for s in traj.snapshots)
+        low = min(float(s.y.min()) for s in traj.snapshots)
+        high = max(float(s.y.max()) for s in traj.snapshots)
         assert low >= -POSITIVITY_SLACK
         assert high <= 10.0
