@@ -20,12 +20,22 @@ Two explicit modes:
             stiff modes by a factor of only about 0.95 per step, so rough
             data, or data off the Robin closure, converges slowly in time;
             smooth, transient-free data sees second order.
-* adaptive  RK4 with proportional-integral step control, starting from
-            RK4's reach; its first-same-as-last evaluation F(y_new) gives
-            the error estimate and is the next step's first stage.
+* adaptive  the same RKC, error-controlled, with the step set by accuracy:
+            each attempt takes s = 1 + floor(sqrt(1 + 1.54 h rho)) stages
+            from its own step h, at least 2.  The embedded estimate of
+            Sommeijer et al., est = (12 (y_n - y_new)
+            + 6 h (F(y_n) + F(y_new))) / 15, of a second-order local error,
+            is held to a tenth of ATOL + RTOL max(|y_n|, |y_new|) in RMS,
+            so that the global error stays within 10 (ATOL + RTOL |u|).
+            Their controller sets the next step, h 0.8 (h / h_prev)
+            err_prev^(1/3) / err^(2/3), or h 0.8 err^(-1/3) on the first
+            step and after a rejection, within [0.1 h, 10 h], starting from
+            RK4's reach.  The first-same-as-last evaluation F(y_new)
+            completes the estimate and is the next attempt's F(Y_0).
 
 One stage loop runs both as rows of RKC's three-term recursion in increment
-form, on a handful of flat state vectors for any stage count.  Each is the
+form, on a handful of flat state vectors for any stage count, with the
+plan of each stage count built once per run.  Each vector is the
 `y` of a State or a Tendency: `State.view` and `Tendency.view` wrap it
 without copying, so `rhs` reads a stage state and fills a tendency in
 place.  All modes shorten steps to land exactly on the requested snapshot
@@ -35,8 +45,9 @@ to t + h, so the next step and its sources start from that time.
 
 Every entry of the state vector is a concentration.  The gas node at
 x = 0 holds the Dirichlet value u1_d with zero tendency, so every stage
-adds exactly 0 to it; the integrator still sets it to u1_d after every
-accepted step.  A step is admissible only if every entry stays finite and
+adds exactly 0 to it; a start state that does not hold it there is
+rejected, and the integrator still sets it to u1_d after every accepted
+step.  A step is admissible only if every entry stays finite and
 above -POSITIVITY_SLACK: fixed stepping raises DivergedError on the first
 step that is not, adaptive stepping rejects it and halves the step.
 """
@@ -48,12 +59,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec
-from .model import ModelParams, SourceTerms, State, Tendency, rhs
+from .model import AssumptionError, ModelParams, SourceTerms, State, Tendency, rhs
 
-_RK_SAFETY = 0.9      # step controller safety factor
-_FACMIN, _FACMAX = 0.2, 5.0
-_ERR_ORDER = 4.0      # local error order of RK4's FSAL companion
 RTOL, ATOL = 1e-6, 1e-9   # adaptive mode's relative and absolute error tolerances
+_EST_FRACTION = 0.1   # share of them that adaptive mode holds RKC's local error estimate to
 _RKC_DAMPING = 2.0 / 13.0
 _RK4_REACH = 2.7     # dt * rho of RK4's reach, inside its real stability interval [-2.785, 0]
 _LANDING = 1e-9       # a step ending this close (relative to h) to a target lands on it
@@ -73,7 +82,8 @@ class DivergedError(RuntimeError):
 class TimeSpec:
     """Integration horizon, stepping mode and snapshot schedule.
 
-    Adaptive mode holds every step to the fixed tolerances RTOL and ATOL.
+    Adaptive mode holds every step's error estimate to a tenth of the fixed
+    tolerances ATOL + RTOL |y|.
     Without a schedule, snapshot_times is stored as (0.0, t_end).
     """
 
@@ -106,7 +116,7 @@ class StepStats:
     rejected: int = 0
     rhs_evals: int = 0
     last_dt: float = 0.0
-    stages: int = 0          # rhs evaluations per step attempt
+    stages: int = 0          # rhs evaluations per step attempt; adaptive: the most an attempt made
     method: str = ""         # "rk4" | "rkc"
 
 
@@ -218,7 +228,10 @@ _RK4 = ((0.0, 0.0, 0.5, 0.0), (0.0, 0.0, 0.5, 0.0), (0.0, 0.0, 1.0, 0.0),
 
 def _rkc_coefficients(s: int) -> list[tuple[float, float, float, float]]:
     """Recursion rows of the s-stage damped RKC method, from the Chebyshev
-    polynomials T_j(w0) and their derivatives (Sommeijer et al. 1998)."""
+    polynomials T_j(w0) and their derivatives (Sommeijer et al. 1998);
+    s >= 2."""
+    if s < 2:
+        raise ValueError(f"RKC needs at least 2 stages, got {s}")
     w0 = 1.0 + _RKC_DAMPING / s**2
     T, dT, ddT = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
     for j in range(2, s + 1):
@@ -236,42 +249,15 @@ def _rkc_coefficients(s: int) -> list[tuple[float, float, float, float]]:
     return rows
 
 
-def integrate(state0: State, params: ModelParams, grid: GridSpec,
-              timespec: TimeSpec, sources: SourceTerms | None = None) -> Trajectory:
-    """Advance the state to t_end, storing snapshots at the requested times.
+def _stage_plan(rows, inputs: np.ndarray):
+    """The stage loop of `rows` over `inputs`, whose four rows hold F(Y_0),
+    F(Y_{j-1}) and two increment slots, D_j replacing D_{j-2}.
 
-    Fixed mode runs RK4 up to RK4's reach (`stability_dt`, also the step
-    when dt is None) and RKC beyond it, with the stages that the longest
-    step, min(dt, t_end - t0), times the spectral radius bound needs;
-    adaptive mode runs RK4 with its FSAL error estimate.  Raises
-    DivergedError (carrying the last good state) on non-finite values, on
-    a concentration below -POSITIVITY_SLACK (adaptive mode rejects such
-    steps instead) or on step-size underflow.
+    Returns A, B, W and one entry per stage: stage j sets
+    D_j = W[j, lo:hi] @ inputs[lo:hi], W = A + h B filled in per attempt,
+    after evaluating F(Y_{j-1}) at node c_{j-1}.  lo:hi spans only rows
+    written in the same attempt, so no 0 * inf from a rejected one.
     """
-    state0.validate(grid)
-    adaptive = timespec.mode == "adaptive"
-    reach = stability_dt(params, grid)
-    h_base = reach if timespec.dt is None else float(timespec.dt)
-    h_plan = min(h_base, timespec.t_end - state0.t)  # no step outlasts the horizon
-    if adaptive or h_plan <= reach:  # adaptive: a conservative start, the controller grows it
-        method, rows = "rk4", _RK4
-    else:
-        method = "rkc"
-        rows = _rkc_coefficients(_rkc_stages(h_plan, spectral_radius_bound(params, grid)))
-    stats = StepStats(stages=len(rows), method=method)
-
-    t = float(state0.t)
-    y = state0.y.copy()
-    t_end = float(timespec.t_end)
-    targets = [s for s in timespec.snapshot_times if s >= t]
-
-    # stage buffers and views, built once: D_j = W[j] @ inputs[lo:hi], W = A + h B,
-    # over F(Y_0), F(Y_{j-1}) and two slots, D_j replacing D_{j-2}; lo:hi spans
-    # only rows written in the same attempt, so no 0 * inf from a rejected one
-    inputs = np.empty((4, y.size))
-    d, Y, f_new = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    current, stage = State.view(t, y, grid), State.view(t, Y, grid)
-    f0_out, f_out, f_new_out = (Tendency.view(b, grid) for b in (inputs[0], inputs[1], f_new))
     A, B, W = np.zeros((len(rows), 4)), np.zeros((len(rows), 4)), np.empty((len(rows), 4))
     c = [0.0, 0.0]              # nodes c_{j-1}, c_j: the rows applied to y' = 1
     plan = []
@@ -282,6 +268,51 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
         lo, hi = np.flatnonzero(A[j] + B[j])[[0, -1]] + [0, 1]
         plan.append((W[j, lo:hi], inputs[lo:hi], inputs[2 + j % 2], c[-1]))
         c.append(mu * c[-1] + nu * c[-2] + mu_t + gamma_t)
+    return A, B, W, plan
+
+
+def integrate(state0: State, params: ModelParams, grid: GridSpec,
+              timespec: TimeSpec, sources: SourceTerms | None = None) -> Trajectory:
+    """Advance the state to t_end, storing snapshots at the requested times.
+
+    Fixed mode runs RK4 up to RK4's reach (`stability_dt`, also the step
+    when dt is None) and RKC beyond it, with the stages that the longest
+    step, min(dt, t_end - t0), times the spectral radius bound needs;
+    adaptive mode runs RKC with its embedded error estimate, each attempt
+    with the stages its own step needs.  Raises AssumptionError (A4) when
+    the gas node at x = 0 does not hold u1_d, and DivergedError (carrying
+    the last good state) on non-finite values, on a concentration below
+    -POSITIVITY_SLACK (adaptive mode rejects such steps instead) or on
+    step-size underflow.
+    """
+    state0.validate(grid)
+    if state0.u1[0] != params.u1_d:
+        raise AssumptionError("A4", f"the gas node at x = 0 must hold u1_d = {params.u1_d!r}, "
+                                    f"got u1[0] = {float(state0.u1[0])!r}")
+    adaptive = timespec.mode == "adaptive"
+    reach = stability_dt(params, grid)
+    rho = spectral_radius_bound(params, grid)
+    h_base = reach if timespec.dt is None else float(timespec.dt)  # adaptive: a conservative start
+    h_plan = min(h_base, timespec.t_end - state0.t)  # no step outlasts the horizon
+    if adaptive:  # each attempt takes the stages its own step needs
+        method, s_fixed = "rkc", None
+    elif h_plan <= reach:
+        method, s_fixed = "rk4", len(_RK4)
+    else:
+        method, s_fixed = "rkc", _rkc_stages(h_plan, rho)
+    stats = StepStats(method=method)
+
+    t = float(state0.t)
+    y = state0.y.copy()
+    t_end = float(timespec.t_end)
+    targets = [s for s in timespec.snapshot_times if s >= t]
+
+    # stage buffers and views, built once; a stage plan per stage count reads them
+    inputs = np.empty((4, y.size))
+    d, Y, f_new = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    current, stage = State.view(t, y, grid), State.view(t, Y, grid)
+    f0_out, f_out, f_new_out = (Tendency.view(b, grid) for b in (inputs[0], inputs[1], f_new))
+    plans = {}
 
     def evaluate(state: State, time: float, out: Tendency):
         state.t = time
@@ -298,8 +329,7 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
 
     record_due(t, y)
 
-    err_prev = 1.0
-    facmax = _FACMAX
+    h_prev = err_prev = None  # last accepted step and its error; None after a rejection
     # a diverging step overflows inside rhs and the stage sums; the checks
     # below detect the non-finite result and raise, so numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -314,6 +344,11 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 raise DivergedError(f"step size underflow at t={t:g}",
                                     State.view(t, y.copy(), grid))
 
+            s = _rkc_stages(h, rho) if adaptive else s_fixed
+            if s not in plans:
+                plans[s] = _stage_plan(_RK4 if method == "rk4" else _rkc_coefficients(s), inputs)
+            A, B, W, plan = plans[s]
+            stats.stages = max(stats.stages, s)
             if not adaptive or stats.rhs_evals == 0:  # else F(y_new) is F(Y_0)
                 evaluate(current, t, f0_out)
             np.multiply(B, h, out=W)
@@ -330,16 +365,19 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 reason = _inadmissible(State.view(t_new, Y, grid))
                 raise DivergedError(f"{reason} at t={t_new:g}", State.view(t, y.copy(), grid))
             if adaptive and admissible:
-                # F(y_new), the next F(Y_0), gives the gap h (F(Y_3) - F(y_new))/6 to RK4's
-                # third-order FSAL companion, weights (1/6, 1/3, 1/3, 0, 1/6)
+                # F(y_new), the next F(Y_0), completes the estimate
+                # (12 (y - y_new) + 6 h (F(y) + F(y_new))) / 15, with y_new - y = D_s = d
                 evaluate(stage, t_new, f_new_out)
-                scale, gap = inputs[2], inputs[3]   # the increments are spent
-                np.maximum(np.abs(y, out=scale), np.abs(Y, out=gap), out=scale)
-                scale *= RTOL
-                scale += ATOL
-                np.subtract(inputs[1], f_new, out=gap)
-                gap /= scale
-                err = h / 6.0 * float(np.sqrt(np.dot(gap, gap) / gap.size))
+                est, scale, spare = inputs[1:]   # F(Y_{s-1}) and the increments are spent
+                np.add(inputs[0], f_new, out=est)
+                est *= 0.4 * h
+                d *= 0.8
+                est -= d
+                np.maximum(np.abs(y, out=scale), np.abs(Y, out=spare), out=scale)
+                scale *= _EST_FRACTION * RTOL
+                scale += _EST_FRACTION * ATOL
+                est /= scale
+                err = float(np.sqrt(np.dot(est, est) / est.size))
                 admissible = np.isfinite(err)
 
             if admissible and err <= 1.0:
@@ -352,16 +390,14 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 if adaptive:
                     inputs[0] = f_new
                     err = max(err, 1e-10)
-                    fac = _RK_SAFETY * err ** (-0.7 / _ERR_ORDER) * err_prev ** (0.4 / _ERR_ORDER)
-                    h_base = h * min(facmax, max(_FACMIN, fac))
-                    err_prev = err
-                    facmax = _FACMAX
+                    if h_prev is None:
+                        fac = 0.8 * err ** (-1.0 / 3.0)
+                    else:
+                        fac = 0.8 * (h / h_prev) * err_prev ** (1.0 / 3.0) / err ** (2.0 / 3.0)
+                    h_base = h * min(10.0, max(0.1, fac))
+                    h_prev, err_prev = h, err
             else:
                 stats.rejected += 1
-                if not admissible:
-                    h_base = 0.5 * h
-                else:
-                    fac = _RK_SAFETY * err ** (-0.7 / _ERR_ORDER)
-                    h_base = h * min(1.0, max(_FACMIN, fac))
-                facmax = 1.0
+                h_prev = None
+                h_base = 0.5 * h if not admissible else h * max(0.1, 0.8 * err ** (-1.0 / 3.0))
     return traj

@@ -1,5 +1,6 @@
 import pytest
 
+import corrosim.integrator
 import corrosim.model
 import corrosim.verify
 
@@ -24,3 +25,17 @@ def skew_bottom_flux(monkeypatch):
             original(state, params, grid, flux + offset, surface, out)
         monkeypatch.setattr(corrosim.verify, "_add_diffusion", broken)
     return skew
+
+
+@pytest.fixture
+def stage_counts(monkeypatch):
+    """The stage counts `integrate` asks `_rkc_stages` for, in order: one per
+    attempt in adaptive mode."""
+    counts = []
+    stages = corrosim.integrator._rkc_stages
+
+    def recorded(dt, rho):
+        counts.append(stages(dt, rho))
+        return counts[-1]
+    monkeypatch.setattr(corrosim.integrator, "_rkc_stages", recorded)
+    return counts

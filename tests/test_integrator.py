@@ -17,7 +17,7 @@ from corrosim.integrator import (
     stability_dt,
 )
 from corrosim.interpolation import ManufacturedSolution
-from corrosim.model import ModelParams, SourceTerms, State
+from corrosim.model import AssumptionError, ModelParams, SourceTerms, State
 from reference import zero_state
 
 
@@ -28,9 +28,9 @@ def params(**overrides):
     return ModelParams(**base)
 
 
-# stepper cases by label: "fixed" is RK4 within its reach, "adaptive" RK4
-# with its FSAL error estimate, "rkc" fixed steps beyond RK4's reach
-METHOD = {"fixed": "rk4", "adaptive": "rk4", "rkc": "rkc"}
+# stepper cases by label: "fixed" is RK4 within its reach, "adaptive" RKC
+# with its embedded error estimate, "rkc" fixed steps beyond RK4's reach
+METHOD = {"fixed": "rk4", "adaptive": "rkc", "rkc": "rkc"}
 
 
 def case_timespec(case, t_end, rkc_dt, **kwargs):
@@ -221,10 +221,15 @@ class TestMethodSelection:
         assert traj.stats.method == "rk4"
         assert traj.stats.accepted == int(np.ceil(1.0 / stability_dt(p, g)))
 
-    def test_adaptive_is_rk4(self):
+    def test_adaptive_is_rkc(self, stage_counts):
+        # each attempt runs RKC with the stages its own step needs, from 3 at
+        # RK4's reach (h rho >= 2) up; the run reports the largest
         g = GridSpec(1.0, 1.0, 4, 4)
-        traj = integrate(zero_state(g), params(), g, TimeSpec(t_end=0.1, mode="adaptive"))
-        assert (traj.stats.method, traj.stats.stages) == ("rk4", 4)
+        p = params()
+        traj = integrate(zero_state(g), p, g, TimeSpec(t_end=1.0, mode="adaptive"))
+        assert stage_counts[0] == _rkc_stages(stability_dt(p, g), spectral_radius_bound(p, g)) == 3
+        assert len(set(stage_counts)) > 1
+        assert (traj.stats.method, traj.stats.stages) == ("rkc", max(stage_counts))
 
 
 class TestFixedStep:
@@ -270,6 +275,12 @@ class TestFixedStep:
         assert traj.stats.method == METHOD.get(case, "rk4")
         assert tuple(traj.times()) == snaps
         assert all(s.u1[0] == p.u1_d for s in traj.snapshots)
+
+    @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+    def test_start_state_must_hold_the_inlet_value(self, mode):
+        g = GridSpec(1.0, 1.0, 4, 4)
+        with pytest.raises(AssumptionError, match=r"^\[A4\] .*u1_d = 1\.0, got u1\[0\] = 0\.0$"):
+            integrate(zero_state(g), params(u1_d=1.0), g, TimeSpec(t_end=1.0, mode=mode))
 
     def test_eigenmode_decay_rate(self):
         # decoupled gas diffusion; the half-sine mode satisfies both boundary
@@ -334,6 +345,7 @@ class TestFixedStep:
 
         def run():
             st = zero_state(g)
+            st.u1[0] = p.u1_d
             st.u2[:] = 0.5
             return integrate(st, p, g, ts)
 
@@ -424,14 +436,16 @@ class TestAdaptive:
                            (sf.u3, sa.u3), (sf.u4, sa.u4)):
                 assert np.all(np.abs(uf - ua) <= 10.0 * (ATOL + RTOL * np.abs(uf)))
 
-    def test_last_evaluation_starts_the_next_attempt(self):
-        # an attempt evaluates three stages and F(y_new); the next attempt,
-        # after an acceptance or an error rejection, starts from F(y_new) or
-        # from the F(y_n) it already had, so only the first pays for F(y_0)
+    def test_last_evaluation_starts_the_next_attempt(self, stage_counts):
+        # an attempt of s stages evaluates s - 1 of them and F(y_new); the
+        # next attempt, after an acceptance or an error rejection, starts
+        # from F(y_new) or from the F(y_n) it already had, so only the first
+        # pays for F(y_0)
         g, p, st = self.problem()
         stats = integrate(st, p, g, TimeSpec(t_end=10.0, mode="adaptive")).stats
         assert stats.rejected > 0
-        assert stats.rhs_evals == 1 + 4 * (stats.accepted + stats.rejected)
+        assert len(stage_counts) == stats.accepted + stats.rejected
+        assert stats.rhs_evals == 1 + sum(stage_counts)
 
     def test_controller_grows_step(self):
         g = GridSpec(1.0, 1.0, 8, 8)
@@ -628,8 +642,9 @@ class TestTableauLoop:
 
     @pytest.mark.parametrize("mode,nodes", [
         ("fixed", (0.0, 0.5, 0.5, 1.0)),
-        # the last evaluation, F(y_new) at t + h, is the next step's first
-        ("adaptive", (0.0, 0.5, 0.5, 1.0, 1.0)),
+        # adaptive's first step, RK4's reach, takes 3 RKC stages; the last
+        # evaluation, F(y_new) at t + h, is the next attempt's first
+        ("adaptive", recursion_nodes(_rkc_coefficients(3)) + (1.0,)),
         # rkc with h = 0.2 and spectral radius bound 64 takes 5 stages
         ("rkc", recursion_nodes(_rkc_coefficients(5))),
     ])

@@ -84,6 +84,11 @@ class TestTableau:
         r = recursion(_rkc_coefficients(s), lambda y: z * y, np.ones_like(z))[-1]
         assert np.all(np.abs(r) <= 1.0 + 1e-12), (s, z[np.argmax(np.abs(r))])
 
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_needs_two_stages(self, s):
+        with pytest.raises(ValueError, match=f"RKC needs at least 2 stages, got {s}"):
+            _rkc_coefficients(s)
+
     def test_rk4_rows(self):
         coef = stability_polynomial(_RK4).coef
         assert np.allclose(coef, [1.0, 1.0, 1 / 2, 1 / 6, 1 / 24], rtol=4e-16, atol=0.0)
@@ -111,11 +116,16 @@ class TestTableau:
             4e-3 * 4 + 5.0 * 4 + 5.0 * 20, rel=1e-14)
 
 
-def test_stiff_step_holds_a_fixed_number_of_state_vectors():
-    # one step of 63 stages (fig1 at 64^2 with bi_m = 50) allocates no
-    # stage matrix: a stage keeps only D_{j-1}, D_{j-2}, F(Y_{j-1}), F(Y_0)
-    cfg = fig1(grid={"nx": 64, "ny": 64}, params={"bi_m": 50},
-               time={"t_end": 0.2, "snapshots": "0.2"})
+@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+def test_stiff_step_holds_a_fixed_number_of_state_vectors(mode, stage_counts):
+    # one step of 63 stages (fig1 at 64^2 with bi_m = 50), or adaptive
+    # attempts of 11 stage counts from 2 to 12, allocate no stage matrix:
+    # a stage keeps only D_{j-1}, D_{j-2}, F(Y_{j-1}), F(Y_0), and the plans
+    # cached per stage count hold coefficients only
+    time = {"t_end": 0.2, "snapshots": "0.2"}
+    if mode == "adaptive":
+        time["mode"] = "adaptive"
+    cfg = fig1(grid={"nx": 64, "ny": 64}, params={"bi_m": 50}, time=time)
     state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
     state_bytes = 8 * (2 * state0.u1.size + 2 * state0.u2.size)
     tracemalloc.start()
@@ -124,7 +134,10 @@ def test_stiff_step_holds_a_fixed_number_of_state_vectors():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert traj.stats.stages == 63 and traj.stats.accepted == 1
+    if mode == "fixed":
+        assert traj.stats.stages == 63 and traj.stats.accepted == 1
+    else:
+        assert len(set(stage_counts)) >= 5 and traj.stats.stages == max(stage_counts)
     assert peak < 20 * state_bytes
 
 
@@ -208,6 +221,30 @@ def relative_l2(grid, got, want):
     return norm(grid, got - want) / norm(grid, want)
 
 
+class TestErrorEstimate:
+    def test_bounds_the_local_error(self):
+        # adaptive mode's estimate (12 (y - y_new) + 6 h (F(y) + F(y_new))) / 15
+        # against the exact one-step error on a linear problem (k = 0) from
+        # rough data, measured at 1.39 to 3.97 times the true error on these
+        # steps and stage counts, stable or not (s = 2 at h = 0.4 is 4 times
+        # past its interval)
+        expm = pytest.importorskip("scipy.linalg").expm
+        from corrosim.model import rhs
+
+        g = GridSpec(1.0, 1.0, 8, 8)
+        p = ModelParams(d1=0.05, d2=0.05, d3=0.05, bi_m=0.2, henry=1.0, u1_d=0.0,
+                        k=0.0, alpha=0.2, beta=0.05)
+        dim = 2 * (g.n_x + 1) + 2 * (g.n_x + 1) * (g.n_y + 1)
+        jac = np.column_stack([rhs(State.view(0.0, e, g), p, g).y for e in np.eye(dim)])
+        y0 = np.random.default_rng(3).uniform(size=dim)
+        y0[0] = p.u1_d
+        for h, s in itertools.product((0.05, 0.1, 0.2, 0.4), (2, 4, 8)):
+            y1 = recursion(_rkc_coefficients(s), lambda v: jac @ v, y0, h)[-1]
+            est = (12.0 * (y0 - y1) + 6.0 * h * (jac @ y0 + jac @ y1)) / 15.0
+            ratio = np.linalg.norm(est) / np.linalg.norm(y1 - expm(h * jac) @ y0)
+            assert 1.0 <= ratio <= 5.0, (h, s, ratio)
+
+
 class TestFig1Default:
     @pytest.mark.parametrize("n", [16, 32])
     def test_agrees_with_rk4(self, n):
@@ -247,3 +284,13 @@ class TestFig1Default:
         high = max(float(s.y.max()) for s in traj.snapshots)
         assert low >= -POSITIVITY_SLACK
         assert high <= 10.0
+
+    def test_stiff_exchange_adaptive(self):
+        # adaptive mode on stiff exchange (bi_m = 50, 16^2, t = 20) sets its
+        # step by accuracy: about 7,500 rhs calls with at most 23 stages,
+        # where adaptive RK4, held to its stability interval, took 47,501
+        cfg = fig1(grid={"nx": 16, "ny": 16}, params={"bi_m": 50},
+                   time={"t_end": 20, "mode": "adaptive"})
+        traj = run(cfg)
+        assert traj.stats.rhs_evals <= 10_000
+        assert traj.snapshots[-1].t == 20.0 and traj.snapshots[-1].y.min() >= 0.0
