@@ -11,7 +11,8 @@ harness (`interpolation`), and a config-driven CLI (`cli`).
 """
 
 from .grids import GridSpec
-from .integrator import DivergedError, TimeSpec, Trajectory, integrate, stability_dt
+from .integrator import (DivergedError, TimeSpec, Trajectory, acid_bound, integrate,
+                         stability_dt)
 from .model import (
     AssumptionError,
     InitialData,
@@ -35,6 +36,7 @@ __all__ = [
     "State",
     "TimeSpec",
     "Trajectory",
+    "acid_bound",
     "eta",
     "integrate",
     "project_initial",

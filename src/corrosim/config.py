@@ -86,8 +86,7 @@ def _smooth_initial(grid: GridSpec, params: ModelParams) -> InitialData:
 # and the volume exchange off.
 _SMALL_GRID = dict(length=1.0, cell_length=1.0, nx=8, ny=8)
 _DECOUPLED = dict(d1=0.05, d2=0.05, d3=0.05, bi_m=0.0, henry=1.0, u1_d=0.0,
-                  k=0.0, alpha=0.0, beta=0.0, c_bar=1.0, q_kind="constant",
-                  m3=10.0, m4=1.0)
+                  k=0.0, alpha=0.0, beta=0.0, q_kind="constant", m4=1.0)
 _TEN_UNITS = dict(t_end=10.0, mode="fixed",
                   snapshots=" ".join(str(v) for v in np.arange(0.0, 10.5, 0.5)))
 
@@ -98,7 +97,7 @@ SCENARIOS = {
             "grid": dict(length=1.0, cell_length=1.0, nx=16, ny=16),
             "params": dict(d1=0.0012, d2=0.005, d3=0.005, bi_m=0.15,
                            henry=1.0, u1_d=1.0, k=0.1, alpha=0.3, beta=0.01,
-                           c_bar=1.0, q_kind="linear_cutoff", m3=10.0, m4=0.5),
+                           q_kind="linear_cutoff", m4=0.5),
             "time": dict(t_end=400.0, mode="fixed", dt=0.2,
                          snapshots="0 80 160 240 320 400"),
             "output": dict(micro_slice_x=0.5),

@@ -46,8 +46,7 @@ to t + h, so the next step and its sources start from that time.
 Every entry of the state vector is a concentration.  The gas node at
 x = 0 holds the Dirichlet value u1_d with zero tendency, so every stage
 adds exactly 0 to it; a start state that does not hold it there is
-rejected, and the integrator still sets it to u1_d after every accepted
-step.  A step is admissible only if every entry stays finite and
+rejected.  A step is admissible only if every entry stays finite and
 above -POSITIVITY_SLACK: fixed stepping raises DivergedError on the first
 step that is not, adaptive stepping rejects it and halves the step.
 """
@@ -129,9 +128,23 @@ class Trajectory:
         return np.array([s.t for s in self.snapshots])
 
 
-def stability_dt(params: ModelParams, grid: GridSpec) -> float:
+def acid_bound(params: ModelParams, state: State, horizon: float) -> float:
+    """The largest acid the unforced semi-discrete system reaches from
+    `state` within `horizon`.  The system is quasi-monotone and the surface
+    reaction only removes acid, so a box whose upper faces point inward is
+    invariant (Chueh, Conley & Smoller, Indiana Univ. Math. J. 26, 1977):
+    with G = max(H u1_d, H max u1, max u2), u1 <= G/H and u2 <= G, and the
+    acid grows at most at the rate alpha G - beta u3.  Sources void it.
+    """
+    gas = max(params.henry * max(params.u1_d, state.u1.max()), state.u2.max())
+    if params.beta > 0.0:   # the acid face alpha G/beta
+        return float(max(state.u3.max(), params.alpha * gas / params.beta))
+    return float(state.u3.max() + params.alpha * gas * horizon)
+
+
+def stability_dt(params: ModelParams, grid: GridSpec, acid: float) -> float:
     """RK4's reach, the largest fixed step RK4 takes: min(2.7 / rho, 2 / delta),
-    with rho from `spectral_radius_bound` and delta from `diagonal_bound`.
+    with rho and delta from the bounds below for acid at most `acid`.
 
     RK4's stability region holds the disc |z + r| <= r for every r up to
     1.3926, and with it the real interval [-2.785, 0]; the Jacobians of `rhs`
@@ -141,24 +154,25 @@ def stability_dt(params: ModelParams, grid: GridSpec) -> float:
     factor 1 - dt * delta_row / 2 nonnegative: without it the gypsum of the
     stiff linear-cutoff case overshoots m4.
     """
-    return min(_RK4_REACH / spectral_radius_bound(params, grid),
-               2.0 / diagonal_bound(params, grid))
+    return min(_RK4_REACH / spectral_radius_bound(params, grid, acid),
+               2.0 / diagonal_bound(params, grid, acid))
 
 
-def spectral_radius_bound(params: ModelParams, grid: GridSpec) -> float:
-    """Gershgorin bound on the spectral radius of the linearised `rhs`: the
-    largest row sum of `_row_bounds`."""
-    return max(diag + off for diag, off in _row_bounds(params, grid))
+def spectral_radius_bound(params: ModelParams, grid: GridSpec, acid: float) -> float:
+    """Gershgorin bound on the spectral radius of the linearised `rhs` for
+    acid at most `acid`: the largest row sum of `_row_bounds`."""
+    return max(diag + off for diag, off in _row_bounds(params, grid, acid))
 
 
-def diagonal_bound(params: ModelParams, grid: GridSpec) -> float:
-    """Bound on the largest diagonal magnitude of the linearised `rhs`: the
-    largest diagonal term of `_row_bounds`."""
-    return max(diag for diag, _ in _row_bounds(params, grid))
+def diagonal_bound(params: ModelParams, grid: GridSpec, acid: float) -> float:
+    """Bound on the largest diagonal magnitude of the linearised `rhs` for
+    acid at most `acid`: the largest diagonal term of `_row_bounds`."""
+    return max(diag for diag, _ in _row_bounds(params, grid, acid))
 
 
-def _row_bounds(params: ModelParams, grid: GridSpec) -> list[tuple[float, float]]:
-    """(diagonal, off-diagonal) magnitudes of the stiffest row of each field.
+def _row_bounds(params: ModelParams, grid: GridSpec, acid: float) -> list[tuple[float, float]]:
+    """(diagonal, off-diagonal) magnitudes of the stiffest row of each
+    field, for acid at most `acid`.
 
     The rows are those of D^-1 J D, with the gypsum scaled by
     D = sigma = h_y/2, which moves the factor 2/h_y of the surface-loss
@@ -169,33 +183,24 @@ def _row_bounds(params: ModelParams, grid: GridSpec) -> list[tuple[float, float]
     * dissolved gas   2 d2/h_y^2 + 2 bi_m/h_y + alpha, and
                       2 d2/h_y^2 + 2 bi_m H/h_y + beta
                       (the Robin exchange ghost at y = 0)
-    * acid            2 d3/h_y^2 + 2 k c_bar/h_y + beta, and
-                      2 d3/h_y^2 + alpha + k m3 c_bar/m4
+    * acid            2 d3/h_y^2 + 2 k/h_y + beta, and
+                      2 d3/h_y^2 + alpha + k A/m4
                       (the surface-loss ghost at y = ell; the last term,
                       its gypsum coupling, for the linear cutoff only)
-    * gypsum          k m3 c_bar/m4 for the linear cutoff, else 0, and
-                      2 k c_bar/h_y
+    * gypsum          k A/m4 for the linear cutoff, else 0, and 2 k/h_y
 
-    The gypsum row sum never exceeds the acid row's.  The reaction terms
-    take the acid to be at most m3.
+    with A = `acid`, which `integrate` takes from `acid_bound`.  The gypsum
+    row sum never exceeds the acid row's.
     """
-    bi_m, henry, k, c_bar = params.bi_m, params.henry, params.k, params.c_bar
+    bi_m, henry, k = params.bi_m, params.henry, params.k
     h_x, h_y = grid.h_x, grid.h_y
-    slope = _gypsum_slope(params)
+    slope = k * acid / params.m4 if params.q_kind == "linear_cutoff" else 0.0
     return [(2.0 * params.d1 / h_x**2 + bi_m * henry, 2.0 * params.d1 / h_x**2 + bi_m),
             (2.0 * params.d2 / h_y**2 + 2.0 * bi_m / h_y + params.alpha,
              2.0 * params.d2 / h_y**2 + 2.0 * bi_m * henry / h_y + params.beta),
-            (2.0 * params.d3 / h_y**2 + 2.0 * k * c_bar / h_y + params.beta,
+            (2.0 * params.d3 / h_y**2 + 2.0 * k / h_y + params.beta,
              2.0 * params.d3 / h_y**2 + params.alpha + slope),
-            (slope, 2.0 * k * c_bar / h_y)]
-
-
-def _gypsum_slope(params: ModelParams) -> float:
-    """k m3 c_bar/m4, the largest |d eta/d s| with the acid at most m3, for
-    the linear cutoff; 0 for the constant kernel."""
-    if params.q_kind != "linear_cutoff":
-        return 0.0
-    return params.k * params.m3 * params.c_bar / params.m4
+            (slope, 2.0 * k / h_y)]
 
 
 def _rkc_stages(dt: float, rho: float) -> int:
@@ -280,20 +285,24 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     step, min(dt, t_end - t0), times the spectral radius bound needs;
     adaptive mode runs RKC with its embedded error estimate, each attempt
     with the stages its own step needs.  Raises AssumptionError (A4) when
-    the gas node at x = 0 does not hold u1_d, and DivergedError (carrying
-    the last good state) on non-finite values, on a concentration below
-    -POSITIVITY_SLACK (adaptive mode rejects such steps instead) or on
-    step-size underflow.
+    the start state is not finite or its gas node at x = 0 does not hold
+    u1_d, and DivergedError (carrying the last good state) on non-finite
+    values, on a concentration below -POSITIVITY_SLACK (adaptive mode
+    rejects such steps instead) or on step-size underflow.
     """
     state0.validate(grid)
+    if not np.isfinite(state0.y).all():   # the step bounds read its maxima
+        raise AssumptionError("A4", "the start state must be finite")
     if state0.u1[0] != params.u1_d:
         raise AssumptionError("A4", f"the gas node at x = 0 must hold u1_d = {params.u1_d!r}, "
                                     f"got u1[0] = {float(state0.u1[0])!r}")
     adaptive = timespec.mode == "adaptive"
-    reach = stability_dt(params, grid)
-    rho = spectral_radius_bound(params, grid)
+    horizon = timespec.t_end - state0.t
+    acid = acid_bound(params, state0, horizon)
+    reach = stability_dt(params, grid, acid)
+    rho = spectral_radius_bound(params, grid, acid)
     h_base = reach if timespec.dt is None else float(timespec.dt)  # adaptive: a conservative start
-    h_plan = min(h_base, timespec.t_end - state0.t)  # no step outlasts the horizon
+    h_plan = min(h_base, horizon)  # no step outlasts the horizon
     if adaptive:  # each attempt takes the stages its own step needs
         method, s_fixed = "rkc", None
     elif h_plan <= reach:
@@ -383,7 +392,6 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
             if admissible and err <= 1.0:
                 t = t_new
                 y[:] = Y
-                y[0] = params.u1_d
                 stats.accepted += 1
                 stats.last_dt = h
                 record_due(t, y)

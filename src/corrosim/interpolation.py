@@ -220,8 +220,8 @@ class ManufacturedSolution:
     dissolved-gas trace at y = 0 equals the solubility ratio times the gas
     value, its slope vanishes there and at y = 1, and the acid profile
     cos(lam*y), lam = pi/4, satisfies the surface-reaction flux balance
-    because k is set to d3*lam*tan(lam)/c_bar, with the constant gypsum
-    kernel Q = c_bar.
+    because k is set to d3*lam*tan(lam), with the constant gypsum kernel
+    Q = 1.
     `exact_state` samples the fields at the grid nodes; at t = 0 it is the
     start state of the convergence study.
 
@@ -235,8 +235,8 @@ class ManufacturedSolution:
     lam = np.pi / 4.0       # acid profile wavenumber
     params = ModelParams(
         d1=0.1, d2=0.1, d3=0.1, bi_m=0.5, henry=0.8, u1_d=1.0,
-        k=0.1 * lam * np.tan(lam),      # the flux balance d3*lam*tan(lam)/c_bar
-        alpha=0.4, beta=0.3, c_bar=1.0, q_kind="constant", m3=10.0, m4=2.0)
+        k=0.1 * lam * np.tan(lam),      # the flux balance d3*lam*tan(lam)
+        alpha=0.4, beta=0.3, q_kind="constant", m4=2.0)
 
     # time envelopes
     @staticmethod
@@ -303,7 +303,7 @@ class ManufacturedSolution:
     def f4(self, x, t):
         p = self.params
         du4_dt = 0.1 * np.exp(-t) * self._g3(x)
-        surface = p.k * p.c_bar * self.u3(x, 1.0, t)
+        surface = p.k * self.u3(x, 1.0, t)
         return du4_dt - surface
 
     def sources(self, grid: GridSpec) -> SourceTerms:

@@ -12,8 +12,8 @@ surfaces on rejection:
       solubility ratio, inlet value)
 * A2  volume-exchange coefficients alpha, beta (nonnegative scalars; the
       paper's cell-varying coefficients are not supported)
-* A3  surface reaction (rate constant, the bounds c_bar, m3 and m4, the
-      gypsum kernel Q)
+* A3  surface reaction (rate constant, the gypsum bound m4, the gypsum
+      kernel Q)
 * A4  initial data (finite, nonnegative)
 
 A `State` (and a `Tendency`, its time derivative) is one flat float64
@@ -71,12 +71,7 @@ class ModelParams:
     k: float                       # surface reaction constant, >= 0
     alpha: float                   # dissolved-gas consumption coefficient
     beta: float                    # acid back-reaction coefficient
-    c_bar: float = 1.0             # upper bound of the gypsum kernel Q
     q_kind: str = "constant"       # gypsum kernel: "constant" or "linear_cutoff"
-    # acid bound that the step bound's gypsum coupling assumes; nothing
-    # checks it, and fig1 at 16^2 with dt = 0.2 exceeds it (acid 10.58 at
-    # t = 400 against m3 = 10)
-    m3: float = 10.0
     m4: float = 1.0                # gypsum bound used by "linear_cutoff"
 
     def __post_init__(self):
@@ -101,10 +96,8 @@ class ModelParams:
             object.__setattr__(self, name, v)
         if not (np.isfinite(self.k) and self.k >= 0.0):
             raise AssumptionError("A3", f"k must be >= 0, got {self.k}")
-        for name in ("c_bar", "m3", "m4"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
-                raise AssumptionError("A3", f"{name} must be > 0, got {v}")
+        if not (np.isfinite(self.m4) and self.m4 > 0.0):
+            raise AssumptionError("A3", f"m4 must be > 0, got {self.m4}")
         if self.q_kind not in Q_KINDS:
             raise AssumptionError("A3", f"unknown q_kind {self.q_kind!r}")
 
@@ -112,16 +105,14 @@ class ModelParams:
 def eta(r, s, params: ModelParams) -> np.ndarray:
     """Surface reaction rate k * r * Q(s) for r >= 0 and s >= 0, else 0.
 
-    Q is c_bar, or c_bar * max(0, 1 - s/m4) under "linear_cutoff", so the
-    rate is nonnegative everywhere and grows with the acid r.  r and s have
-    one shape; scalars give a 0-d array.
+    Q is 1, or max(0, 1 - s/m4) under "linear_cutoff", so the rate is
+    nonnegative everywhere and grows with the acid r.  r and s have one
+    shape; scalars give a 0-d array.
     """
     value = np.maximum(r, 0.0, out=np.empty(np.shape(r)))   # r < 0 gives 0 here
     value *= params.k
     if params.q_kind == "linear_cutoff":
-        value *= params.c_bar * np.maximum(0.0, 1.0 - np.maximum(s, 0.0) / params.m4)
-    else:
-        value *= params.c_bar
+        value *= np.maximum(0.0, 1.0 - np.maximum(s, 0.0) / params.m4)
     value[s < 0.0] = 0.0
     return value
 

@@ -122,5 +122,5 @@ class ConstantSolution:
 def manufactured_constant() -> ConstantSolution:
     params = ModelParams(
         d1=0.1, d2=0.1, d3=0.1, bi_m=0.5, henry=0.8, u1_d=1.0,
-        k=0.2, alpha=0.4, beta=0.3, c_bar=1.0, q_kind="constant")
+        k=0.2, alpha=0.4, beta=0.3, q_kind="constant")
     return ConstantSolution(params, u2_value=params.henry * params.u1_d)

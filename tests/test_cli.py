@@ -77,13 +77,17 @@ class TestConfig:
             load_config(str(p))
 
     def test_unknown_key_rejected(self, tmp_path):
-        # adaptive mode's tolerances are constants, not keys
-        for key, run_line, time_line in (
-                ("run.who", "who = 1\n", ""),
-                ("time.rtol", "", "mode = adaptive\nrtol = 1e-6\n"),
-                ("time.atol", "", "mode = adaptive\natol = 1e-9\n")):
+        # adaptive mode's tolerances are constants, not keys; the acid bound
+        # is derived and the reaction scaled by k alone
+        for key, run_line, time_line, params_line in (
+                ("run.who", "who = 1\n", "", ""),
+                ("time.rtol", "", "mode = adaptive\nrtol = 1e-6\n", ""),
+                ("time.atol", "", "mode = adaptive\natol = 1e-9\n", ""),
+                ("params.m3", "", "", "m3 = 10.0\n"),
+                ("params.c_bar", "", "", "c_bar = 1.0\n")):
             p = tmp_path / "c.ini"
             p.write_text(f"[run]\nscenario = fig1\n{run_line}\n"
+                         f"[params]\n{params_line}\n"
                          f"[time]\nt_end = 1\n{time_line}")
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
                 load_config(str(p))

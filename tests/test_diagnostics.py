@@ -16,7 +16,7 @@ from reference import zero_state
 
 def params(**overrides):
     base = dict(d1=0.05, d2=0.05, d3=0.05, bi_m=0.0, henry=1.0, u1_d=0.0,
-                k=0.0, alpha=0.0, beta=0.0, c_bar=1.0)
+                k=0.0, alpha=0.0, beta=0.0)
     base.update(overrides)
     return ModelParams(**base)
 

@@ -11,6 +11,7 @@ from corrosim.integrator import (
     TimeSpec,
     _rkc_coefficients,
     _rkc_stages,
+    acid_bound,
     diagonal_bound,
     integrate,
     spectral_radius_bound,
@@ -23,9 +24,14 @@ from reference import zero_state
 
 def params(**overrides):
     base = dict(d1=1.0, d2=1.0, d3=1.0, bi_m=0.0, henry=1.0, u1_d=0.0,
-                k=0.0, alpha=0.0, beta=0.0, c_bar=1.0, q_kind="constant")
+                k=0.0, alpha=0.0, beta=0.0, q_kind="constant")
     base.update(overrides)
     return ModelParams(**base)
+
+
+# the acid bound the step bounds below are read for; the linear-cutoff
+# cases start the acid no higher, and the constant kernel ignores it
+ACID = 10.0
 
 
 # stepper cases by label: "fixed" is RK4 within its reach, "adaptive" RKC
@@ -80,18 +86,18 @@ class TestStabilityLimit:
     def test_reference_value(self):
         g = GridSpec(1.0, 1.0, 10, 10)  # h = 0.1
         # 2.7 / rho with rho = 4 d/h^2 = 400; 2 / delta = 2 / (2 d/h^2) is longer
-        assert stability_dt(params(), g) == pytest.approx(0.00675)
+        assert stability_dt(params(), g, ACID) == pytest.approx(0.00675)
 
     def test_micro_diffusivity_binds(self):
         g = GridSpec(1.0, 1.0, 10, 10)
-        base = stability_dt(params(), g)
-        assert stability_dt(params(d2=10.0), g) == pytest.approx(base / 10.0)
+        base = stability_dt(params(), g, ACID)
+        assert stability_dt(params(d2=10.0), g, ACID) == pytest.approx(base / 10.0)
 
     def test_quadratic_in_step(self):
         g = GridSpec(1.0, 1.0, 10, 10)
         fine = g.refine(2)
-        assert stability_dt(params(), fine) == pytest.approx(
-            stability_dt(params(), g) / 4.0)
+        assert stability_dt(params(), fine, ACID) == pytest.approx(
+            stability_dt(params(), g, ACID) / 4.0)
 
     def test_exchange_binds(self):
         # a stiff Robin exchange: the gas row of the Gershgorin bound,
@@ -99,10 +105,10 @@ class TestStabilityLimit:
         # the Robin diagonal, 2 d2/h_y^2 + 2 bi_m/h_y = 2200, does not
         g = GridSpec(1.0, 1.0, 10, 10)
         p = params(bi_m=100.0)
-        assert spectral_radius_bound(p, g) == pytest.approx(4400.0)
-        assert diagonal_bound(p, g) == pytest.approx(2200.0)
-        assert stability_dt(p, g) == pytest.approx(2.7 / 4400.0)
-        assert stability_dt(p, g) < stability_dt(params(), g)
+        assert spectral_radius_bound(p, g, ACID) == pytest.approx(4400.0)
+        assert diagonal_bound(p, g, ACID) == pytest.approx(2200.0)
+        assert stability_dt(p, g, ACID) == pytest.approx(2.7 / 4400.0)
+        assert stability_dt(p, g, ACID) < stability_dt(params(), g, ACID)
 
     # one case per binding row of the Gershgorin bound: params, grid, rho,
     # delta, and the clause of the reach min(2.7 / rho, 2 / delta) that binds
@@ -115,11 +121,11 @@ class TestStabilityLimit:
         "exchange": (params(d1=0.1, d2=0.1, d3=0.1, bi_m=100.0, henry=0.05),
                      GridSpec(1.0, 1.0, 10, 10), 2140.0, 2020.0, "delta"),
         # test_rkc's coarse stiff case: the acid row with its gypsum coupling,
-        # 2 k c_bar/h_y + k m3 c_bar/m4, binds rho, and the gypsum diagonal
-        # k m3 c_bar/m4, the rate at which acid at m3 drives the gypsum to
-        # m4, binds the reach
+        # 2 k/h_y + k A/m4, binds rho, and the gypsum diagonal k A/m4, the
+        # rate at which acid at the bound A drives the gypsum to m4, binds
+        # the reach
         "gypsum": (params(d1=1e-3, d2=1e-3, d3=1e-3, u1_d=1.0, k=5.0,
-                          q_kind="linear_cutoff", m3=10.0, m4=0.5),
+                          q_kind="linear_cutoff", m4=0.5),
                    GridSpec(1.0, 1.0, 2, 2), 120.016, 100.0, "delta"),
     }
 
@@ -134,19 +140,19 @@ class TestStabilityLimit:
         # the reach the checkerboard grows until a step turns it negative,
         # and the run raises DivergedError, or the gypsum passes m4
         p, g, rho, delta, clause = self.BINDING_ROWS[case]
-        assert spectral_radius_bound(p, g) == pytest.approx(rho, rel=1e-14)
-        assert diagonal_bound(p, g) == pytest.approx(delta, rel=1e-14)
+        assert spectral_radius_bound(p, g, ACID) == pytest.approx(rho, rel=1e-14)
+        assert diagonal_bound(p, g, ACID) == pytest.approx(delta, rel=1e-14)
         reach = {"rho": 2.7 / rho, "delta": 2.0 / delta}
         assert min(reach, key=reach.get) == clause
-        assert stability_dt(p, g) == pytest.approx(reach[clause], rel=1e-14)
+        assert stability_dt(p, g, ACID) == pytest.approx(reach[clause], rel=1e-14)
         i, j = np.ogrid[:g.n_x + 1, :g.n_y + 1]
         board = ((i + j) % 2).astype(float)
         st = zero_state(g)
         st.u1[...] = p.u1_d + board[:, 0]   # the inlet value at x = 0
         st.u2[...] = 1.0 - board
-        st.u3[...] = p.m3 * board
-        st.u4[...] = p.m4 * (1.0 - board[:, -1])   # zero where the acid is m3
-        h, steps = stability_dt(p, g), 500
+        st.u3[...] = ACID * board   # alpha = beta = 0, so its acid bound is ACID
+        st.u4[...] = p.m4 * (1.0 - board[:, -1])   # zero where the acid is ACID
+        h, steps = stability_dt(p, g, ACID), 500
         traj = integrate(st, p, g, TimeSpec(
             t_end=steps * h, snapshot_times=tuple(n * h for n in range(steps + 1))))
         assert traj.stats.method == "rk4" and traj.stats.accepted == steps
@@ -163,7 +169,7 @@ class TestStabilityLimit:
         "stiff-k": (BINDING_ROWS["gypsum"][0], GridSpec(1.0, 1.0, 8, 8)),
         "fig1-k1": (params(d1=0.0012, d2=0.005, d3=0.005, bi_m=0.15, u1_d=1.0,
                            k=1.0, alpha=0.3, beta=0.01, q_kind="linear_cutoff",
-                           m3=10.0, m4=0.1), GridSpec(1.0, 1.0, 16, 16)),
+                           m4=0.1), GridSpec(1.0, 1.0, 16, 16)),
         "long-cell": (params(d1=0.01, d2=0.01, d3=0.01, bi_m=10.0, henry=0.1,
                              u1_d=1.0, alpha=0.3, beta=0.01),
                       GridSpec(1.0, 8.0, 4, 2)),
@@ -172,20 +178,20 @@ class TestStabilityLimit:
     @pytest.mark.parametrize("case", sorted(PROBED))
     def test_bounds_hold_the_probed_jacobian(self, case):
         # the Jacobian of rhs by central differences, column by column, at
-        # admissible states with the acid below m3 and the gypsum below m4:
+        # admissible states with the acid below ACID and the gypsum below m4:
         # rhs is bilinear there, so the differences are exact up to
         # rounding.  The second state sits in the stiff corner, the acid
-        # above 0.9 m3 and the gypsum below 0.1 m4.  The eigenvalues are
+        # above 0.9 ACID and the gypsum below 0.1 m4.  The eigenvalues are
         # real and within rho, and the diagonal within delta, the premises
         # of RK4's reach
         from corrosim.model import rhs
 
         p, g = self.PROBED[case]
-        rho, delta = spectral_radius_bound(p, g), diagonal_bound(p, g)
+        rho, delta = spectral_radius_bound(p, g, ACID), diagonal_bound(p, g, ACID)
         rng = np.random.default_rng(4)
         for corner in (0.0, 0.9):
             st = random_state(g, rng, p.u1_d)
-            st.u3[...] = p.m3 * (corner + (1.0 - corner) * st.u3)
+            st.u3[...] = ACID * (corner + (1.0 - corner) * st.u3)
             st.u4[...] *= p.m4 * (1.0 - corner)
             jac = np.empty((st.y.size, st.y.size))
             for j in range(st.y.size):
@@ -200,6 +206,54 @@ class TestStabilityLimit:
             assert np.abs(np.diag(jac)).max() <= delta * (1.0 + 1e-8)
 
 
+class TestAcidBound:
+    def test_fig1_box(self):
+        # G = H u1_d = 1, so the acid face is alpha G/beta = 0.3/0.01
+        from corrosim.config import scenario_config
+        from corrosim.model import project_initial
+
+        cfg = scenario_config("fig1")
+        st = project_initial(cfg.initial, cfg.params, cfg.grid)
+        assert acid_bound(cfg.params, st, 400.0) == pytest.approx(30.0, rel=1e-14)
+
+    @pytest.mark.parametrize("start", [ACID, 2.0 * ACID, 3.0 * ACID])
+    def test_gypsum_checkerboard_follows_its_start(self, start):
+        # alpha = beta = 0: the acid never grows, so its bound is its start,
+        # and at ACID the gypsum case keeps the rho and delta pinned above.
+        # RK4 steps within the reach that bound sets, and the gypsum stops
+        # at m4 from any start
+        p, g, _, _, _ = TestStabilityLimit.BINDING_ROWS["gypsum"]
+        i, j = np.ogrid[:g.n_x + 1, :g.n_y + 1]
+        board = ((i + j) % 2).astype(float)
+        st = zero_state(g)
+        st.u1[...] = p.u1_d + board[:, 0]
+        st.u2[...] = 1.0 - board
+        st.u3[...] = start * board
+        st.u4[...] = p.m4 * (1.0 - board[:, -1])
+        acid = acid_bound(p, st, 1.0)
+        assert acid == start
+        slope = p.k * acid / p.m4   # the gypsum diagonal
+        assert spectral_radius_bound(p, g, acid) == pytest.approx(
+            4.0 * p.d3 / g.h_y**2 + 2.0 * p.k / g.h_y + slope, rel=1e-14)
+        assert diagonal_bound(p, g, acid) == pytest.approx(slope, rel=1e-14)
+        h = stability_dt(p, g, acid)
+        traj = integrate(st, p, g, TimeSpec(
+            t_end=500 * h, snapshot_times=tuple(n * h for n in range(501))))
+        assert traj.stats.method == "rk4" and traj.stats.accepted == 500
+        assert max(s.u4.max() for s in traj.snapshots) <= p.m4
+
+    def test_without_back_reaction_the_bound_grows_with_the_horizon(self):
+        # beta = 0 leaves no acid face: the acid grows at most at alpha G
+        g = GridSpec(1.0, 1.0, 4, 3)
+        p = params(henry=0.5, u1_d=1.0, alpha=0.3)
+        st = random_state(g, 7, p.u1_d)
+        st.u3[...] *= 2.0
+        G = max(p.henry * p.u1_d, p.henry * st.u1.max(), st.u2.max())
+        for horizon in (0.0, 2.5, 40.0):
+            assert acid_bound(p, st, horizon) == pytest.approx(
+                st.u3.max() + p.alpha * G * horizon, rel=1e-14)
+
+
 class TestMethodSelection:
     P = dict(d1=0.2, d2=0.3, d3=0.1, bi_m=0.4, u1_d=1.0, k=0.3,
              alpha=0.3, beta=0.2)
@@ -208,9 +262,9 @@ class TestMethodSelection:
     def test_reach_is_the_boundary(self, factor, method):
         g = GridSpec(1.0, 1.0, 8, 6)
         p = params(**self.P)
-        dt = factor * stability_dt(p, g)
+        dt = factor * stability_dt(p, g, ACID)
         traj = integrate(random_state(g, 3, p.u1_d), p, g, TimeSpec(t_end=3 * dt, dt=dt))
-        stages = 4 if method == "rk4" else _rkc_stages(dt, spectral_radius_bound(p, g))
+        stages = 4 if method == "rk4" else _rkc_stages(dt, spectral_radius_bound(p, g, ACID))
         assert traj.stats.method == method and traj.stats.stages == stages
         assert traj.stats.accepted == 3 and traj.stats.rhs_evals == 3 * stages
 
@@ -219,7 +273,7 @@ class TestMethodSelection:
         p = params(**self.P)
         traj = integrate(random_state(g, 3, p.u1_d), p, g, TimeSpec(t_end=1.0))
         assert traj.stats.method == "rk4"
-        assert traj.stats.accepted == int(np.ceil(1.0 / stability_dt(p, g)))
+        assert traj.stats.accepted == int(np.ceil(1.0 / stability_dt(p, g, ACID)))
 
     def test_adaptive_is_rkc(self, stage_counts):
         # each attempt runs RKC with the stages its own step needs, from 3 at
@@ -227,7 +281,8 @@ class TestMethodSelection:
         g = GridSpec(1.0, 1.0, 4, 4)
         p = params()
         traj = integrate(zero_state(g), p, g, TimeSpec(t_end=1.0, mode="adaptive"))
-        assert stage_counts[0] == _rkc_stages(stability_dt(p, g), spectral_radius_bound(p, g)) == 3
+        reach, rho = stability_dt(p, g, ACID), spectral_radius_bound(p, g, ACID)
+        assert stage_counts[0] == _rkc_stages(reach, rho) == 3
         assert len(set(stage_counts)) > 1
         assert (traj.stats.method, traj.stats.stages) == ("rkc", max(stage_counts))
 
@@ -282,6 +337,18 @@ class TestFixedStep:
         with pytest.raises(AssumptionError, match=r"^\[A4\] .*u1_d = 1\.0, got u1\[0\] = 0\.0$"):
             integrate(zero_state(g), params(u1_d=1.0), g, TimeSpec(t_end=1.0, mode=mode))
 
+    @pytest.mark.parametrize("case", ["fixed", "adaptive", "rkc"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_start_state_must_be_finite(self, case, bad):
+        # the step bounds read the start state's maxima through acid_bound;
+        # an infinite acid would plan infinitely many RKC stages
+        g = GridSpec(1.0, 1.0, 4, 4)
+        p = params(alpha=0.3, k=1.0, q_kind="linear_cutoff")
+        st = zero_state(g)
+        st.u3[2, 3] = bad
+        with pytest.raises(AssumptionError, match=r"^\[A4\] the start state must be finite$"):
+            integrate(st, p, g, case_timespec(case, 1.0, 0.5))
+
     def test_eigenmode_decay_rate(self):
         # decoupled gas diffusion; the half-sine mode satisfies both boundary
         # closures, so its amplitude decays at the discrete rate, which is
@@ -333,7 +400,7 @@ class TestFixedStep:
         p = params()
         st = zero_state(g)
         st.u2[:] = 1.0
-        traj = integrate(st, p, g, TimeSpec(t_end=1.0, dt=2.0 * stability_dt(p, g)))
+        traj = integrate(st, p, g, TimeSpec(t_end=1.0, dt=2.0 * stability_dt(p, g, ACID)))
         assert traj.stats.method == "rkc"
         final = traj.snapshots[-1]
         assert np.all(np.isfinite(final.u2)) and final.u2.max() <= 1.0 + 1e-12
@@ -453,7 +520,7 @@ class TestAdaptive:
         st = zero_state(g)
         st.u2[:] = 1.0
         traj = integrate(st, p, g, TimeSpec(t_end=5.0, mode="adaptive"))
-        fixed_steps = int(np.ceil(5.0 / stability_dt(p, g)))
+        fixed_steps = int(np.ceil(5.0 / stability_dt(p, g, ACID)))
         assert traj.stats.accepted < fixed_steps
 
 
@@ -528,7 +595,7 @@ class TestDivergence:
         # coefficient (0 * inf = NaN).  h0 = 2^-5 is a binary fraction, so
         # later attempts land on h0 exactly and must see a finite source
         g = GridSpec(1.0, 1.0, 4, 4)
-        h0 = stability_dt(params(), g)
+        h0 = stability_dt(params(), g, ACID)
         fired = []
 
         def f1(t):
@@ -622,7 +689,7 @@ class TestTableauLoop:
         g = GridSpec(1.0, 1.0, 8, 6)
         p = params(**self.P)
         st = random_state(g, 3, p.u1_d)
-        h = stability_dt(p, g)
+        h = stability_dt(p, g, ACID)
         traj = integrate(State.view(st.t, st.y.copy(), g), p, g, TimeSpec(t_end=h))
         assert traj.stats.accepted == 1 and traj.stats.rhs_evals == 4
 
@@ -653,7 +720,7 @@ class TestTableauLoop:
         p = params()
         st = zero_state(g)
         st.t = 0.25
-        h = 0.2 if mode == "rkc" else stability_dt(p, g)
+        h = 0.2 if mode == "rkc" else stability_dt(p, g, ACID)
         times = []
         traj = integrate(st, p, g, case_timespec(mode, 0.25 + h, h),
                          sources=recording_sources(g, times))

@@ -271,7 +271,7 @@ class TestMmsConvergence:
         dy0_u2 = (ms.u2(x, eps, t) - ms.u2(x, 0.0, t)) / eps
         assert dy0_u2 == pytest.approx(0.0, abs=1e-5)
         dyl_u3 = (ms.u3(x, ell, t) - ms.u3(x, ell - eps, t)) / eps
-        eta = p.k * p.c_bar * ms.u3(x, ell, t)
+        eta = p.k * ms.u3(x, ell, t)
         assert p.d3 * dyl_u3 == pytest.approx(-eta, rel=1e-5)
 
 

@@ -19,8 +19,7 @@ from reference import ghost_values, zero_state, zeta
 
 def params(**overrides):
     base = dict(d1=1.0, d2=1.0, d3=1.0, bi_m=1.0, henry=1.0, u1_d=0.0,
-                k=1.0, alpha=0.5, beta=0.5, c_bar=1.0,
-                q_kind="constant", m3=10.0, m4=1.0)
+                k=1.0, alpha=0.5, beta=0.5, q_kind="constant", m4=1.0)
     base.update(overrides)
     return ModelParams(**base)
 
@@ -75,7 +74,7 @@ class TestKernels:
         assert eta(0.0, 3.0, p) == 0.0
 
     def test_eta_with_cutoff_kernel(self):
-        p = params(k=1.0, q_kind="linear_cutoff", c_bar=1.0, m4=1.0)
+        p = params(k=1.0, q_kind="linear_cutoff", m4=1.0)
         assert eta(2.0, 0.0, p) == pytest.approx(2.0)
         assert eta(2.0, 1.0, p) == pytest.approx(0.0)
 
@@ -90,14 +89,14 @@ class TestKernels:
     def test_eta_is_the_masked_product(self, q_kind):
         # k * max(r, 0) * Q(max(s, 0)) where r >= 0 and s >= 0, else 0, on
         # negative, zero and large arguments
-        p = params(k=0.7, c_bar=1.3, q_kind=q_kind, m4=0.8)
+        p = params(k=0.7, q_kind=q_kind, m4=0.8)
         rng = np.random.default_rng(1)
         r = np.concatenate([rng.normal(scale=3.0, size=200), [0.0, -0.0, 1e12, -1e12]])
         s = np.concatenate([rng.normal(scale=3.0, size=200), [0.0, -0.0, 1e12, 0.5]])
         r, s = np.meshgrid(r, s)
         rp, sp = np.maximum(r, 0.0), np.maximum(s, 0.0)
-        q = (np.full_like(sp, p.c_bar) if q_kind == "constant"
-             else p.c_bar * np.maximum(0.0, 1.0 - sp / p.m4))
+        q = (np.ones_like(sp) if q_kind == "constant"
+             else np.maximum(0.0, 1.0 - sp / p.m4))
         expected = np.where((r >= 0.0) & (s >= 0.0), p.k * rp * q, 0.0)
         got = eta(r, s, p)
         np.testing.assert_array_equal(got, expected)

@@ -1,6 +1,6 @@
 """Property: over a box of fig1 configurations, a run either stays finite and
-nonnegative at every snapshot, or stops with DivergedError whose last state
-is nonnegative.  It never returns finite garbage."""
+inside the invariant box at every snapshot, or stops with DivergedError
+whose last state is inside it.  It never returns finite garbage."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,12 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from corrosim.config import config_from_sections  # noqa: E402
-from corrosim.integrator import POSITIVITY_SLACK, DivergedError, integrate  # noqa: E402
+from corrosim.integrator import (  # noqa: E402
+    POSITIVITY_SLACK,
+    DivergedError,
+    acid_bound,
+    integrate,
+)
 from corrosim.model import project_initial  # noqa: E402
 
 
@@ -39,11 +44,18 @@ def test_run_is_nonnegative_or_raises(n, bi_m, k, alpha, beta, mode, dt, t_end):
         "params": {"bi_m": repr(bi_m), "k": repr(k),
                    "alpha": repr(alpha), "beta": repr(beta)},
         "time": time})
-    state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
+    p = cfg.params
+    state0 = project_initial(cfg.initial, p, cfg.grid)
+    # the upper faces: u1 <= G/H, u2 <= G and the acid bound
+    G = max(p.henry * p.u1_d, p.henry * state0.u1.max(), state0.u2.max())
+    acid = acid_bound(p, state0, t_end)
     try:
-        states = integrate(state0, cfg.params, cfg.grid, cfg.time).snapshots
+        states = integrate(state0, p, cfg.grid, cfg.time).snapshots
     except DivergedError as err:
         states = [err.last_state]
     for s in states:
         assert all(np.isfinite(u).all() for u in (s.u1, s.u2, s.u3, s.u4))
         assert s.y.min() >= -POSITIVITY_SLACK
+        assert s.u1.max() <= G / p.henry + POSITIVITY_SLACK
+        assert s.u2.max() <= G + POSITIVITY_SLACK
+        assert s.u3.max() <= acid + POSITIVITY_SLACK

@@ -21,19 +21,18 @@ from corrosim.model import ModelParams  # noqa: E402
     k=st.floats(0.0, 10.0),
     alpha=st.floats(0.0, 5.0),
     beta=st.floats(0.0, 5.0),
-    c_bar=st.floats(1e-3, 10.0),
     q_kind=st.sampled_from(["constant", "linear_cutoff"]),
-    m3=st.floats(1e-3, 100.0),
+    acid=st.floats(1e-3, 100.0),
     m4=st.floats(1e-3, 10.0),
     lengths=st.tuples(st.floats(1e-2, 10.0), st.floats(1e-2, 10.0)),
     n=st.tuples(st.integers(2, 256), st.integers(2, 256)),
 )
-def test_reach_is_at_least_two_over_rho(d, bi_m, henry, k, alpha, beta, c_bar,
-                                        q_kind, m3, m4, lengths, n):
+def test_reach_is_at_least_two_over_rho(d, bi_m, henry, k, alpha, beta,
+                                        q_kind, acid, m4, lengths, n):
     params = ModelParams(d1=d[0], d2=d[1], d3=d[2], bi_m=bi_m, henry=henry,
-                         u1_d=1.0, k=k, alpha=alpha, beta=beta, c_bar=c_bar,
-                         q_kind=q_kind, m3=m3, m4=m4)
+                         u1_d=1.0, k=k, alpha=alpha, beta=beta,
+                         q_kind=q_kind, m4=m4)
     grid = GridSpec(*lengths, *n)
-    rho = spectral_radius_bound(params, grid)
-    assert diagonal_bound(params, grid) <= rho
-    assert stability_dt(params, grid) >= 2.0 / rho
+    rho = spectral_radius_bound(params, grid, acid)
+    assert diagonal_bound(params, grid, acid) <= rho
+    assert stability_dt(params, grid, acid) >= 2.0 / rho

@@ -104,15 +104,16 @@ class TestTableau:
         g = GridSpec(1.0, 1.0, 32, 32)
         p = scenario_config("fig1").params
         gas = 4 * p.d2 * 32**2 + 2 * p.bi_m * (1 + p.henry) * 32 + p.alpha + p.beta
-        assert spectral_radius_bound(p, g) == pytest.approx(gas, rel=1e-14)
-        assert _rkc_stages(0.2, spectral_radius_bound(p, g)) == 4
+        # fig1's acid bound, alpha H u1_d/beta = 30, leaves the gas row binding
+        assert spectral_radius_bound(p, g, 30.0) == pytest.approx(gas, rel=1e-14)
+        assert _rkc_stages(0.2, spectral_radius_bound(p, g, 30.0)) == 4
         stiff = ModelParams(d1=1e-3, d2=1e-3, d3=1e-3, bi_m=0.0, henry=1.0,
                             u1_d=1.0, k=5.0, alpha=0.0, beta=0.0,
-                            q_kind="linear_cutoff", m3=10.0, m4=0.5)
+                            q_kind="linear_cutoff", m4=0.5)
         coarse = GridSpec(1.0, 1.0, 2, 2)
         # the acid row binds on a coarse grid through its reaction terms: the
-        # surface loss 2 k c_bar/h_y and its gypsum coupling k m3 c_bar/m4
-        assert spectral_radius_bound(stiff, coarse) == pytest.approx(
+        # surface loss 2 k/h_y and its gypsum coupling k A/m4, with A = 10
+        assert spectral_radius_bound(stiff, coarse, 10.0) == pytest.approx(
             4e-3 * 4 + 5.0 * 4 + 5.0 * 20, rel=1e-14)
 
 
@@ -201,7 +202,8 @@ class TestInvariants:
         errors = []
         for n, dt in ((8, 0.16), (16, 0.04), (32, 0.01)):
             g = GridSpec(1.0, 1.0, n, n)
-            assert dt >= 1.5 * stability_dt(solution.params, g)
+            # the constant kernel reads no acid bound
+            assert dt >= 1.5 * stability_dt(solution.params, g, 10.0)
             state0 = solution.exact_state(g, 0.0)
             traj = integrate(state0, solution.params, g,
                              TimeSpec(t_end=0.5, dt=dt, snapshot_times=(0.5,)),
