@@ -98,7 +98,7 @@ SCENARIOS = {
             "params": dict(d1=0.0012, d2=0.005, d3=0.005, bi_m=0.15,
                            henry=1.0, u1_d=1.0, k=0.1, alpha=0.3, beta=0.01,
                            q_kind="linear_cutoff", m4=0.5),
-            "time": dict(t_end=400.0, mode="fixed", dt=0.2,
+            "time": dict(t_end=400.0, mode="fixed", dt=1.0 / 3.0,
                          snapshots="0 80 160 240 320 400"),
             "output": dict(micro_slice_x=0.5),
         },

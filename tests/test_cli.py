@@ -108,7 +108,7 @@ class TestConfig:
         # the scenario's default dt holds only while the file leaves the
         # mode alone; a file that sets the mode without a dt drops it
         assert (scenario_config("fig1").time.mode, scenario_config("fig1").time.dt) \
-            == ("fixed", 0.2)
+            == ("fixed", 1.0 / 3.0)
         fixed = scenario_config("fig1", mode="fixed")
         assert fixed.time.dt is None and "dt" not in fixed.resolved["time"]
         assert scenario_config("fig1", mode="fixed", dt=0.1).time.dt == 0.1
@@ -210,10 +210,10 @@ class TestRunCommand:
                      "energy.csv", "summary.txt"):
             assert (out / name).exists(), name
         summary = (out / "summary.txt").read_text().splitlines()
-        # fig1 at 16^2 with steps of 0.2, beyond RK4's reach (0.180): rkc
-        # with 3 stages, 500 steps to t = 100
+        # fig1 at 16^2 with steps of 1/3, beyond RK4's reach (0.180): rkc
+        # with 3 stages, 300 steps to t = 100
         assert "method rkc" in summary and "stages_per_step 3" in summary
-        assert "steps_accepted 500" in summary and "rhs_evaluations 1500" in summary
+        assert "steps_accepted 300" in summary and "rhs_evaluations 900" in summary
         header, rows = read_csv(out / "macro_profiles.csv")
         assert header == ["t", "x", "u1", "u4"]
         # the gas at x = 0 reads the inlet value at every snapshot

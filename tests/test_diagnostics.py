@@ -150,8 +150,9 @@ class TestRefinementSweep:
 
 
 def test_sweep_quantities_pinned():
-    # fig1 on 4^2, 8^2 and 16^2 up to t = 20, to 17 digits; a reordered sum,
-    # a changed norm or a changed snapshot rule moves these
+    # fig1 on 4^2, 8^2 and 16^2 up to t = 20, to 17 digits, at a step of
+    # 0.2 given here: a reordered sum, a changed norm or a changed snapshot
+    # rule moves these, a change of the scenario's default step does not
     expected = {
         (4, 4): (0.92729964053237557, 47.232373450250122, 0.017339327975617762,
                  0.22414017990243823, 3.3340093048961319, 124.01836610270358),
@@ -160,7 +161,7 @@ def test_sweep_quantities_pinned():
         (16, 16): (0.7977870876161488, 44.607643831060983, 0.016288985099695473,
                    0.19937626051954657, 1.7723567483276503, 116.92141450603501),
     }
-    cfg = scenario_config("fig1", t_end=20.0, snapshots="0 5 10 15 20")
+    cfg = scenario_config("fig1", t_end=20.0, dt=0.2, snapshots="0 5 10 15 20")
     res = refinement_sweep(GridSpec(1.0, 1.0, 4, 4), cfg.params, cfg.initial,
                            cfg.time)
     assert [(lvl.n_x, lvl.n_y) for lvl in res.levels] == list(expected)

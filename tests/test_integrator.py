@@ -426,11 +426,13 @@ class TestFixedStep:
 
 class TestSnapshotLanding:
     @pytest.mark.parametrize("mode", ["fixed", "rkc"])
-    @pytest.mark.parametrize("t_end,dt,steps", [(1.0, 0.1, 10), (400.0, 0.2, 2000)])
+    @pytest.mark.parametrize("t_end,dt,steps",
+                             [(1.0, 0.1, 10), (400.0, 0.2, 2000), (400.0, 1 / 3, 1200)])
     def test_no_sliver_step(self, mode, t_end, dt, steps):
         # 0.2 is no binary fraction: summed 2000 times, t falls short of 400
-        # by about 1e-11, which used to cost one extra step of that size
-        # the diffusivity puts both steps within RK4's reach on this grid
+        # by about 1e-11, which used to cost one extra step of that size;
+        # 1/3, fig1's default step, is none either
+        # the diffusivity puts every step within RK4's reach on this grid
         # (4.22) for "fixed" and beyond it (0.0422) for "rkc"
         g = GridSpec(1.0, 1.0, 4, 4)
         d = {"fixed": 0.01, "rkc": 1.0}[mode]
