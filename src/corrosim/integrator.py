@@ -14,14 +14,14 @@ Two explicit modes:
             (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998),
             whose stability interval grows with the square of the stage
             count s, so the step is not tied to h_y^2:
-            s = 1 + floor(sqrt(1 + 1.54 dt rho)), chosen once per
+            s = 1 + floor(sqrt(1 + 1.54 dt rho_s)), chosen once per
             integration with dt capped at the horizon t_end - t0, at
             least 3 beyond the reach.  The damping (eps = 2/13) shrinks
             stiff modes by a factor of only about 0.95 per step, so rough
             data, or data off the Robin closure, converges slowly in time;
             smooth, transient-free data sees second order.
 * adaptive  the same RKC, error-controlled, with the step set by accuracy:
-            each attempt takes s = 1 + floor(sqrt(1 + 1.54 h rho)) stages
+            each attempt takes s = 1 + floor(sqrt(1 + 1.54 h rho_s)) stages
             from its own step h, at least 2.  The embedded estimate of
             Sommeijer et al., est = (12 (y_n - y_new)
             + 6 h (F(y_n) + F(y_new))) / 15, of a second-order local error,
@@ -32,6 +32,16 @@ Two explicit modes:
             step and after a rejection, within [0.1 h, 10 h], starting from
             RK4's reach.  The first-same-as-last evaluation F(y_new)
             completes the estimate and is the next attempt's F(Y_0).
+
+Two radii bound the spectrum.  rho, the row bound, sums each row of
+`_row_bounds`; it counts the Robin exchange twice, so on fig1 at 32^2 it
+reads 40 where the spectral radius is 24.6.  rho_s, `stage_radius`, is
+Gershgorin on the Jacobian scaled by the Perron vector of one node's
+block, and meets the probed radius to about 1e-6.  RKC's stage counts read
+rho_s.  RK4's reach, the RK4/RKC boundary and adaptive mode's first step
+keep rho: at 2.7 / rho_s, RK4 drives u2 to -0.009 on an 8^2 test problem
+and ends 6e-3 off the matrix exponential on random 8^2 data, so its
+positivity and accuracy there rest on the row bound's slack.
 
 One stage loop runs both as rows of RKC's three-term recursion in increment
 form, on a handful of flat state vectors for any stage count, with the
@@ -46,9 +56,11 @@ to t + h, so the next step and its sources start from that time.
 Every entry of the state vector is a concentration.  The gas node at
 x = 0 holds the Dirichlet value u1_d with zero tendency, so every stage
 adds exactly 0 to it; a start state that does not hold it there is
-rejected.  A step is admissible only if every entry stays finite and
-above -POSITIVITY_SLACK: fixed stepping raises DivergedError on the first
-step that is not, adaptive stepping rejects it and halves the step.
+rejected.  A step is admissible only if every entry stays finite, above
+-POSITIVITY_SLACK and, in an unforced run, below its face of the
+invariant box (`_box_faces`) plus POSITIVITY_SLACK: fixed stepping raises
+DivergedError on the first step that is not, adaptive stepping rejects
+it and halves the step.
 """
 
 from __future__ import annotations
@@ -66,6 +78,7 @@ _RKC_DAMPING = 2.0 / 13.0
 _RK4_REACH = 2.7     # dt * rho of RK4's reach, inside its real stability interval [-2.785, 0]
 _LANDING = 1e-9       # a step ending this close (relative to h) to a target lands on it
 POSITIVITY_SLACK = 1e-8  # lowest concentration a step may leave behind is -POSITIVITY_SLACK
+_EIGH_MARGIN = 1e-10   # relative; eigvalsh's rounding is about n eps of the largest eigenvalue
 
 
 class DivergedError(RuntimeError):
@@ -130,16 +143,40 @@ class Trajectory:
 
 def acid_bound(params: ModelParams, state: State, horizon: float) -> float:
     """The largest acid the unforced semi-discrete system reaches from
-    `state` within `horizon`.  The system is quasi-monotone and the surface
-    reaction only removes acid, so a box whose upper faces point inward is
-    invariant (Chueh, Conley & Smoller, Indiana Univ. Math. J. 26, 1977):
-    with G = max(H u1_d, H max u1, max u2), u1 <= G/H and u2 <= G, and the
+    `state` within `horizon`: the acid face of `_box_faces`.  The system is
+    quasi-monotone and the surface reaction only removes acid, so a box whose
+    upper faces point inward is invariant (Chueh, Conley & Smoller, Indiana
+    Univ. Math. J. 26, 1977): with G = max(H u1_d, H max u1, max u2), the
     acid grows at most at the rate alpha G - beta u3.  Sources void it.
     """
     gas = max(params.henry * max(params.u1_d, state.u1.max()), state.u2.max())
     if params.beta > 0.0:   # the acid face alpha G/beta
         return float(max(state.u3.max(), params.alpha * gas / params.beta))
     return float(state.u3.max() + params.alpha * gas * horizon)
+
+
+def _box_faces(params: ModelParams, state: State, acid: float,
+               horizon: float) -> tuple[float, float, float, float]:
+    """Upper faces (u1, u2, u3, u4) of the box the unforced system keeps
+    within `horizon` from `state`, with `acid` from `acid_bound`.
+
+    With G as in `acid_bound`, the dissolved-gas face G' leaves u2 no
+    inflow at u2 = G': the Robin ghost needs H u1 <= G', so u1's face is
+    G'/H, and the volume exchange needs beta A <= alpha G'.  With
+    alpha > 0 that is G' = max(G, beta A/alpha), which equals G unless the
+    acid starts above alpha G/beta; with alpha = 0 the acid feeds u2 at
+    most at the rate beta A, so G' grows with the horizon.  The gypsum stops at max(m4, max u4) under the linear
+    cutoff and has no face under the constant kernel (the largest float,
+    so that only an overflow crosses it).  Each face is exact at the start
+    data its own field attains.
+    """
+    henry, alpha, beta = params.henry, params.alpha, params.beta
+    gas = max(henry * max(params.u1_d, state.u1.max()), state.u2.max())
+    gas = max(gas, beta * acid / alpha) if alpha > 0.0 else gas + beta * acid * horizon
+    gypsum = (max(params.m4, state.u4.max()) if params.q_kind == "linear_cutoff"
+              else np.finfo(float).max)
+    return (float(max(params.u1_d, state.u1.max(), gas / henry)), float(gas),
+            float(acid), float(gypsum))
 
 
 def stability_dt(params: ModelParams, grid: GridSpec, acid: float) -> float:
@@ -168,6 +205,50 @@ def diagonal_bound(params: ModelParams, grid: GridSpec, acid: float) -> float:
     """Bound on the largest diagonal magnitude of the linearised `rhs` for
     acid at most `acid`: the largest diagonal term of `_row_bounds`."""
     return max(diag for diag, _ in _row_bounds(params, grid, acid))
+
+
+def stage_radius(params: ModelParams, grid: GridSpec, acid: float) -> float:
+    """Spectral radius bound that RKC's stage count reads, for acid at most
+    `acid`: Gershgorin on D^-1 J D with D = 1_x (x) v, v the Perron vector
+    of one macro node's block.
+
+    M holds the magnitudes of a node's Jacobian block, the coefficients of
+    `_row_bounds`, in the order (u1, u2[0..n_y], u3[0..n_y], u4), with the
+    gas row's x-neighbours 2 d1/h_x^2 added to its diagonal (D is uniform
+    in x).  With D_v = diag(v) every row sum of D_v^-1 M D_v is M's Perron
+    root, so that root bounds every eigenvalue of J.  M is diagonally
+    similar to S = sqrt(M) o sqrt(M^T): paired entries share a sign, and
+    each u2/u3 ladder cycle has one product both ways, the doubled
+    reflected ends included; one-sided pairs (the constant kernel, alpha or
+    beta = 0) only make M block-triangular.  So the root is S's largest
+    eigenvalue, raised by `_EIGH_MARGIN` against eigvalsh's rounding and
+    kept within [diagonal_bound, spectral_radius_bound].  S is formed from
+    square roots, not as sqrt(M M^T), which overflows at acid bounds near
+    1e236.
+    """
+    rows = _row_bounds(params, grid, acid)
+    bi_m, henry, k = params.bi_m, params.henry, params.k
+    h_x, h_y, m = grid.h_x, grid.h_y, grid.n_y + 1
+    M = np.zeros((2 * m + 2, 2 * m + 2))
+    M[0, 0] = 4.0 * params.d1 / h_x**2 + bi_m * henry
+    M[0, 1], M[1, 0] = bi_m, 2.0 * bi_m * henry / h_y
+    for lo, d, own in ((1, params.d2, params.alpha), (1 + m, params.d3, params.beta)):
+        c = d / h_y**2
+        ladder = M[lo:lo + m, lo:lo + m]
+        ladder += c * (np.eye(m, k=1) + np.eye(m, k=-1))
+        ladder[0, 1] = ladder[-1, -2] = 2.0 * c   # the reflected row ends
+        ladder[np.diag_indices(m)] = 2.0 * c + own
+    M[1, 1] += 2.0 * bi_m / h_y
+    M[1:1 + m, 1 + m:-1][np.diag_indices(m)] = params.beta
+    M[1 + m:-1, 1:1 + m][np.diag_indices(m)] = params.alpha
+    M[-2, -2] += 2.0 * k / h_y
+    M[-1, -2] = k
+    if params.q_kind == "linear_cutoff":
+        M[-2, -1], M[-1, -1] = 2.0 * k * acid / (params.m4 * h_y), k * acid / params.m4
+    root = np.sqrt(M)
+    top = np.linalg.eigvalsh(root * root.T)[-1] * (1.0 + _EIGH_MARGIN)
+    return float(min(max(diag + off for diag, off in rows),
+                     max(top, max(diag for diag, _ in rows))))
 
 
 def _row_bounds(params: ModelParams, grid: GridSpec, acid: float) -> list[tuple[float, float]]:
@@ -209,17 +290,24 @@ def _rkc_stages(dt: float, rho: float) -> int:
     return 1 + int(np.sqrt(1.0 + 1.54 * dt * rho))
 
 
-def _inadmissible(state: State) -> str:
+def _inadmissible(state: State, faces) -> str:
     """Why a state fails the step check, with field and node: its first
-    non-finite concentration, else its most negative one."""
+    non-finite concentration, else its most negative one when that lies
+    below -POSITIVITY_SLACK, else its largest excess over its face."""
     fields = {"u1": state.u1, "u2": state.u2, "u3": state.u3, "u4": state.u4}
     ranked = {f: np.where(np.isfinite(u), u, -np.inf) for f, u in fields.items()}
     name = min(ranked, key=lambda f: ranked[f].min())
     u = fields[name]
     at = tuple(int(i) for i in np.unravel_index(np.argmin(ranked[name]), u.shape))
-    if np.isfinite(u[at]):
+    if not np.isfinite(u[at]):
+        return f"non-finite state {name} at node {at}"
+    if u[at] < -POSITIVITY_SLACK:
         return f"negative concentration {name} = {u[at]:.6g} at node {at}"
-    return f"non-finite state {name} at node {at}"
+    face = dict(zip(fields, faces))
+    name = max(fields, key=lambda f: fields[f].max() - face[f])
+    u = fields[name]
+    at = tuple(int(i) for i in np.unravel_index(np.argmax(u), u.shape))
+    return f"{name} = {u[at]:.6g} above its face {face[name]:.6g} at node {at}"
 
 
 # Recursion rows (mu_j, nu_j, mu~_j, gamma~_j), j = 1 .. s.  Stage j builds
@@ -282,13 +370,14 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
 
     Fixed mode runs RK4 up to RK4's reach (`stability_dt`, also the step
     when dt is None) and RKC beyond it, with the stages that the longest
-    step, min(dt, t_end - t0), times the spectral radius bound needs;
-    adaptive mode runs RKC with its embedded error estimate, each attempt
-    with the stages its own step needs.  Raises AssumptionError (A4) when
-    the start state is not finite or its gas node at x = 0 does not hold
-    u1_d, and DivergedError (carrying the last good state) on non-finite
-    values, on a concentration below -POSITIVITY_SLACK (adaptive mode
-    rejects such steps instead) or on step-size underflow.
+    step, min(dt, t_end - t0), times `stage_radius` needs; adaptive mode
+    runs RKC with its embedded error estimate, each attempt with the
+    stages its own step needs.  Raises AssumptionError (A4) when the start
+    state is not finite or its gas node at x = 0 does not hold u1_d, and
+    DivergedError (carrying the last good state) on non-finite values, on
+    a concentration below -POSITIVITY_SLACK or, without sources, above its
+    face of the invariant box by more than that (adaptive mode rejects
+    such steps instead), or on step-size underflow.
     """
     state0.validate(grid)
     if not np.isfinite(state0.y).all():   # the step bounds read its maxima
@@ -300,9 +389,10 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     horizon = timespec.t_end - state0.t
     acid = acid_bound(params, state0, horizon)
     reach = stability_dt(params, grid, acid)
-    rho = spectral_radius_bound(params, grid, acid)
     h_base = reach if timespec.dt is None else float(timespec.dt)  # adaptive: a conservative start
     h_plan = min(h_base, horizon)  # no step outlasts the horizon
+    # only RKC's stage counts read the stage radius; an RK4 run skips its eigvalsh
+    rho = stage_radius(params, grid, acid) if adaptive or h_plan > reach else None
     if adaptive:  # each attempt takes the stages its own step needs
         method, s_fixed = "rkc", None
     elif h_plan <= reach:
@@ -310,6 +400,10 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     else:
         method, s_fixed = "rkc", _rkc_stages(h_plan, rho)
     stats = StepStats(method=method)
+    # sources void the box; a forced step keeps only the finite-values check
+    faces = (_box_faces(params, state0, acid, horizon) if sources is None
+             else (np.finfo(float).max,) * 4)
+    tops = np.add(faces, POSITIVITY_SLACK)
 
     t = float(state0.t)
     y = state0.y.copy()
@@ -320,6 +414,7 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     inputs = np.empty((4, y.size))
     d, Y, f_new = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     current, stage = State.view(t, y, grid), State.view(t, Y, grid)
+    starts = np.cumsum([0, stage.u1.size, stage.u2.size, stage.u3.size])  # each field's first entry
     f0_out, f_out, f_new_out = (Tendency.view(b, grid) for b in (inputs[0], inputs[1], f_new))
     plans = {}
 
@@ -368,10 +463,13 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 np.dot(w, span, out=d)
                 keep[...] = d
                 np.add(y, d, out=Y)
-            admissible = bool(np.isfinite(Y).all()) and Y.min() >= -POSITIVITY_SLACK
+            # one maximum per field; every face is finite, so a NaN fails
+            # the minimum and an infinity a maximum
+            admissible = (Y.min() >= -POSITIVITY_SLACK
+                          and (np.maximum.reduceat(Y, starts) <= tops).all())
             err = 0.0
             if not adaptive and not admissible:
-                reason = _inadmissible(State.view(t_new, Y, grid))
+                reason = _inadmissible(State.view(t_new, Y, grid), faces)
                 raise DivergedError(f"{reason} at t={t_new:g}", State.view(t, y.copy(), grid))
             if adaptive and admissible:
                 # F(y_new), the next F(Y_0), completes the estimate

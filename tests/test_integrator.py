@@ -16,6 +16,7 @@ from corrosim.integrator import (
     integrate,
     spectral_radius_bound,
     stability_dt,
+    stage_radius,
 )
 from corrosim.interpolation import ManufacturedSolution
 from corrosim.model import AssumptionError, ModelParams, SourceTerms, State
@@ -183,11 +184,12 @@ class TestStabilityLimit:
         # rounding.  The second state sits in the stiff corner, the acid
         # above 0.9 ACID and the gypsum below 0.1 m4.  The eigenvalues are
         # real and within rho, and the diagonal within delta, the premises
-        # of RK4's reach
+        # of RK4's reach; the eigenvalues also lie within the stage radius
         from corrosim.model import rhs
 
         p, g = self.PROBED[case]
         rho, delta = spectral_radius_bound(p, g, ACID), diagonal_bound(p, g, ACID)
+        radius = stage_radius(p, g, ACID)
         rng = np.random.default_rng(4)
         for corner in (0.0, 0.9):
             st = random_state(g, rng, p.u1_d)
@@ -202,8 +204,58 @@ class TestStabilityLimit:
                 jac[:, j] = (up - down) / 2e-6
             eigenvalues = np.linalg.eigvals(jac)
             assert np.abs(eigenvalues.imag).max() <= 1e-9 * rho
-            assert np.abs(eigenvalues).max() <= rho
+            assert np.abs(eigenvalues).max() <= radius <= rho
             assert np.abs(np.diag(jac)).max() <= delta * (1.0 + 1e-8)
+
+
+class TestStageRadius:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_fig1_probe_reaches_it(self, n):
+        # fig1 at its worst-case state, the surface acid at the acid bound
+        # and the gypsum at (just above) 0, where the gypsum coupling peaks:
+        # the largest eigenvalue of the Jacobian of rhs, from Arnoldi on
+        # central differences (rhs is bilinear there, so they are exact up
+        # to rounding; the gypsum sits at the step 1e-6 so that no
+        # difference crosses the kink of Q at 0), lies within 1e-6 of the
+        # stage radius, from below
+        from corrosim.config import config_from_sections
+        from corrosim.model import project_initial, rhs
+
+        linalg = pytest.importorskip("scipy.sparse.linalg")
+        cfg = config_from_sections({"run": {"scenario": "fig1"},
+                                    "grid": {"nx": str(n), "ny": str(n)},
+                                    "time": {"t_end": "400"}})
+        p, g = cfg.params, cfg.grid
+        st = project_initial(cfg.initial, p, g)
+        acid = acid_bound(p, st, 400.0)
+        st.u3[:, -1] = acid
+        st.u4[...] = 1e-6
+
+        def jac_times(v):
+            e = 1e-6 / np.abs(v).max()
+            up, down = (rhs(State.view(0.0, st.y + sign * e * v, g), p, g).y
+                        for sign in (1.0, -1.0))
+            return (up - down) / (2.0 * e)
+        jac = linalg.LinearOperator((st.y.size, st.y.size), matvec=jac_times, dtype=float)
+        top = linalg.eigs(jac, k=1, which="LM", ncv=120, tol=1e-8,
+                          v0=np.random.default_rng(0).random(st.y.size),
+                          return_eigenvectors=False)
+        radius = stage_radius(p, g, acid)
+        assert (1.0 - 1e-6) * radius <= abs(top[0]) <= radius
+
+    def test_huge_acid_bound_does_not_overflow(self):
+        # beta near 1e-236 puts the acid bound near 1e236, whose square
+        # overflows: S is built from square roots, so the radius stays
+        # finite, within the row bound, and numpy stays silent (the suite
+        # turns RuntimeWarning into an error)
+        g = GridSpec(1.0, 1.0, 8, 8)
+        p = params(bi_m=0.5, u1_d=1.0, k=1.0, alpha=0.3, beta=1e-236,
+                   q_kind="linear_cutoff", m4=0.5)
+        acid = acid_bound(p, random_state(g, 5, p.u1_d), 1.0)
+        assert acid > 1e235
+        radius = stage_radius(p, g, acid)
+        assert np.isfinite(radius)
+        assert diagonal_bound(p, g, acid) <= radius <= spectral_radius_bound(p, g, acid)
 
 
 class TestAcidBound:
@@ -264,7 +316,7 @@ class TestMethodSelection:
         p = params(**self.P)
         dt = factor * stability_dt(p, g, ACID)
         traj = integrate(random_state(g, 3, p.u1_d), p, g, TimeSpec(t_end=3 * dt, dt=dt))
-        stages = 4 if method == "rk4" else _rkc_stages(dt, spectral_radius_bound(p, g, ACID))
+        stages = 4 if method == "rk4" else _rkc_stages(dt, stage_radius(p, g, ACID))
         assert traj.stats.method == method and traj.stats.stages == stages
         assert traj.stats.accepted == 3 and traj.stats.rhs_evals == 3 * stages
 
@@ -281,7 +333,7 @@ class TestMethodSelection:
         g = GridSpec(1.0, 1.0, 4, 4)
         p = params()
         traj = integrate(zero_state(g), p, g, TimeSpec(t_end=1.0, mode="adaptive"))
-        reach, rho = stability_dt(p, g, ACID), spectral_radius_bound(p, g, ACID)
+        reach, rho = stability_dt(p, g, ACID), stage_radius(p, g, ACID)
         assert stage_counts[0] == _rkc_stages(reach, rho) == 3
         assert len(set(stage_counts)) > 1
         assert (traj.stats.method, traj.stats.stages) == ("rkc", max(stage_counts))
@@ -571,6 +623,49 @@ class TestDivergence:
         last = err.value.last_state
         assert last.t == pytest.approx(0.5, abs=1e-7)
         assert last.u4.min() >= -POSITIVITY_SLACK
+
+    def test_step_beyond_a_face_stops_the_run(self):
+        # fig1 at 4^2 with bi_m = 2, k = 0 and alpha = beta = 1: one fixed
+        # step of dt = 1 (8 RKC stages) lifts u2 at the inlet node above
+        # G = H u1_d = 1, a face no trajectory of the system crosses
+        from corrosim.config import config_from_sections
+        from corrosim.model import project_initial
+
+        cfg = config_from_sections({
+            "run": {"scenario": "fig1"}, "grid": {"nx": "4", "ny": "4"},
+            "params": {"bi_m": "2.0", "k": "0.0", "alpha": "1.0", "beta": "1.0"},
+            "time": {"t_end": "1.0", "dt": "1.0"}})
+        state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
+        with pytest.raises(DivergedError, match=r"^u2 = 1\.02837 above its face 1 "
+                           r"at node \(0, 0\) at t=1$") as err:
+            integrate(state0, cfg.params, cfg.grid, cfg.time)
+        assert err.value.last_state.t == 0.0
+
+    def test_forced_runs_skip_the_faces(self):
+        # a source fills u2 from 0, above the unforced box's face G = 0
+        g = GridSpec(1.0, 1.0, 4, 4)
+        fill = SourceTerms(
+            f1=lambda t: np.zeros(5),
+            f2=lambda t: np.ones((5, 5)),
+            f3=lambda t: np.zeros((5, 5)),
+            f4=lambda t: np.zeros(5),
+        )
+        last = integrate(zero_state(g), params(), g, TimeSpec(t_end=1.0),
+                         sources=fill).snapshots[-1]
+        assert last.u2.min() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.0])
+    def test_acid_above_its_face_lifts_the_gas_faces(self, alpha):
+        # acid 10 over G = H u1_d = 1: the exchange beta u3 lifts u2 past G,
+        # legitimately, so its face is beta A/alpha = 6.7, or with alpha = 0
+        # grows by beta A per unit time; the run ends without a DivergedError
+        g = GridSpec(1.0, 1.0, 4, 4)
+        p = params(d1=0.1, d2=0.1, d3=0.1, u1_d=1.0, alpha=alpha, beta=0.2)
+        st = zero_state(g)
+        st.u1[...] = p.u1_d
+        st.u3[...] = 10.0
+        last = integrate(st, p, g, TimeSpec(t_end=2.0)).snapshots[-1]
+        assert last.t == 2.0 and last.u2.max() > p.henry * p.u1_d
 
     def test_negative_gas_counts_the_inlet_value(self):
         # the gas field starts at its inlet value u1_d = 0.5: a sink of rate 1

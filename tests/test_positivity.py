@@ -34,6 +34,10 @@ from corrosim.model import project_initial  # noqa: E402
     dt=st.one_of(st.none(), st.floats(0.05, 4.0)),
     t_end=st.floats(0.2, 4.0),
 )
+# one fixed step of 8 RKC stages lifts u2 to 1.028 > G = 1 at the inlet
+# node; the derandomized draws miss it
+@hypothesis.example(n=4, bi_m=2.0, k=0.0, alpha=1.0, beta=1.0, mode="fixed",
+                    dt=1.0, t_end=1.0)
 def test_run_is_nonnegative_or_raises(n, bi_m, k, alpha, beta, mode, dt, t_end):
     time = {"t_end": repr(t_end), "mode": mode}
     if mode == "fixed" and dt is not None:

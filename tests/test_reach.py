@@ -1,6 +1,6 @@
 """Property: over admissible parameters and grids, the diagonal bound never
-exceeds the spectral radius bound, so RK4's reach is never shorter than
-2/rho."""
+exceeds the stage radius, nor the stage radius the spectral radius bound,
+so RK4's reach is never shorter than 2/rho."""
 
 import pytest
 
@@ -8,7 +8,12 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from corrosim.grids import GridSpec  # noqa: E402
-from corrosim.integrator import diagonal_bound, spectral_radius_bound, stability_dt  # noqa: E402
+from corrosim.integrator import (  # noqa: E402
+    diagonal_bound,
+    spectral_radius_bound,
+    stability_dt,
+    stage_radius,
+)
 from corrosim.model import ModelParams  # noqa: E402
 
 
@@ -34,5 +39,5 @@ def test_reach_is_at_least_two_over_rho(d, bi_m, henry, k, alpha, beta,
                          q_kind=q_kind, m4=m4)
     grid = GridSpec(*lengths, *n)
     rho = spectral_radius_bound(params, grid, acid)
-    assert diagonal_bound(params, grid, acid) <= rho
+    assert diagonal_bound(params, grid, acid) <= stage_radius(params, grid, acid) <= rho
     assert stability_dt(params, grid, acid) >= 2.0 / rho

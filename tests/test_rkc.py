@@ -121,7 +121,7 @@ class TestTableau:
 
 @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
 def test_stiff_step_holds_a_fixed_number_of_state_vectors(mode, stage_counts):
-    # one step of 63 stages (fig1 at 64^2 with bi_m = 50), or adaptive
+    # one step of 45 stages (fig1 at 64^2 with bi_m = 50), or adaptive
     # attempts of 11 stage counts from 2 to 12, allocate no stage matrix:
     # a stage keeps only D_{j-1}, D_{j-2}, F(Y_{j-1}), F(Y_0), and the plans
     # cached per stage count hold coefficients only
@@ -138,7 +138,7 @@ def test_stiff_step_holds_a_fixed_number_of_state_vectors(mode, stage_counts):
     finally:
         tracemalloc.stop()
     if mode == "fixed":
-        assert traj.stats.stages == 63 and traj.stats.accepted == 1
+        assert traj.stats.stages == 45 and traj.stats.accepted == 1
     else:
         assert len(set(stage_counts)) >= 5 and traj.stats.stages == max(stage_counts)
     assert peak < 20 * state_bytes
@@ -271,10 +271,19 @@ class TestFig1Default:
             got, want = getattr(a, field), getattr(b, field)
             assert relative_l2(rkc.grid, got, want) <= AGREEMENT_RTOL
 
+    @pytest.mark.parametrize("point", [{}, {"bi_m": 0.165, "alpha": 0.33}])
+    def test_default_step_takes_four_stages_at_32(self, point):
+        # fig1's stage radius at 32^2 is 24.63 at the centre and 25.34 at
+        # the stiffest corner of the benchmark's +-10% box, both below the
+        # 29.2 that 4 stages cover at dt = 1/3 (the row bound, 40-42,
+        # took 5): 240 steps to t = 80, 960 rhs calls
+        traj = run(fig1(grid={"nx": 32, "ny": 32}, params=point, time={"t_end": 80}))
+        assert traj.stats.stages == 4 and traj.stats.rhs_evals == 960
+
     def test_default_step_within_its_error_budget(self):
         # the fields perfbench checks against its reference, u1 and u4 and
         # u2 and u3 on the x = 0.5 cell, stay within half its 1e-5 gate of
-        # RK4 at 32^2 (README's rule for fig1's dt): 3.25e-6 at dt = 1/3, on
+        # RK4 at 32^2 (README's rule for fig1's dt): 3.56e-6 at dt = 1/3, on
         # u2. A change of damping or stage rule that spends the margin fails
         # here, not in the benchmark
         cfg, a, b = fig1_at_80(32)
@@ -312,7 +321,7 @@ class TestFig1Default:
 
     def test_stiff_exchange_adaptive(self):
         # adaptive mode on stiff exchange (bi_m = 50, 16^2, t = 20) sets its
-        # step by accuracy: about 7,500 rhs calls with at most 23 stages,
+        # step by accuracy: about 5,500 rhs calls with at most 16 stages,
         # where adaptive RK4, held to its stability interval, took 47,501
         cfg = fig1(grid={"nx": 16, "ny": 16}, params={"bi_m": 50},
                    time={"t_end": 20, "mode": "adaptive"})
