@@ -109,6 +109,7 @@ def cmd_run(args) -> int:
               f"rhs_evaluations {stats.rhs_evals}",
               f"method {stats.method}",
               f"stages_per_step {stats.stages}",
+              *(f"{key} {_fmt(getattr(stats, key))}" for key in ("rho", "delta", "stage_radius")),
               f"last_dt {_fmt(stats.last_dt)}",
               f"snapshots {len(traj.snapshots)}"]
     with open(os.path.join(args.out, "summary.txt"), "w") as handle:

@@ -3,12 +3,9 @@
 Two explicit modes:
 
 * fixed     a fixed step dt, RK4's reach `stability_dt` =
-            min(2.7 / rho, 2 / delta) when none is given, with rho the
-            Gershgorin bound of `spectral_radius_bound` and delta the
-            diagonal bound of `diagonal_bound`: 2.7 lies inside RK4's real
-            stability interval [-2.785, 0], and dt * delta <= 2 keeps the
-            half-step Euler stage from overshooting any row's own decay.
-            The reach is never shorter than 2 / rho.  Up to it the mode
+            min(2.7 / rho, 2 / delta) when none is given, with rho and
+            delta the bounds below; the reach is never shorter than
+            2 / rho.  Up to it the mode
             runs classical fourth-order Runge-Kutta, the reference; beyond
             it the damped second-order Runge-Kutta-Chebyshev method
             (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998),
@@ -33,14 +30,13 @@ Two explicit modes:
             RK4's reach.  The first-same-as-last evaluation F(y_new)
             completes the estimate and is the next attempt's F(Y_0).
 
-Two radii bound the spectrum.  rho, the row bound, sums each row of
-`_row_bounds`; it counts the Robin exchange twice, so on fig1 at 32^2 it
-reads 40 where the spectral radius is 24.6.  rho_s, `stage_radius`, is
-Gershgorin on the Jacobian scaled by the Perron vector of one node's
-block, and meets the probed radius to about 1e-6.  RKC's stage counts read
-rho_s.  RK4's reach, the RK4/RKC boundary and adaptive mode's first step
-keep rho: at 2.7 / rho_s, RK4 drives u2 to -0.009 on an 8^2 test problem
-and ends 6e-3 off the matrix exponential on random 8^2 data, so its
+The step bounds come from one macro node's block M (`_node_block`).  rho,
+the row bound, counts the Robin exchange twice, so on fig1 at 32^2 it reads
+40 where the spectral radius is 24.6; rho_s, `stage_radius`, bounds M's
+Perron root from above, to the probed radius within 1e-6.  RKC's stage
+counts read rho_s; RK4's reach, the RK4/RKC boundary and adaptive mode's
+first step keep rho: at 2.7 / rho_s, RK4 drives u2 to -0.009 on an 8^2 test
+problem and ends 6e-3 off the matrix exponential on random 8^2 data, so its
 positivity and accuracy there rest on the row bound's slack.
 
 One stage loop runs both as rows of RKC's three-term recursion in increment
@@ -65,6 +61,7 @@ it and halves the step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +75,8 @@ _RKC_DAMPING = 2.0 / 13.0
 _RK4_REACH = 2.7     # dt * rho of RK4's reach, inside its real stability interval [-2.785, 0]
 _LANDING = 1e-9       # a step ending this close (relative to h) to a target lands on it
 POSITIVITY_SLACK = 1e-8  # lowest concentration a step may leave behind is -POSITIVITY_SLACK
-_EIGH_MARGIN = 1e-10   # relative; eigvalsh's rounding is about n eps of the largest eigenvalue
+_PERRON_TOL = 1e-7   # relative width of the bracket on which `_perron_bound` stops
+_PERRON_SHIFT = 0.02  # added to the diagonal of the block scaled to spectrum [0, 1]
 
 
 class DivergedError(RuntimeError):
@@ -130,6 +128,9 @@ class StepStats:
     last_dt: float = 0.0
     stages: int = 0          # rhs evaluations per step attempt; adaptive: the most an attempt made
     method: str = ""         # "rk4" | "rkc"
+    rho: float = 0.0         # row bound, `spectral_radius_bound`
+    delta: float = 0.0       # diagonal bound, `diagonal_bound`
+    stage_radius: float = 0.0  # `stage_radius`, which RKC's stage counts read; 0 for an RK4 run
 
 
 @dataclass
@@ -196,92 +197,88 @@ def stability_dt(params: ModelParams, grid: GridSpec, acid: float) -> float:
 
 
 def spectral_radius_bound(params: ModelParams, grid: GridSpec, acid: float) -> float:
-    """Gershgorin bound on the spectral radius of the linearised `rhs` for
-    acid at most `acid`: the largest row sum of `_row_bounds`."""
-    return max(diag + off for diag, off in _row_bounds(params, grid, acid))
+    """Row bound rho on the linearised `rhs`, acid at most `acid` (`_node_block`)."""
+    return _node_block(params, grid, acid)[1]
 
 
 def diagonal_bound(params: ModelParams, grid: GridSpec, acid: float) -> float:
-    """Bound on the largest diagonal magnitude of the linearised `rhs` for
-    acid at most `acid`: the largest diagonal term of `_row_bounds`."""
-    return max(diag for diag, _ in _row_bounds(params, grid, acid))
+    """Diagonal bound delta of the linearised `rhs`, acid at most `acid` (`_node_block`)."""
+    return _node_block(params, grid, acid)[2]
 
 
 def stage_radius(params: ModelParams, grid: GridSpec, acid: float) -> float:
-    """Spectral radius bound that RKC's stage count reads, for acid at most
-    `acid`: Gershgorin on D^-1 J D with D = 1_x (x) v, v the Perron vector
-    of one macro node's block.
+    """RKC's stage-count radius, acid at most `acid`: `_perron_bound` of `_node_block`."""
+    return _perron_bound(*_node_block(params, grid, acid))
 
-    M holds the magnitudes of a node's Jacobian block, the coefficients of
-    `_row_bounds`, in the order (u1, u2[0..n_y], u3[0..n_y], u4), with the
-    gas row's x-neighbours 2 d1/h_x^2 added to its diagonal (D is uniform
-    in x).  With D_v = diag(v) every row sum of D_v^-1 M D_v is M's Perron
-    root, so that root bounds every eigenvalue of J.  M is diagonally
-    similar to S = sqrt(M) o sqrt(M^T): paired entries share a sign, and
-    each u2/u3 ladder cycle has one product both ways, the doubled
-    reflected ends included; one-sided pairs (the constant kernel, alpha or
-    beta = 0) only make M block-triangular.  So the root is S's largest
-    eigenvalue, raised by `_EIGH_MARGIN` against eigvalsh's rounding and
-    kept within [diagonal_bound, spectral_radius_bound].  S is formed from
-    square roots, not as sqrt(M M^T), which overflows at acid bounds near
-    1e236.
+
+@functools.lru_cache(maxsize=1)
+def _node_block(params: ModelParams, grid: GridSpec,
+                acid: float) -> tuple[np.ndarray, float, float]:
+    """One macro node's block M of Jacobian magnitudes of `rhs` for acid at
+    most `acid`, ordered (u1, u2[0..n_y], u3[0..n_y], u4), kept read-only:
+    M[i, i + j] at [., i] for j = 0, 1, -1, n_y + 1, -(n_y + 1), the gas
+    row's x-neighbours on its diagonal, the gypsum scaled by h_y/2.  Any
+    v > 0 bounds J's spectral radius by the Collatz-Wielandt ratio
+    max_i (M v)_i / v_i (Varga, *Gersgorin and His Circles*, 2004); rho is
+    M's largest row sum, the ratio at v = 1, and delta its largest diagonal
+    entry, the gas row's x-neighbours aside.
     """
-    rows = _row_bounds(params, grid, acid)
     bi_m, henry, k = params.bi_m, params.henry, params.k
     h_x, h_y, m = grid.h_x, grid.h_y, grid.n_y + 1
-    M = np.zeros((2 * m + 2, 2 * m + 2))
-    M[0, 0] = 4.0 * params.d1 / h_x**2 + bi_m * henry
-    M[0, 1], M[1, 0] = bi_m, 2.0 * bi_m * henry / h_y
+    M = np.zeros((5, 2 * m + 2))
+    diag, upper, lower, up_m, down_m = M
     for lo, d, own in ((1, params.d2, params.alpha), (1 + m, params.d3, params.beta)):
-        c = d / h_y**2
-        ladder = M[lo:lo + m, lo:lo + m]
-        ladder += c * (np.eye(m, k=1) + np.eye(m, k=-1))
-        ladder[0, 1] = ladder[-1, -2] = 2.0 * c   # the reflected row ends
-        ladder[np.diag_indices(m)] = 2.0 * c + own
-    M[1, 1] += 2.0 * bi_m / h_y
-    M[1:1 + m, 1 + m:-1][np.diag_indices(m)] = params.beta
-    M[1 + m:-1, 1:1 + m][np.diag_indices(m)] = params.alpha
-    M[-2, -2] += 2.0 * k / h_y
-    M[-1, -2] = k
-    if params.q_kind == "linear_cutoff":
-        M[-2, -1], M[-1, -1] = 2.0 * k * acid / (params.m4 * h_y), k * acid / params.m4
-    root = np.sqrt(M)
-    top = np.linalg.eigvalsh(root * root.T)[-1] * (1.0 + _EIGH_MARGIN)
-    return float(min(max(diag + off for diag, off in rows),
-                     max(top, max(diag for diag, _ in rows))))
+        c = d / h_y**2   # each ladder's coupling to a neighbour
+        diag[lo:lo + m] = 2.0 * c + own
+        upper[lo:lo + m - 1] = lower[lo + 1:lo + m] = c
+        upper[lo] = lower[lo + m - 1] = 2.0 * c   # the reflected row ends
+    up_m[1:1 + m], down_m[1 + m:1 + 2 * m] = params.beta, params.alpha
+    diag[0] = 4.0 * params.d1 / h_x**2 + bi_m * henry
+    diag[[1, -2]] += 2.0 * bi_m / h_y, 2.0 * k / h_y   # the Robin and surface-loss ghosts
+    upper[0], lower[1], lower[-1] = bi_m, 2.0 * bi_m * henry / h_y, 2.0 * k / h_y
+    if params.q_kind == "linear_cutoff":   # the gypsum's own rate and the acid's loss to it
+        upper[-2] = diag[-1] = k * acid / params.m4
+    rho = float(M.sum(axis=0).max())
+    delta = float(max(diag[0] - 2.0 * params.d1 / h_x**2, diag[1:].max()))
+    M.flags.writeable = False
+    return M, rho, delta
 
 
-def _row_bounds(params: ModelParams, grid: GridSpec, acid: float) -> list[tuple[float, float]]:
-    """(diagonal, off-diagonal) magnitudes of the stiffest row of each
-    field, for acid at most `acid`.
+def _perron_bound(M: np.ndarray, rho: float, delta: float) -> float:
+    """M's Perron root from above: the least Collatz-Wielandt ratio
+    max_i (S w)_i / w_i over power iterates w of the dense S = sqrt(M) o sqrt(M^T).
 
-    The rows are those of D^-1 J D, with the gypsum scaled by
-    D = sigma = h_y/2, which moves the factor 2/h_y of the surface-loss
-    ghost from the acid row's gypsum entry to the gypsum row's acid entry:
-
-    * macro gas       2 d1/h_x^2 + bi_m H, and 2 d1/h_x^2 + bi_m
-                      (bi_m, its coupling to the dissolved gas at y = 0)
-    * dissolved gas   2 d2/h_y^2 + 2 bi_m/h_y + alpha, and
-                      2 d2/h_y^2 + 2 bi_m H/h_y + beta
-                      (the Robin exchange ghost at y = 0)
-    * acid            2 d3/h_y^2 + 2 k/h_y + beta, and
-                      2 d3/h_y^2 + alpha + k A/m4
-                      (the surface-loss ghost at y = ell; the last term,
-                      its gypsum coupling, for the linear cutoff only)
-    * gypsum          k A/m4 for the linear cutoff, else 0, and 2 k/h_y
-
-    with A = `acid`, which `integrate` takes from `acid_bound`.  The gypsum
-    row sum never exceeds the acid row's.
+    M is diagonally similar to S (paired entries share a sign, each ladder
+    cycle has one product both ways), or block-triangular with S's diagonal
+    blocks where a pair is one-sided.  S is positive semidefinite (ladders
+    and singular 2 x 2 couplings), so its Ritz values bound the root from
+    below; every 16 products stop once the bounds agree to _PERRON_TOL,
+    4,096 in any case.  S is scaled into [0, 1] and shifted so that w stays
+    positive, with entries above 2^-600.  delta only absorbs rounding.
+    Square roots first: M_ij M_ji overflows near acid 1e236.
     """
-    bi_m, henry, k = params.bi_m, params.henry, params.k
-    h_x, h_y = grid.h_x, grid.h_y
-    slope = k * acid / params.m4 if params.q_kind == "linear_cutoff" else 0.0
-    return [(2.0 * params.d1 / h_x**2 + bi_m * henry, 2.0 * params.d1 / h_x**2 + bi_m),
-            (2.0 * params.d2 / h_y**2 + 2.0 * bi_m / h_y + params.alpha,
-             2.0 * params.d2 / h_y**2 + 2.0 * bi_m * henry / h_y + params.beta),
-            (2.0 * params.d3 / h_y**2 + 2.0 * k / h_y + params.beta,
-             2.0 * params.d3 / h_y**2 + params.alpha + slope),
-            (slope, 2.0 * k / h_y)]
+    n = M.shape[1]
+    S = np.zeros((n, n))
+    flat = S.reshape(-1)
+    flat[::n + 1] = M[0] / rho + _PERRON_SHIFT
+    for j, up, down in ((1, M[1], M[2]), (n // 2 - 1, M[3], M[4])):   # M[i, i + j], M[i, i - j]
+        flat[j::n + 1][:n - j] = flat[j * n::n + 1] = np.sqrt(up[:-j]) * np.sqrt(down[j:]) / rho
+    v, w, best = np.ones(n), np.empty(n), rho
+    for _ in range(256):
+        for _ in range(15):   # 16 products a check with z below; then v = S w
+            np.dot(S, v, out=w)
+            v, w = w, v
+        best = min(best, rho * (float((v / w).max()) - _PERRON_SHIFT))
+        a, z = w @ w, np.dot(S, v)
+        low = t = float(w @ v) / a   # w's Rayleigh quotient
+        u, su = v - t * w, z - t * v   # S w off w, and S of that
+        if (uu := float(u @ u)) > 1e-10 * t * t * a:   # the larger Ritz value on span{w, S w}
+            t2 = float(u @ su) / uu
+            low = 0.5 * (t + t2) + np.sqrt(0.25 * (t - t2) ** 2 + uu / a)
+        if best - rho * (low - _PERRON_SHIFT) <= _PERRON_TOL * best:
+            break
+        np.maximum(z / z.max(), 2.0**-600, out=v)
+    return max(best, delta)
 
 
 def _rkc_stages(dt: float, rho: float) -> int:
@@ -391,15 +388,16 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     reach = stability_dt(params, grid, acid)
     h_base = reach if timespec.dt is None else float(timespec.dt)  # adaptive: a conservative start
     h_plan = min(h_base, horizon)  # no step outlasts the horizon
-    # only RKC's stage counts read the stage radius; an RK4 run skips its eigvalsh
-    rho = stage_radius(params, grid, acid) if adaptive or h_plan > reach else None
+    # only RKC's stage counts read the stage radius; an RK4 run skips its power iteration
+    radius = stage_radius(params, grid, acid) if adaptive or h_plan > reach else 0.0
     if adaptive:  # each attempt takes the stages its own step needs
         method, s_fixed = "rkc", None
     elif h_plan <= reach:
         method, s_fixed = "rk4", len(_RK4)
     else:
-        method, s_fixed = "rkc", _rkc_stages(h_plan, rho)
-    stats = StepStats(method=method)
+        method, s_fixed = "rkc", _rkc_stages(h_plan, radius)
+    stats = StepStats(method=method, rho=spectral_radius_bound(params, grid, acid),
+                      delta=diagonal_bound(params, grid, acid), stage_radius=radius)
     # sources void the box; a forced step keeps only the finite-values check
     faces = (_box_faces(params, state0, acid, horizon) if sources is None
              else (np.finfo(float).max,) * 4)
@@ -448,7 +446,7 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 raise DivergedError(f"step size underflow at t={t:g}",
                                     State.view(t, y.copy(), grid))
 
-            s = _rkc_stages(h, rho) if adaptive else s_fixed
+            s = _rkc_stages(h, radius) if adaptive else s_fixed
             if s not in plans:
                 plans[s] = _stage_plan(_RK4 if method == "rk4" else _rkc_coefficients(s), inputs)
             A, B, W, plan = plans[s]

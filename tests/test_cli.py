@@ -118,7 +118,9 @@ class TestConfig:
         p.write_text("[run]\nscenario = fig1\n\n[time]\nt_end = 1\nmode = fixed\n")
         out = tmp_path / "o"
         assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 0
-        assert "method rk4" in (out / "summary.txt").read_text().splitlines()
+        summary = (out / "summary.txt").read_text().splitlines()
+        # RK4 reads no stage radius, so the run does not compute it
+        assert "method rk4" in summary and "stage_radius 0" in summary
 
     @pytest.mark.parametrize("extra", ["", "dt = 0.2\n"], ids=["no-dt", "with-dt"])
     def test_rkc_mode_exits_2(self, tmp_path, capsys, extra):
@@ -214,6 +216,14 @@ class TestRunCommand:
         # with 3 stages, 300 steps to t = 100
         assert "method rkc" in summary and "stages_per_step 3" in summary
         assert "steps_accepted 300" in summary and "rhs_evaluations 900" in summary
+        # the step bounds follow the stage count, as README's table gives
+        # them: the row bound, the diagonal bound and the stage radius
+        bounds = [line.split() for line in summary[summary.index("stages_per_step 3") + 1:][:3]]
+        assert [name for name, _ in bounds] == ["rho", "delta", "stage_radius"]
+        rho, delta, radius = (float(value) for _, value in bounds)
+        assert rho == pytest.approx(15.03, rel=1e-14)
+        assert delta == pytest.approx(7.66, rel=1e-14)
+        assert radius == pytest.approx(10.480955699, rel=1e-7)
         header, rows = read_csv(out / "macro_profiles.csv")
         assert header == ["t", "x", "u1", "u4"]
         # the gas at x = 0 reads the inlet value at every snapshot

@@ -257,6 +257,52 @@ class TestStageRadius:
         assert np.isfinite(radius)
         assert diagonal_bound(p, g, acid) <= radius <= spectral_radius_bound(p, g, acid)
 
+    # README's stage-radius table: fig1 grid and parameter overrides, the
+    # stage radius, and RKC's stage count at fig1's dt = 1/3
+    README_TABLE = {
+        "16": (16, {}, 10.48, 3),
+        "32": (32, {}, 24.63, 4),
+        "64": (64, {}, 86.5, 7),
+        "16-stiff-exchange": (16, {"bi_m": "50"}, 1653.0, 30),
+    }
+
+    @pytest.mark.parametrize("case", sorted(README_TABLE))
+    def test_readme_table(self, case):
+        from corrosim.config import config_from_sections
+        from corrosim.model import project_initial
+
+        n, overrides, radius, stages = self.README_TABLE[case]
+        cfg = config_from_sections({"run": {"scenario": "fig1"},
+                                    "grid": {"nx": str(n), "ny": str(n)},
+                                    "params": overrides, "time": {"t_end": "400"}})
+        p, g = cfg.params, cfg.grid
+        acid = acid_bound(p, project_initial(cfg.initial, p, g), 400.0)
+        assert stage_radius(p, g, acid) == pytest.approx(radius, rel=1e-3)
+        assert _rkc_stages(cfg.time.dt, stage_radius(p, g, acid)) == stages
+
+    def test_needs_no_lapack(self, monkeypatch):
+        # the first LAPACK call of a process maps its code pages, which
+        # raised peak RSS by 0.9 MB: fig1 at 16^2, fixed RKC at dt = 1/3 and
+        # adaptive, finishes with every function of numpy.linalg raising
+        from corrosim.config import scenario_config
+        from corrosim.model import project_initial
+
+        def banned(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):   # LinAlgError stays
+                monkeypatch.setattr(np.linalg, name, banned)
+        with pytest.raises(AssertionError, match="numpy.linalg called"):
+            np.linalg.eigvalsh(np.eye(2))
+        cfg = scenario_config("fig1")
+        assert (cfg.grid.n_x, cfg.grid.n_y) == (16, 16)
+        st = project_initial(cfg.initial, cfg.params, cfg.grid)
+        for timespec in (TimeSpec(t_end=10.0, dt=1.0 / 3.0),
+                         TimeSpec(t_end=10.0, mode="adaptive")):
+            traj = integrate(st, cfg.params, cfg.grid, timespec)
+            assert traj.stats.method == "rkc" and traj.stats.stage_radius > 0.0
+            assert traj.snapshots[-1].t == 10.0
+
 
 class TestAcidBound:
     def test_fig1_box(self):
