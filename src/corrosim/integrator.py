@@ -30,10 +30,12 @@ Two explicit modes:
             RK4's reach.  The first-same-as-last evaluation F(y_new)
             completes the estimate and is the next attempt's F(Y_0).
 
-The step bounds come from one macro node's block M (`_node_block`).  rho,
-the row bound, counts the Robin exchange twice, so on fig1 at 32^2 it reads
-40 where the spectral radius is 24.6; rho_s, `stage_radius`, bounds M's
-Perron root from above, to the probed radius within 1e-6.  RKC's stage
+The step bounds come from one macro node's block M, which `_node_block`
+builds with rho and delta; `integrate` builds it once, `stability_dt` once
+more.  rho, the row bound, counts the Robin exchange twice, so on fig1 at
+32^2 it reads 40 where the spectral radius is 24.6; rho_s, `_perron_bound`
+of M, bounds M's Perron root from above, to the probed radius within 1e-6,
+and only an RKC run computes it.  RKC's stage
 counts read rho_s; RK4's reach, the RK4/RKC boundary and adaptive mode's
 first step keep rho: at 2.7 / rho_s, RK4 drives u2 to -0.009 on an 8^2 test
 problem and ends 6e-3 off the matrix exponential on random 8^2 data, so its
@@ -47,7 +49,9 @@ without copying, so `rhs` reads a stage state and fills a tendency in
 place.  All modes shorten steps to land exactly on the requested snapshot
 times, so stored snapshots are states of the integrated trajectory, not
 interpolants.  A step that lands sets t to the snapshot time itself, not
-to t + h, so the next step and its sources start from that time.
+to t + h, so the next step and its sources start from that time; however
+short a landing step, it is no underflow, which only the step the mode
+asks for (dt, RK4's reach or the controller's) can be.
 
 Every entry of the state vector is a concentration.  The gas node at
 x = 0 holds the Dirichlet value u1_d with zero tendency, so every stage
@@ -61,7 +65,6 @@ it and halves the step.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,9 +131,9 @@ class StepStats:
     last_dt: float = 0.0
     stages: int = 0          # rhs evaluations per step attempt; adaptive: the most an attempt made
     method: str = ""         # "rk4" | "rkc"
-    rho: float = 0.0         # row bound, `spectral_radius_bound`
-    delta: float = 0.0       # diagonal bound, `diagonal_bound`
-    stage_radius: float = 0.0  # `stage_radius`, which RKC's stage counts read; 0 for an RK4 run
+    rho: float = 0.0         # row bound of `_node_block`
+    delta: float = 0.0       # diagonal bound of `_node_block`
+    stage_radius: float = 0.0  # `_perron_bound`, which RKC's stage counts read; 0 for an RK4 run
 
 
 @dataclass
@@ -182,7 +185,7 @@ def _box_faces(params: ModelParams, state: State, acid: float,
 
 def stability_dt(params: ModelParams, grid: GridSpec, acid: float) -> float:
     """RK4's reach, the largest fixed step RK4 takes: min(2.7 / rho, 2 / delta),
-    with rho and delta from the bounds below for acid at most `acid`.
+    with rho and delta from a block `_node_block` builds for acid at most `acid`.
 
     RK4's stability region holds the disc |z + r| <= r for every r up to
     1.3926, and with it the real interval [-2.785, 0]; the Jacobians of `rhs`
@@ -192,30 +195,14 @@ def stability_dt(params: ModelParams, grid: GridSpec, acid: float) -> float:
     factor 1 - dt * delta_row / 2 nonnegative: without it the gypsum of the
     stiff linear-cutoff case overshoots m4.
     """
-    return min(_RK4_REACH / spectral_radius_bound(params, grid, acid),
-               2.0 / diagonal_bound(params, grid, acid))
+    _, rho, delta = _node_block(params, grid, acid)
+    return min(_RK4_REACH / rho, 2.0 / delta)
 
 
-def spectral_radius_bound(params: ModelParams, grid: GridSpec, acid: float) -> float:
-    """Row bound rho on the linearised `rhs`, acid at most `acid` (`_node_block`)."""
-    return _node_block(params, grid, acid)[1]
-
-
-def diagonal_bound(params: ModelParams, grid: GridSpec, acid: float) -> float:
-    """Diagonal bound delta of the linearised `rhs`, acid at most `acid` (`_node_block`)."""
-    return _node_block(params, grid, acid)[2]
-
-
-def stage_radius(params: ModelParams, grid: GridSpec, acid: float) -> float:
-    """RKC's stage-count radius, acid at most `acid`: `_perron_bound` of `_node_block`."""
-    return _perron_bound(*_node_block(params, grid, acid))
-
-
-@functools.lru_cache(maxsize=1)
 def _node_block(params: ModelParams, grid: GridSpec,
                 acid: float) -> tuple[np.ndarray, float, float]:
     """One macro node's block M of Jacobian magnitudes of `rhs` for acid at
-    most `acid`, ordered (u1, u2[0..n_y], u3[0..n_y], u4), kept read-only:
+    most `acid`, ordered (u1, u2[0..n_y], u3[0..n_y], u4), with rho and delta:
     M[i, i + j] at [., i] for j = 0, 1, -1, n_y + 1, -(n_y + 1), the gas
     row's x-neighbours on its diagonal, the gypsum scaled by h_y/2.  Any
     v > 0 bounds J's spectral radius by the Collatz-Wielandt ratio
@@ -240,7 +227,6 @@ def _node_block(params: ModelParams, grid: GridSpec,
         upper[-2] = diag[-1] = k * acid / params.m4
     rho = float(M.sum(axis=0).max())
     delta = float(max(diag[0] - 2.0 * params.d1 / h_x**2, diag[1:].max()))
-    M.flags.writeable = False
     return M, rho, delta
 
 
@@ -367,14 +353,16 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
 
     Fixed mode runs RK4 up to RK4's reach (`stability_dt`, also the step
     when dt is None) and RKC beyond it, with the stages that the longest
-    step, min(dt, t_end - t0), times `stage_radius` needs; adaptive mode
+    step, min(dt, t_end - t0), times the stage radius needs; adaptive mode
     runs RKC with its embedded error estimate, each attempt with the
     stages its own step needs.  Raises AssumptionError (A4) when the start
     state is not finite or its gas node at x = 0 does not hold u1_d, and
     DivergedError (carrying the last good state) on non-finite values, on
     a concentration below -POSITIVITY_SLACK or, without sources, above its
     face of the invariant box by more than that (adaptive mode rejects
-    such steps instead), or on step-size underflow.
+    such steps instead), or when the step the mode asks for underflows.
+    The summary in `Trajectory.stats` carries rho and delta, and on the
+    RKC paths the stage radius.
     """
     state0.validate(grid)
     if not np.isfinite(state0.y).all():   # the step bounds read its maxima
@@ -385,19 +373,19 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     adaptive = timespec.mode == "adaptive"
     horizon = timespec.t_end - state0.t
     acid = acid_bound(params, state0, horizon)
+    M, rho, delta = _node_block(params, grid, acid)
     reach = stability_dt(params, grid, acid)
     h_base = reach if timespec.dt is None else float(timespec.dt)  # adaptive: a conservative start
     h_plan = min(h_base, horizon)  # no step outlasts the horizon
     # only RKC's stage counts read the stage radius; an RK4 run skips its power iteration
-    radius = stage_radius(params, grid, acid) if adaptive or h_plan > reach else 0.0
+    radius = _perron_bound(M, rho, delta) if adaptive or h_plan > reach else 0.0
     if adaptive:  # each attempt takes the stages its own step needs
         method, s_fixed = "rkc", None
     elif h_plan <= reach:
         method, s_fixed = "rk4", len(_RK4)
     else:
         method, s_fixed = "rkc", _rkc_stages(h_plan, radius)
-    stats = StepStats(method=method, rho=spectral_radius_bound(params, grid, acid),
-                      delta=diagonal_bound(params, grid, acid), stage_radius=radius)
+    stats = StepStats(method=method, rho=rho, delta=delta, stage_radius=radius)
     # sources void the box; a forced step keeps only the finite-values check
     faces = (_box_faces(params, state0, acid, horizon) if sources is None
              else (np.finfo(float).max,) * 4)
@@ -442,7 +430,7 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
             if goal - t_new <= _LANDING * h:
                 # land on the goal itself: no sliver step left over from rounding in t
                 h, t_new = goal - t, goal
-            if h < 1e-14 * max(1.0, abs(t)):
+            if h_base < 1e-14 * max(1.0, abs(t)):   # a step shortened to land is no underflow
                 raise DivergedError(f"step size underflow at t={t:g}",
                                     State.view(t, y.copy(), grid))
 

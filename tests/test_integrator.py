@@ -9,14 +9,13 @@ from corrosim.integrator import (
     RTOL,
     DivergedError,
     TimeSpec,
+    _node_block,
+    _perron_bound,
     _rkc_coefficients,
     _rkc_stages,
     acid_bound,
-    diagonal_bound,
     integrate,
-    spectral_radius_bound,
     stability_dt,
-    stage_radius,
 )
 from corrosim.interpolation import ManufacturedSolution
 from corrosim.model import AssumptionError, ModelParams, SourceTerms, State
@@ -106,8 +105,8 @@ class TestStabilityLimit:
         # the Robin diagonal, 2 d2/h_y^2 + 2 bi_m/h_y = 2200, does not
         g = GridSpec(1.0, 1.0, 10, 10)
         p = params(bi_m=100.0)
-        assert spectral_radius_bound(p, g, ACID) == pytest.approx(4400.0)
-        assert diagonal_bound(p, g, ACID) == pytest.approx(2200.0)
+        assert _node_block(p, g, ACID)[1] == pytest.approx(4400.0)
+        assert _node_block(p, g, ACID)[2] == pytest.approx(2200.0)
         assert stability_dt(p, g, ACID) == pytest.approx(2.7 / 4400.0)
         assert stability_dt(p, g, ACID) < stability_dt(params(), g, ACID)
 
@@ -141,8 +140,8 @@ class TestStabilityLimit:
         # the reach the checkerboard grows until a step turns it negative,
         # and the run raises DivergedError, or the gypsum passes m4
         p, g, rho, delta, clause = self.BINDING_ROWS[case]
-        assert spectral_radius_bound(p, g, ACID) == pytest.approx(rho, rel=1e-14)
-        assert diagonal_bound(p, g, ACID) == pytest.approx(delta, rel=1e-14)
+        assert _node_block(p, g, ACID)[1] == pytest.approx(rho, rel=1e-14)
+        assert _node_block(p, g, ACID)[2] == pytest.approx(delta, rel=1e-14)
         reach = {"rho": 2.7 / rho, "delta": 2.0 / delta}
         assert min(reach, key=reach.get) == clause
         assert stability_dt(p, g, ACID) == pytest.approx(reach[clause], rel=1e-14)
@@ -188,8 +187,9 @@ class TestStabilityLimit:
         from corrosim.model import rhs
 
         p, g = self.PROBED[case]
-        rho, delta = spectral_radius_bound(p, g, ACID), diagonal_bound(p, g, ACID)
-        radius = stage_radius(p, g, ACID)
+        block = _node_block(p, g, ACID)
+        rho, delta = block[1:]
+        radius = _perron_bound(*block)
         rng = np.random.default_rng(4)
         for corner in (0.0, 0.9):
             st = random_state(g, rng, p.u1_d)
@@ -240,7 +240,7 @@ class TestStageRadius:
         top = linalg.eigs(jac, k=1, which="LM", ncv=120, tol=1e-8,
                           v0=np.random.default_rng(0).random(st.y.size),
                           return_eigenvectors=False)
-        radius = stage_radius(p, g, acid)
+        radius = _perron_bound(*_node_block(p, g, acid))
         assert (1.0 - 1e-6) * radius <= abs(top[0]) <= radius
 
     def test_huge_acid_bound_does_not_overflow(self):
@@ -253,9 +253,10 @@ class TestStageRadius:
                    q_kind="linear_cutoff", m4=0.5)
         acid = acid_bound(p, random_state(g, 5, p.u1_d), 1.0)
         assert acid > 1e235
-        radius = stage_radius(p, g, acid)
+        block = _node_block(p, g, acid)
+        radius = _perron_bound(*block)
         assert np.isfinite(radius)
-        assert diagonal_bound(p, g, acid) <= radius <= spectral_radius_bound(p, g, acid)
+        assert block[2] <= radius <= block[1]
 
     # README's stage-radius table: fig1 grid and parameter overrides, the
     # stage radius, and RKC's stage count at fig1's dt = 1/3
@@ -277,8 +278,9 @@ class TestStageRadius:
                                     "params": overrides, "time": {"t_end": "400"}})
         p, g = cfg.params, cfg.grid
         acid = acid_bound(p, project_initial(cfg.initial, p, g), 400.0)
-        assert stage_radius(p, g, acid) == pytest.approx(radius, rel=1e-3)
-        assert _rkc_stages(cfg.time.dt, stage_radius(p, g, acid)) == stages
+        bound = _perron_bound(*_node_block(p, g, acid))
+        assert bound == pytest.approx(radius, rel=1e-3)
+        assert _rkc_stages(cfg.time.dt, bound) == stages
 
     def test_needs_no_lapack(self, monkeypatch):
         # the first LAPACK call of a process maps its code pages, which
@@ -302,6 +304,27 @@ class TestStageRadius:
             traj = integrate(st, cfg.params, cfg.grid, timespec)
             assert traj.stats.method == "rkc" and traj.stats.stage_radius > 0.0
             assert traj.snapshots[-1].t == 10.0
+
+    @pytest.mark.parametrize("timespec,method", [
+        (TimeSpec(t_end=1.0), "rk4"),
+        (TimeSpec(t_end=1.0, dt=1.0 / 3.0), "rkc"),
+        (TimeSpec(t_end=1.0, mode="adaptive"), "rkc"),
+    ], ids=["rk4", "fixed-rkc", "adaptive"])
+    def test_stats_carry_the_bounds(self, timespec, method):
+        # fig1 at 16^2: every stepping path reports the row and diagonal
+        # bounds of its node block, and each RKC path the stage radius its
+        # stage counts read; an RK4 run computes none and reports 0
+        from corrosim.config import scenario_config
+        from corrosim.model import project_initial
+
+        cfg = scenario_config("fig1")
+        p, g = cfg.params, cfg.grid
+        st = project_initial(cfg.initial, p, g)
+        block = _node_block(p, g, acid_bound(p, st, timespec.t_end))
+        stats = integrate(st, p, g, timespec).stats
+        assert stats.method == method
+        assert (stats.rho, stats.delta) == block[1:]
+        assert stats.stage_radius == (0.0 if method == "rk4" else _perron_bound(*block))
 
 
 class TestAcidBound:
@@ -331,9 +354,9 @@ class TestAcidBound:
         acid = acid_bound(p, st, 1.0)
         assert acid == start
         slope = p.k * acid / p.m4   # the gypsum diagonal
-        assert spectral_radius_bound(p, g, acid) == pytest.approx(
+        assert _node_block(p, g, acid)[1] == pytest.approx(
             4.0 * p.d3 / g.h_y**2 + 2.0 * p.k / g.h_y + slope, rel=1e-14)
-        assert diagonal_bound(p, g, acid) == pytest.approx(slope, rel=1e-14)
+        assert _node_block(p, g, acid)[2] == pytest.approx(slope, rel=1e-14)
         h = stability_dt(p, g, acid)
         traj = integrate(st, p, g, TimeSpec(
             t_end=500 * h, snapshot_times=tuple(n * h for n in range(501))))
@@ -362,7 +385,8 @@ class TestMethodSelection:
         p = params(**self.P)
         dt = factor * stability_dt(p, g, ACID)
         traj = integrate(random_state(g, 3, p.u1_d), p, g, TimeSpec(t_end=3 * dt, dt=dt))
-        stages = 4 if method == "rk4" else _rkc_stages(dt, stage_radius(p, g, ACID))
+        radius = _perron_bound(*_node_block(p, g, ACID))
+        stages = 4 if method == "rk4" else _rkc_stages(dt, radius)
         assert traj.stats.method == method and traj.stats.stages == stages
         assert traj.stats.accepted == 3 and traj.stats.rhs_evals == 3 * stages
 
@@ -379,7 +403,7 @@ class TestMethodSelection:
         g = GridSpec(1.0, 1.0, 4, 4)
         p = params()
         traj = integrate(zero_state(g), p, g, TimeSpec(t_end=1.0, mode="adaptive"))
-        reach, rho = stability_dt(p, g, ACID), stage_radius(p, g, ACID)
+        reach, rho = stability_dt(p, g, ACID), _perron_bound(*_node_block(p, g, ACID))
         assert stage_counts[0] == _rkc_stages(reach, rho) == 3
         assert len(set(stage_counts)) > 1
         assert (traj.stats.method, traj.stats.stages) == ("rkc", max(stage_counts))
@@ -556,6 +580,25 @@ class TestSnapshotLanding:
         assert traj.stats.method == "rk4" and traj.stats.accepted == 3
         assert tuple(traj.times()) == (0.2, 0.9)
         assert times[8] == 0.9
+
+    # a step shortened to land on t_end or on a snapshot, however short, is
+    # no underflow: fixed fig1 at dt = 1/3 lands on 1, then 2.2e-16 later
+    # on the next snapshot, then takes three steps to 2
+    @pytest.mark.parametrize("scenario,time,steps", [
+        ("fig1", {"t_end": 1e-15}, 1),
+        ("fig1", {"t_end": 1e-15, "mode": "adaptive"}, 1),
+        ("dissipation", {"t_end": 1e-15}, 1),
+        ("fig1", {"t_end": 2.0, "snapshots": "0 1 1.0000000000000002 2"}, 7),
+    ], ids=["fig1-fixed", "fig1-adaptive", "dissipation", "fig1-ulp-apart-snapshots"])
+    def test_landing_step_is_no_underflow(self, scenario, time, steps):
+        from corrosim.config import scenario_config
+        from corrosim.model import project_initial
+
+        cfg = scenario_config(scenario, **time)
+        st = project_initial(cfg.initial, cfg.params, cfg.grid)
+        traj = integrate(st, cfg.params, cfg.grid, cfg.time)
+        assert traj.stats.accepted == steps and traj.stats.rejected == 0
+        assert tuple(traj.times()) == cfg.time.snapshot_times
 
 
 class TestExchangeOnlyDynamics:

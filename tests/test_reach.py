@@ -11,11 +11,10 @@ st = hypothesis.strategies
 
 from corrosim.grids import GridSpec  # noqa: E402
 from corrosim.integrator import (  # noqa: E402
+    _PERRON_TOL,
     _node_block,
-    diagonal_bound,
-    spectral_radius_bound,
+    _perron_bound,
     stability_dt,
-    stage_radius,
 )
 from corrosim.model import ModelParams  # noqa: E402
 
@@ -41,8 +40,9 @@ def test_reach_is_at_least_two_over_rho(d, bi_m, henry, k, alpha, beta,
                          u1_d=1.0, k=k, alpha=alpha, beta=beta,
                          q_kind=q_kind, m4=m4)
     grid = GridSpec(*lengths, *n)
-    rho = spectral_radius_bound(params, grid, acid)
-    assert diagonal_bound(params, grid, acid) <= stage_radius(params, grid, acid) <= rho
+    block = _node_block(params, grid, acid)
+    rho = block[1]
+    assert block[2] <= _perron_bound(*block) <= rho
     assert stability_dt(params, grid, acid) >= 2.0 / rho
 
 
@@ -77,7 +77,7 @@ def test_stage_radius_is_not_below_the_perron_root(d, bi_m, henry, k, alpha, bet
                          q_kind=q_kind, m4=m4)
     grid = GridSpec(*lengths, *n)
     root = np.abs(np.linalg.eigvals(dense_block(params, grid, acid))).max()
-    assert stage_radius(params, grid, acid) >= root * (1.0 - 1e-12)
+    assert _perron_bound(*_node_block(params, grid, acid)) >= root * (1.0 - 1e-12)
 
 
 def dense_block(params, grid, acid):
@@ -86,3 +86,18 @@ def dense_block(params, grid, acid):
     n, m = bands.shape[1], grid.n_y + 1
     return sum(np.diag(band[max(0, -j):n - max(0, j)], j)
                for j, band in zip((0, 1, -1, m, -m), bands))
+
+
+def test_stage_radius_holds_at_the_product_cap():
+    # fig1 with a diffusion-dominated 91-node cell: the block's top
+    # eigenvalues cluster, so the iteration stops at its 4,096-product cap
+    # (its bound lies farther above the root than the stop rule allows);
+    # the bound still holds, and lies within README's worst case 2.1e-5
+    params = ModelParams(d1=0.0012, d2=5.6, d3=0.005, bi_m=0.15, henry=1.0,
+                         u1_d=1.0, k=0.1, alpha=0.3, beta=0.01,
+                         q_kind="linear_cutoff", m4=0.5)
+    grid = GridSpec(1.0, 1.0, 16, 90)
+    root = np.abs(np.linalg.eigvals(dense_block(params, grid, 30.0))).max()
+    bound = _perron_bound(*_node_block(params, grid, 30.0))
+    assert root * (1.0 - 1e-12) <= bound <= root * (1.0 + 2.5e-5)
+    assert bound > root * (1.0 + 2.0 * _PERRON_TOL)   # the stop rule never fired

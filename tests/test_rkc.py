@@ -16,10 +16,10 @@ from corrosim.grids import GridSpec, ip_micro, norm_macro, norm_micro
 from corrosim.integrator import (
     _RK4,
     TimeSpec,
+    _node_block,
     _rkc_coefficients,
     _rkc_stages,
     integrate,
-    spectral_radius_bound,
     stability_dt,
 )
 from corrosim.interpolation import ManufacturedSolution
@@ -107,15 +107,15 @@ class TestTableau:
         p = scenario_config("fig1").params
         gas = 4 * p.d2 * 32**2 + 2 * p.bi_m * (1 + p.henry) * 32 + p.alpha + p.beta
         # fig1's acid bound, alpha H u1_d/beta = 30, leaves the gas row binding
-        assert spectral_radius_bound(p, g, 30.0) == pytest.approx(gas, rel=1e-14)
-        assert _rkc_stages(0.2, spectral_radius_bound(p, g, 30.0)) == 4
+        assert _node_block(p, g, 30.0)[1] == pytest.approx(gas, rel=1e-14)
+        assert _rkc_stages(0.2, _node_block(p, g, 30.0)[1]) == 4
         stiff = ModelParams(d1=1e-3, d2=1e-3, d3=1e-3, bi_m=0.0, henry=1.0,
                             u1_d=1.0, k=5.0, alpha=0.0, beta=0.0,
                             q_kind="linear_cutoff", m4=0.5)
         coarse = GridSpec(1.0, 1.0, 2, 2)
         # the acid row binds on a coarse grid through its reaction terms: the
         # surface loss 2 k/h_y and its gypsum coupling k A/m4, with A = 10
-        assert spectral_radius_bound(stiff, coarse, 10.0) == pytest.approx(
+        assert _node_block(stiff, coarse, 10.0)[1] == pytest.approx(
             4e-3 * 4 + 5.0 * 4 + 5.0 * 20, rel=1e-14)
 
 
