@@ -10,25 +10,25 @@ Two explicit modes:
             it the damped second-order Runge-Kutta-Chebyshev method
             (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998),
             whose stability interval grows with the square of the stage
-            count s, so the step is not tied to h_y^2:
-            s = 1 + floor(sqrt(1 + 1.54 dt rho_s)), chosen once per
-            integration with dt capped at the horizon t_end - t0, at
-            least 3 beyond the reach.  The damping (eps = 2/13) shrinks
+            count s, so the step is not tied to h_y^2: each step h takes
+            s = 1 + floor(sqrt(1 + 1.54 h rho_s)) stages, at least 3 for a
+            full step beyond the reach and at least 2 for one shortened
+            to land.  The damping (eps = 2/13) shrinks
             stiff modes by a factor of only about 0.95 per step, so rough
             data, or data off the Robin closure, converges slowly in time;
             smooth, transient-free data sees second order.
-* adaptive  the same RKC, error-controlled, with the step set by accuracy:
-            each attempt takes s = 1 + floor(sqrt(1 + 1.54 h rho_s)) stages
-            from its own step h, at least 2.  The embedded estimate of
-            Sommeijer et al., est = (12 (y_n - y_new)
+* adaptive  the same RKC, error-controlled, with the step set by accuracy
+            and the same stage rule for each attempt.  The embedded
+            estimate of Sommeijer et al., est = (12 (y_n - y_new)
             + 6 h (F(y_n) + F(y_new))) / 15, of a second-order local error,
             is held to a tenth of ATOL + RTOL max(|y_n|, |y_new|) in RMS,
             so that the global error stays within 10 (ATOL + RTOL |u|).
             Their controller sets the next step, h 0.8 (h / h_prev)
             err_prev^(1/3) / err^(2/3), or h 0.8 err^(-1/3) on the first
             step and after a rejection, within [0.1 h, 10 h], starting from
-            RK4's reach.  The first-same-as-last evaluation F(y_new)
-            completes the estimate and is the next attempt's F(Y_0).
+            RK4's reach; a step shortened to land leaves it as it was.
+            The first-same-as-last evaluation F(y_new) completes the
+            estimate and is the next attempt's F(Y_0).
 
 The step bounds come from one macro node's block M, which `_node_block`
 builds with rho and delta; `integrate` builds it once, `stability_dt` once
@@ -129,7 +129,7 @@ class StepStats:
     rejected: int = 0
     rhs_evals: int = 0
     last_dt: float = 0.0
-    stages: int = 0          # rhs evaluations per step attempt; adaptive: the most an attempt made
+    stages: int = 0          # the most stages a step attempt took
     method: str = ""         # "rk4" | "rkc"
     rho: float = 0.0         # row bound of `_node_block`
     delta: float = 0.0       # diagonal bound of `_node_block`
@@ -352,15 +352,15 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     """Advance the state to t_end, storing snapshots at the requested times.
 
     Fixed mode runs RK4 up to RK4's reach (`stability_dt`, also the step
-    when dt is None) and RKC beyond it, with the stages that the longest
-    step, min(dt, t_end - t0), times the stage radius needs; adaptive mode
-    runs RKC with its embedded error estimate, each attempt with the
-    stages its own step needs.  Raises AssumptionError (A4) when the start
-    state is not finite or its gas node at x = 0 does not hold u1_d, and
-    DivergedError (carrying the last good state) on non-finite values, on
-    a concentration below -POSITIVITY_SLACK or, without sources, above its
-    face of the invariant box by more than that (adaptive mode rejects
-    such steps instead), or when the step the mode asks for underflows.
+    when dt is None) and RKC beyond it; adaptive mode runs RKC with its
+    embedded error estimate.  Each RKC attempt takes the stages its own
+    step times the stage radius needs.  Raises AssumptionError (A4) when
+    the start state is not finite or its gas node at x = 0 does not hold
+    u1_d, and DivergedError (carrying the last good state) on non-finite
+    values, on a concentration below -POSITIVITY_SLACK or, without
+    sources, above its face of the invariant box by more than that
+    (adaptive mode rejects such steps instead), or when the step the mode
+    asks for underflows.
     The summary in `Trajectory.stats` carries rho and delta, and on the
     RKC paths the stage radius.
     """
@@ -376,15 +376,9 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     M, rho, delta = _node_block(params, grid, acid)
     reach = stability_dt(params, grid, acid)
     h_base = reach if timespec.dt is None else float(timespec.dt)  # adaptive: a conservative start
-    h_plan = min(h_base, horizon)  # no step outlasts the horizon
+    method = "rkc" if adaptive or h_base > reach else "rk4"
     # only RKC's stage counts read the stage radius; an RK4 run skips its power iteration
-    radius = _perron_bound(M, rho, delta) if adaptive or h_plan > reach else 0.0
-    if adaptive:  # each attempt takes the stages its own step needs
-        method, s_fixed = "rkc", None
-    elif h_plan <= reach:
-        method, s_fixed = "rk4", len(_RK4)
-    else:
-        method, s_fixed = "rkc", _rkc_stages(h_plan, radius)
+    radius = _perron_bound(M, rho, delta) if method == "rkc" else 0.0
     stats = StepStats(method=method, rho=rho, delta=delta, stage_radius=radius)
     # sources void the box; a forced step keeps only the finite-values check
     faces = (_box_faces(params, state0, acid, horizon) if sources is None
@@ -434,7 +428,7 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 raise DivergedError(f"step size underflow at t={t:g}",
                                     State.view(t, y.copy(), grid))
 
-            s = _rkc_stages(h, radius) if adaptive else s_fixed
+            s = len(_RK4) if method == "rk4" else _rkc_stages(h, radius)
             if s not in plans:
                 plans[s] = _stage_plan(_RK4 if method == "rk4" else _rkc_coefficients(s), inputs)
             A, B, W, plan = plans[s]
@@ -481,6 +475,7 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 record_due(t, y)
                 if adaptive:
                     inputs[0] = f_new
+                if adaptive and h >= h_base:   # a step shortened to land leaves the controller alone
                     err = max(err, 1e-10)
                     if h_prev is None:
                         fac = 0.8 * err ** (-1.0 / 3.0)

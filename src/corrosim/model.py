@@ -266,10 +266,7 @@ def _add_diffusion(state: State, params: ModelParams, grid: GridSpec,
     nm, nc = state.shape
     h_y = grid.h_y
     head = state.y[:nm * (2 * nc + 1)]
-    # sized like y, so that the freed buffer fits the next state vector the
-    # integrator allocates; a head-sized one left gaps that raised the peak
-    # RSS by 0.25 MB at 64^2
-    lap = np.multiply(state.y, -2.0)[:head.size]
+    lap = np.multiply(head, -2.0)
     lap[1:-1] += head[:-2]
     lap[1:-1] += head[2:]
     lap[nm - 1] = 2.0 * (head[nm - 2] - head[nm - 1])

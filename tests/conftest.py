@@ -30,7 +30,7 @@ def skew_bottom_flux(monkeypatch):
 @pytest.fixture
 def stage_counts(monkeypatch):
     """The stage counts `integrate` asks `_rkc_stages` for, in order: one per
-    attempt in adaptive mode."""
+    RKC attempt, fixed or adaptive."""
     counts = []
     stages = corrosim.integrator._rkc_stages
 

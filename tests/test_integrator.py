@@ -600,6 +600,20 @@ class TestSnapshotLanding:
         assert traj.stats.accepted == steps and traj.stats.rejected == 0
         assert tuple(traj.times()) == cfg.time.snapshot_times
 
+    def test_landing_step_leaves_the_controller_alone(self):
+        # adaptive fig1 lands on 1, then 2.2e-16 later on the next snapshot;
+        # the controller scales the next step from the last step it chose,
+        # not from that landing step, so the run reaches t = 2
+        from corrosim.config import scenario_config
+        from corrosim.model import project_initial
+
+        cfg = scenario_config("fig1", t_end=2.0, mode="adaptive",
+                              snapshots="0 1 1.0000000000000002 2")
+        st = project_initial(cfg.initial, cfg.params, cfg.grid)
+        traj = integrate(st, cfg.params, cfg.grid, cfg.time)
+        assert tuple(traj.times()) == cfg.time.snapshot_times
+        assert len(traj.snapshots) == 4 and traj.snapshots[-1].t == 2.0
+
 
 class TestExchangeOnlyDynamics:
     def test_combined_micro_mass_conserved(self, no_diffusion):

@@ -294,15 +294,25 @@ class TestFig1Default:
         assert worst <= ERROR_BUDGET
 
     def test_dt_beyond_the_horizon_plans_for_the_horizon(self):
-        # no step outlasts t_end - t0 = 1, so dt = 1e6 runs the stages and
-        # steps of dt = 1: 4 stages at 8^2, where a plan sized from 1e6
-        # would take about 3,100
+        # no step outlasts the snapshot it lands on, so dt = 1 and dt = 1e6
+        # both take two steps of 0.5 with the 3 stages each of them needs
+        # at 8^2, 6 rhs calls, where stages sized from 1e6 would be 3,456
         runs = [run(fig1(grid={"nx": 8, "ny": 8},
                          time={"t_end": 1, "dt": dt, "snapshots": "0 0.5 1"}))
                 for dt in (1, 1e6)]
-        assert runs[0].stats == runs[1].stats and runs[0].stats.stages == 4
+        assert runs[0].stats == runs[1].stats and runs[0].stats.stages == 3
         for a, b in zip(runs[0].snapshots, runs[1].snapshots, strict=True):
             assert a.t == b.t and np.array_equal(a.y, b.y)
+
+    def test_each_step_takes_the_stages_its_own_step_needs(self, stage_counts):
+        # fixed RKC sizes every step as adaptive mode sizes an attempt: at
+        # 16^2, three steps of 0.3 take 3 stages each and the step of 0.1
+        # that lands on t_end = 1 takes 2
+        traj = run(fig1(grid={"nx": 16, "ny": 16},
+                        time={"t_end": 1, "dt": 0.3, "snapshots": "0 1"}))
+        assert stage_counts == [3, 3, 3, 2]
+        assert traj.stats.rhs_evals == sum(stage_counts) == 11
+        assert traj.stats.stages == 3
 
     @pytest.mark.parametrize("bi_m,k,n",
                              list(itertools.product((2, 20, 50), (0.1, 2), (16, 64))))
