@@ -224,7 +224,9 @@ def config_from_sections(sections: dict[str, dict[str, str]],
         snapshots = tuple(s for s in snapshots if s <= t_end)
         if not snapshots or snapshots[-1] < t_end:
             snapshots = snapshots + (t_end,)
-    merged["time"]["snapshots"] = " ".join(f"{s:g}" for s in snapshots)
+    # the hash reads this echo, so every time in it must parse back exactly
+    merged["time"]["snapshots"] = " ".join(
+        f"{s:g}" if float(f"{s:g}") == s else repr(s) for s in snapshots)
     mode = t.get("mode", "fixed")
     dt = _floatval(t, "dt", "time") if t.get("dt") else None
     time = TimeSpec(t_end=t_end, mode=mode, dt=dt, snapshot_times=snapshots)

@@ -42,8 +42,10 @@ problem and ends 6e-3 off the matrix exponential on random 8^2 data, so its
 positivity and accuracy there rest on the row bound's slack.
 
 One stage loop runs both as rows of RKC's three-term recursion in increment
-form, on a handful of flat state vectors for any stage count, with the
-plan of each stage count built once per run.  Each vector is the
+form, with the plan of each stage count built once per run, on at most 8
+flat state vectors for any stage count: y, the stage state Y, a spare d,
+|y| (adaptive), and `inputs`, F(Y_0), F(Y_{j-1}), D_{j-1} and D_{j-2}.
+An accepted step swaps y with Y rather than copying.  Each vector is the
 `y` of a State or a Tendency: `State.view` and `Tendency.view` wrap it
 without copying, so `rhs` reads a stage state and fills a tendency in
 place.  All modes shorten steps to land exactly on the requested snapshot
@@ -332,18 +334,24 @@ def _stage_plan(rows, inputs: np.ndarray):
     Returns A, B, W and one entry per stage: stage j sets
     D_j = W[j, lo:hi] @ inputs[lo:hi], W = A + h B filled in per attempt,
     after evaluating F(Y_{j-1}) at node c_{j-1}.  lo:hi spans only rows
-    written in the same attempt, so no 0 * inf from a rejected one.
+    written in the same attempt, so no 0 * inf from a rejected one.  W[s]
+    is adaptive mode's estimate over 0.1 RTOL, with F(y_new) in row 1 and
+    weight 0 on D_{s-1}.
     """
-    A, B, W = np.zeros((len(rows), 4)), np.zeros((len(rows), 4)), np.empty((len(rows), 4))
+    s = len(rows)
+    A, B, W = np.zeros((s + 1, 4)), np.zeros((s + 1, 4)), np.empty((s + 1, 4))
     c = [0.0, 0.0]              # nodes c_{j-1}, c_j: the rows applied to y' = 1
     plan = []
     for j, (mu, nu, mu_t, gamma_t) in enumerate(rows):  # 0-based: D_{j+1}
-        A[j, 2 + (j + 1) % 2], A[j, 2 + j % 2] = mu, nu
+        slot = 2 + j % 2
+        A[j, 2 + (j + 1) % 2], A[j, slot] = mu, nu
         B[j, 0] = gamma_t
         B[j, min(j, 1)] += mu_t
         lo, hi = np.flatnonzero(A[j] + B[j])[[0, -1]] + [0, 1]
-        plan.append((W[j, lo:hi], inputs[lo:hi], inputs[2 + j % 2], c[-1]))
+        plan.append((W[j, lo:hi], inputs[lo:hi], inputs[slot], lo <= slot < hi, c[-1]))
         c.append(mu * c[-1] + nu * c[-2] + mu_t + gamma_t)
+    A[s, 2 + (s - 1) % 2] = -0.8 / (_EST_FRACTION * RTOL)
+    B[s, :2] = 0.4 / (_EST_FRACTION * RTOL)
     return A, B, W, plan
 
 
@@ -392,10 +400,11 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
 
     # stage buffers and views, built once; a stage plan per stage count reads them
     inputs = np.empty((4, y.size))
-    d, Y, f_new = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    d, Y = np.empty_like(y), np.empty_like(y)
+    abs_y = np.abs(y) if adaptive else None
     current, stage = State.view(t, y, grid), State.view(t, Y, grid)
     starts = np.cumsum([0, stage.u1.size, stage.u2.size, stage.u3.size])  # each field's first entry
-    f0_out, f_out, f_new_out = (Tendency.view(b, grid) for b in (inputs[0], inputs[1], f_new))
+    f0_out, f_out = Tendency.view(inputs[0], grid), Tendency.view(inputs[1], grid)
     plans = {}
 
     def evaluate(state: State, time: float, out: Tendency):
@@ -437,12 +446,15 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 evaluate(current, t, f0_out)
             np.multiply(B, h, out=W)
             W += A
-            for j, (w, span, keep, node) in enumerate(plan):
+            for j, (w, span, slot, reads_slot, node) in enumerate(plan):
                 if j:
                     evaluate(stage, t + node * h, f_out)
-                np.dot(w, span, out=d)
-                keep[...] = d
-                np.add(y, d, out=Y)
+                if reads_slot:   # D_j replaces the D_{j-2} it reads
+                    np.dot(w, span, out=d)
+                    slot[...] = d
+                else:
+                    np.dot(w, span, out=slot)
+                np.add(y, slot, out=Y)
             # one maximum per field; every face is finite, so a NaN fails
             # the minimum and an infinity a maximum
             admissible = (Y.min() >= -POSITIVITY_SLACK
@@ -452,29 +464,29 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 reason = _inadmissible(State.view(t_new, Y, grid), faces)
                 raise DivergedError(f"{reason} at t={t_new:g}", State.view(t, y.copy(), grid))
             if adaptive and admissible:
-                # F(y_new), the next F(Y_0), completes the estimate
-                # (12 (y - y_new) + 6 h (F(y) + F(y_new))) / 15, with y_new - y = D_s = d
-                evaluate(stage, t_new, f_new_out)
-                est, scale, spare = inputs[1:]   # F(Y_{s-1}) and the increments are spent
-                np.add(inputs[0], f_new, out=est)
-                est *= 0.4 * h
-                d *= 0.8
-                est -= d
-                np.maximum(np.abs(y, out=scale), np.abs(Y, out=spare), out=scale)
-                scale *= _EST_FRACTION * RTOL
-                scale += _EST_FRACTION * ATOL
+                # F(y_new), the next F(Y_0), completes the estimate; the
+                # scale max(|y|, |y_new|) + ATOL/RTOL goes to the slot it
+                # weights 0, the estimate to abs_y, whose |y| the scale used
+                evaluate(stage, t_new, f_out)
+                scale = inputs[2 + s % 2]
+                np.abs(Y, out=d)   # the next |y| if accepted
+                np.maximum(abs_y, d, out=scale)
+                scale += ATOL / RTOL
+                est = np.dot(W[s], inputs, out=abs_y)
                 est /= scale
                 err = float(np.sqrt(np.dot(est, est) / est.size))
                 admissible = np.isfinite(err)
 
             if admissible and err <= 1.0:
                 t = t_new
-                y[:] = Y
+                y, Y = Y, y
+                current, stage = stage, current
                 stats.accepted += 1
                 stats.last_dt = h
                 record_due(t, y)
                 if adaptive:
-                    inputs[0] = f_new
+                    abs_y, d = d, abs_y
+                    inputs[0] = inputs[1]
                 if adaptive and h >= h_base:   # a step shortened to land leaves the controller alone
                     err = max(err, 1e-10)
                     if h_prev is None:
@@ -486,5 +498,7 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
             else:
                 stats.rejected += 1
                 h_prev = None
+                if adaptive:   # the estimate may have used abs_y
+                    np.abs(y, out=abs_y)
                 h_base = 0.5 * h if not admissible else h * max(0.1, 0.8 * err ** (-1.0 / 3.0))
     return traj

@@ -203,6 +203,22 @@ class TestConfig:
         assert load_config(str(a)).config_hash() == load_config(str(b)).config_hash()
 
 
+    def test_snapshot_echo_keeps_the_schedule(self, tmp_path):
+        # two schedules that differ in their 7th digit hash apart, and one
+        # whose times lie a rounding unit apart echoes times that parse back
+        # to it; times that 6 digits give back keep their short echo
+        def load(snapshots):
+            return load_config(write_config(tmp_path / "c.ini", t_end=2.0, snapshots=snapshots))
+
+        a, b = load("0 0.1234567 2"), load("0 0.1234568 2")
+        assert a.config_hash() != b.config_hash()
+        ulp = load("0 1 1.0000000000000002 2")
+        echo = ulp.resolved["time"]["snapshots"]
+        assert tuple(float(v) for v in echo.split()) == ulp.time.snapshot_times
+        assert ulp.time.snapshot_times == (0.0, 1.0, 1.0000000000000002, 2.0)
+        assert load("0 0.5 1.25 2").resolved["time"]["snapshots"] == "0 0.5 1.25 2"
+
+
 class TestRunCommand:
     def test_fig1_outputs_and_monotone_gypsum(self, tmp_path):
         cfg = write_config(tmp_path / "f.ini")

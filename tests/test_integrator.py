@@ -957,3 +957,72 @@ class TestTableauLoop:
         for f in ("u1", "u2", "u3", "u4"):
             assert np.array_equal(getattr(frozen, f), getattr(start, f))
         assert np.max(np.abs(run(1.01).u2 - plain.u2)) > 1e-6
+
+
+class TestStepBuffers:
+    """An accepted step swaps the stepper's y and Y (and the states that
+    view them) rather than copying Y into y: what a run stores and reports
+    must still be the accepted state, in memory of its own."""
+
+    GRID = GridSpec(1.0, 1.0, 6, 4)
+    # the constant kernel: RK4's reach (0.0925) and the stage radius do not
+    # depend on the start state, so a run restarted from a snapshot takes
+    # the steps the run that went on took
+    P = TestTableauLoop.P
+
+    @pytest.mark.parametrize("mode", ["fixed", "adaptive", "rkc"])
+    def test_snapshots_share_no_memory(self, mode, monkeypatch):
+        # no two snapshots share memory, and none shares it with a state or
+        # tendency buffer the stepper handed to rhs
+        import corrosim.integrator as integrator
+        from corrosim.model import rhs
+
+        buffers = {}
+
+        def recording(state, params, grid, sources=None, out=None):
+            buffers.update({id(a): a for a in (state.y, out.y)})
+            return rhs(state, params, grid, sources=sources, out=out)
+        monkeypatch.setattr(integrator, "rhs", recording)
+        p = params(**self.P)
+        ts = case_timespec(mode, 0.4, 0.1, snapshot_times=(0.0, 0.1, 0.2, 0.3, 0.4))
+        traj = integrate(random_state(self.GRID, 5, p.u1_d), p, self.GRID, ts)
+        assert traj.stats.method == METHOD[mode] and traj.stats.accepted >= 4
+        ys = [s.y for s in traj.snapshots]
+        assert len(ys) == 5 and len(buffers) >= 4
+        for i, a in enumerate(ys):
+            assert not any(np.shares_memory(a, b) for b in ys[i + 1:] + list(buffers.values()))
+
+    @pytest.mark.parametrize("mode", ["fixed", "rkc"])
+    def test_a_run_goes_on_as_it_restarts(self, mode):
+        # the run restarted from its own snapshot at t = 0.2 ends, bit for
+        # bit, where the run that went on ends: each step of the latter
+        # starts from the state it accepted last, not a stale buffer
+        g, p = self.GRID, params(**self.P)
+        whole = integrate(random_state(g, 5, p.u1_d), p, g,
+                          case_timespec(mode, 0.4, 0.1, snapshot_times=(0.0, 0.2, 0.4)))
+        mid = whole.snapshots[1]
+        assert mid.t == 0.2 and whole.stats.accepted >= 4
+        rest = integrate(State.view(mid.t, mid.y.copy(), g), p, g, case_timespec(mode, 0.4, 0.1))
+        assert rest.stats.accepted >= 2
+        assert np.array_equal(rest.snapshots[-1].y, whole.snapshots[-1].y)
+
+    @pytest.mark.parametrize("mode", ["fixed", "rkc"])
+    def test_a_diverged_run_reports_its_last_accepted_state(self, mode):
+        # the gas source turns infinite after t = 0.21, so the first step
+        # past the snapshot at 0.2 fails: the state the error carries is,
+        # bit for bit, the one a run to 0.2 stores there
+        g, p = self.GRID, params(**self.P)
+        n = g.n_x + 1
+        micro = np.zeros((n, g.n_y + 1))
+        bomb = SourceTerms(f1=lambda t: np.full(n, np.inf if t > 0.21 else 0.0),
+                           f2=lambda t: micro, f3=lambda t: micro,
+                           f4=lambda t: np.zeros(n))
+        with pytest.raises(DivergedError, match=r"^non-finite state") as err:
+            integrate(random_state(g, 5, p.u1_d), p, g,
+                      case_timespec(mode, 0.4, 0.1, snapshot_times=(0.0, 0.2, 0.4)),
+                      sources=bomb)
+        last = err.value.last_state
+        stored = integrate(random_state(g, 5, p.u1_d), p, g,
+                           case_timespec(mode, 0.2, 0.1), sources=bomb).snapshots[-1]
+        assert last.t == stored.t == 0.2
+        assert np.array_equal(last.y, stored.y)

@@ -249,6 +249,17 @@ class TestErrorEstimate:
             assert 1.0 <= ratio <= 5.0, (h, s, ratio)
 
 
+    def test_pins_adaptive_counts_on_fig1(self):
+        # fig1 at 32^2 to t = 20: every accepted step, rejection and rhs
+        # call of the controller, which reads nothing but this estimate, so
+        # a drift in its weights, its scale or the row it weights 0 moves
+        # them; the stage rule and the controller are pinned elsewhere
+        cfg = fig1(grid={"nx": 32, "ny": 32},
+                   time={"t_end": 20, "mode": "adaptive", "snapshots": "0 5 10 20"})
+        stats = run(cfg).stats
+        assert (stats.accepted, stats.rejected, stats.rhs_evals) == (696, 2, 1397)
+
+
 @functools.cache
 def fig1_at_80(n):
     """fig1 at n^2 at t = 80: the config, the state at the default step
