@@ -11,8 +11,7 @@ harness (`interpolation`), and a config-driven CLI (`cli`).
 """
 
 from .grids import GridSpec
-from .integrator import (DivergedError, TimeSpec, Trajectory, acid_bound, integrate,
-                         stability_dt)
+from .integrator import DivergedError, TimeSpec, Trajectory, integrate, stability_dt
 from .model import (
     AssumptionError,
     InitialData,
@@ -36,7 +35,6 @@ __all__ = [
     "State",
     "TimeSpec",
     "Trajectory",
-    "acid_bound",
     "eta",
     "integrate",
     "project_initial",

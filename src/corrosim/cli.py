@@ -188,6 +188,17 @@ def cmd_sweep(args) -> int:
     return 0 if result.passed() else 1
 
 
+def _seed(text: str) -> int:
+    """A nonnegative integer, numpy's seed range; argparse names the flag."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corrosim",
@@ -207,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="property suites")
     add_common(verify, False)
     # verify is the one command with random input
-    verify.add_argument("--seed", type=int, default=None,
+    verify.add_argument("--seed", type=_seed, default=None,
                         help="seed overriding the config value")
     add_common(sub.add_parser("sweep", help="boundedness refinement sweep"), True)
     return parser

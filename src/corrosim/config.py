@@ -198,6 +198,8 @@ def config_from_sections(sections: dict[str, dict[str, str]],
     merged["run"].setdefault("seed", "0")
 
     seed = _intval(merged["run"], "seed", "run")
+    if seed < 0:   # numpy's generators take no negative seed
+        raise ConfigError(f"key 'run.seed' must be a nonnegative integer, got {seed}")
     if seed_override is not None:
         seed = seed_override
         merged["run"]["seed"] = str(seed)

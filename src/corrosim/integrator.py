@@ -13,10 +13,10 @@ Two explicit modes:
             count s, so the step is not tied to h_y^2: each step h takes
             s = 1 + floor(sqrt(1 + 1.54 h rho_s)) stages, at least 3 for a
             full step beyond the reach and at least 2 for one shortened
-            to land.  The damping (eps = 2/13) shrinks
-            stiff modes by a factor of only about 0.95 per step, so rough
-            data, or data off the Robin closure, converges slowly in time;
-            smooth, transient-free data sees second order.
+            to land, and at most _MAX_STAGES.  The damping (eps = 2/13)
+            shrinks stiff modes by a factor of only about 0.95 per step,
+            so rough data, or data off the Robin closure, converges slowly
+            in time; smooth, transient-free data sees second order.
 * adaptive  the same RKC, error-controlled, with the step set by accuracy
             and the same stage rule for each attempt.  The embedded
             estimate of Sommeijer et al., est = (12 (y_n - y_new)
@@ -31,15 +31,16 @@ Two explicit modes:
             estimate and is the next attempt's F(Y_0).
 
 The step bounds come from one macro node's block M, which `_node_block`
-builds with rho and delta; `integrate` builds it once, `stability_dt` once
-more.  rho, the row bound, counts the Robin exchange twice, so on fig1 at
-32^2 it reads 40 where the spectral radius is 24.6; rho_s, `_perron_bound`
-of M, bounds M's Perron root from above, to the probed radius within 1e-6,
-and only an RKC run computes it.  RKC's stage
-counts read rho_s; RK4's reach, the RK4/RKC boundary and adaptive mode's
-first step keep rho: at 2.7 / rho_s, RK4 drives u2 to -0.009 on an 8^2 test
-problem and ends 6e-3 off the matrix exponential on random 8^2 data, so its
-positivity and accuracy there rest on the row bound's slack.
+builds with rho and delta for acid up to the acid face of `_box_faces`;
+`integrate` builds it once, `stability_dt` once more.  rho, the row bound,
+counts the Robin exchange twice, so on fig1 at 32^2 it reads 40 where the
+spectral radius is 24.6; rho_s, `_perron_bound` of M, bounds M's Perron
+root from above, to the probed radius within 1e-6, and only an RKC run
+computes it.  RKC's stage counts read rho_s; RK4's reach, the RK4/RKC
+boundary and adaptive mode's first step keep rho: at 2.7 / rho_s, RK4
+drives u2 to -0.009 on an 8^2 test problem and ends 6e-3 off the matrix
+exponential on random 8^2 data, so its positivity and accuracy there rest
+on the row bound's slack.
 
 One stage loop runs both as rows of RKC's three-term recursion in increment
 form, with the plan of each stage count built once per run, on at most 8
@@ -82,6 +83,8 @@ _LANDING = 1e-9       # a step ending this close (relative to h) to a target lan
 POSITIVITY_SLACK = 1e-8  # lowest concentration a step may leave behind is -POSITIVITY_SLACK
 _PERRON_TOL = 1e-7   # relative width of the bracket on which `_perron_bound` stops
 _PERRON_SHIFT = 0.02  # added to the diagonal of the block scaled to spectrum [0, 1]
+_MAX_STAGES = 10_000   # the most stages an RKC attempt takes; its plan builds in about 0.1 s
+_MAX_STEPS = 1_000_000   # the most steps fixed mode takes at RK4's reach, which it chose itself
 
 
 class DivergedError(RuntimeError):
@@ -147,42 +150,35 @@ class Trajectory:
         return np.array([s.t for s in self.snapshots])
 
 
-def acid_bound(params: ModelParams, state: State, horizon: float) -> float:
-    """The largest acid the unforced semi-discrete system reaches from
-    `state` within `horizon`: the acid face of `_box_faces`.  The system is
-    quasi-monotone and the surface reaction only removes acid, so a box whose
-    upper faces point inward is invariant (Chueh, Conley & Smoller, Indiana
-    Univ. Math. J. 26, 1977): with G = max(H u1_d, H max u1, max u2), the
-    acid grows at most at the rate alpha G - beta u3.  Sources void it.
-    """
-    gas = max(params.henry * max(params.u1_d, state.u1.max()), state.u2.max())
-    if params.beta > 0.0:   # the acid face alpha G/beta
-        return float(max(state.u3.max(), params.alpha * gas / params.beta))
-    return float(state.u3.max() + params.alpha * gas * horizon)
-
-
-def _box_faces(params: ModelParams, state: State, acid: float,
+def _box_faces(params: ModelParams, state: State,
                horizon: float) -> tuple[float, float, float, float]:
-    """Upper faces (u1, u2, u3, u4) of the box the unforced system keeps
-    within `horizon` from `state`, with `acid` from `acid_bound`.
+    """Upper faces (u1, u2, u3, u4) of the box the unforced semi-discrete
+    system keeps within `horizon` from `state`.  The system is quasi-monotone
+    and the surface reaction only removes acid, so a box whose upper faces
+    point inward is invariant (Chueh, Conley & Smoller, Indiana Univ. Math.
+    J. 26, 1977).  Sources void it.
 
-    With G as in `acid_bound`, the dissolved-gas face G' leaves u2 no
-    inflow at u2 = G': the Robin ghost needs H u1 <= G', so u1's face is
-    G'/H, and the volume exchange needs beta A <= alpha G'.  With
-    alpha > 0 that is G' = max(G, beta A/alpha), which equals G unless the
-    acid starts above alpha G/beta; with alpha = 0 the acid feeds u2 at
-    most at the rate beta A, so G' grows with the horizon.  The gypsum stops at max(m4, max u4) under the linear
-    cutoff and has no face under the constant kernel (the largest float,
-    so that only an overflow crosses it).  Each face is exact at the start
-    data its own field attains.
+    With G = max(H u1_d, H max u1, max u2), the acid grows at most at the
+    rate alpha G - beta u3, so its face A is max(max u3, alpha G/beta), or
+    max u3 + alpha G horizon with beta = 0.  The dissolved-gas face G'
+    leaves u2 no inflow at u2 = G': the Robin ghost needs H u1 <= G', so
+    u1's face is G'/H, and the volume exchange needs beta A <= alpha G'.
+    With alpha > 0 that is G' = max(G, beta A/alpha), which equals G unless
+    the acid starts above alpha G/beta; with alpha = 0 the acid feeds u2 at
+    most at the rate beta A, so G' grows with the horizon.  The gypsum stops
+    at max(m4, max u4) under the linear cutoff and has no face under the
+    constant kernel (the largest float, so that only an overflow crosses
+    it).  Each face is exact at the start data its own field attains.
     """
     henry, alpha, beta = params.henry, params.alpha, params.beta
-    gas = max(henry * max(params.u1_d, state.u1.max()), state.u2.max())
+    # a float, so that a face beyond the largest float is inf without a warning
+    gas = float(max(henry * max(params.u1_d, state.u1.max()), state.u2.max()))
+    acid = float(state.u3.max())
+    acid = max(acid, alpha * gas / beta) if beta > 0.0 else acid + alpha * gas * horizon
     gas = max(gas, beta * acid / alpha) if alpha > 0.0 else gas + beta * acid * horizon
     gypsum = (max(params.m4, state.u4.max()) if params.q_kind == "linear_cutoff"
               else np.finfo(float).max)
-    return (float(max(params.u1_d, state.u1.max(), gas / henry)), float(gas),
-            float(acid), float(gypsum))
+    return (float(max(params.u1_d, state.u1.max(), gas / henry)), gas, acid, float(gypsum))
 
 
 def stability_dt(params: ModelParams, grid: GridSpec, acid: float) -> float:
@@ -362,13 +358,19 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
     Fixed mode runs RK4 up to RK4's reach (`stability_dt`, also the step
     when dt is None) and RKC beyond it; adaptive mode runs RKC with its
     embedded error estimate.  Each RKC attempt takes the stages its own
-    step times the stage radius needs.  Raises AssumptionError (A4) when
-    the start state is not finite or its gas node at x = 0 does not hold
-    u1_d, and DivergedError (carrying the last good state) on non-finite
-    values, on a concentration below -POSITIVITY_SLACK or, without
-    sources, above its face of the invariant box by more than that
-    (adaptive mode rejects such steps instead), or when the step the mode
-    asks for underflows.
+    step times the stage radius needs.  The box of `_box_faces` is
+    computed once, from the start state over the horizon: its acid face
+    sets the step bounds, and its faces the step check.  Raises
+    AssumptionError (A4) when the start state is not finite or its gas
+    node at x = 0 does not hold u1_d, and DivergedError (carrying the last
+    good state) on non-finite values, on a concentration below
+    -POSITIVITY_SLACK or, without sources, above its face of the invariant
+    box by more than that (adaptive mode rejects such steps instead), when
+    the step the mode asks for underflows.  It also raises DivergedError
+    before the first step when the acid face leaves rho or delta
+    non-finite, or fixed mode without a dt needs more than _MAX_STEPS steps
+    at RK4's reach, and before an RKC attempt that needs more than
+    _MAX_STAGES stages.
     The summary in `Trajectory.stats` carries rho and delta, and on the
     RKC paths the stage radius.
     """
@@ -379,19 +381,26 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
         raise AssumptionError("A4", f"the gas node at x = 0 must hold u1_d = {params.u1_d!r}, "
                                     f"got u1[0] = {float(state0.u1[0])!r}")
     adaptive = timespec.mode == "adaptive"
-    horizon = timespec.t_end - state0.t
-    acid = acid_bound(params, state0, horizon)
+    faces = _box_faces(params, state0, timespec.t_end - state0.t)
+    acid = faces[2]
     M, rho, delta = _node_block(params, grid, acid)
+    if not np.isfinite((rho, delta)).all():   # a tiny beta puts the acid face at inf
+        raise DivergedError(f"the acid face {acid:.6g} leaves the step bounds non-finite: "
+                            f"rho = {rho:.6g}, delta = {delta:.6g}",
+                            State.view(state0.t, state0.y.copy(), grid))
     reach = stability_dt(params, grid, acid)
     h_base = reach if timespec.dt is None else float(timespec.dt)  # adaptive: a conservative start
+    if not adaptive and timespec.dt is None and timespec.t_end - state0.t > _MAX_STEPS * reach:
+        raise DivergedError(f"RK4's reach {reach:.6g} needs more than {_MAX_STEPS} steps to "
+                            f"t={timespec.t_end:g}; a dt beyond it runs RKC instead",
+                            State.view(state0.t, state0.y.copy(), grid))
     method = "rkc" if adaptive or h_base > reach else "rk4"
     # only RKC's stage counts read the stage radius; an RK4 run skips its power iteration
     radius = _perron_bound(M, rho, delta) if method == "rkc" else 0.0
     stats = StepStats(method=method, rho=rho, delta=delta, stage_radius=radius)
-    # sources void the box; a forced step keeps only the finite-values check
-    faces = (_box_faces(params, state0, acid, horizon) if sources is None
-             else (np.finfo(float).max,) * 4)
-    tops = np.add(faces, POSITIVITY_SLACK)
+    # sources void the box: a forced step fails only on a negative or
+    # non-finite value, which `_inadmissible` reports before any face
+    tops = np.add(faces, POSITIVITY_SLACK) if sources is None else np.full(4, np.finfo(float).max)
 
     t = float(state0.t)
     y = state0.y.copy()
@@ -437,7 +446,14 @@ def integrate(state0: State, params: ModelParams, grid: GridSpec,
                 raise DivergedError(f"step size underflow at t={t:g}",
                                     State.view(t, y.copy(), grid))
 
-            s = len(_RK4) if method == "rk4" else _rkc_stages(h, radius)
+            if method == "rk4":
+                s = len(_RK4)
+            elif 1.54 * h * radius < _MAX_STAGES**2 - 1:   # _rkc_stages(h, radius) <= _MAX_STAGES
+                s = _rkc_stages(h, radius)
+            else:   # more stages, or an infinite product
+                raise DivergedError(f"an RKC step h = {h:.6g} at stage radius {radius:.6g} needs "
+                                    f"more than {_MAX_STAGES} stages at t={t:g}",
+                                    State.view(t, y.copy(), grid))
             if s not in plans:
                 plans[s] = _stage_plan(_RK4 if method == "rk4" else _rkc_coefficients(s), inputs)
             A, B, W, plan = plans[s]

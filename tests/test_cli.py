@@ -195,6 +195,23 @@ class TestConfig:
         assert cli.build_parser().parse_args(["verify", "--seed", "1"]).seed == 1
         assert not any(tmp_path.iterdir())
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # numpy's generators take no negative seed: the config key and the
+        # flag are refused by name before any work is done
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[run]\nscenario = fig1\nseed = -4\n\n[time]\nt_end = 1\n")
+        out = tmp_path / "o"
+        for command in ("run", "verify"):
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert ("key 'run.seed' must be a nonnegative integer, got -4"
+                    in capsys.readouterr().err)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert ("argument --seed: must be a nonnegative integer, got -1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_hash_stable_under_key_order(self, tmp_path):
         a = tmp_path / "a.ini"
         a.write_text("[run]\nscenario = fig1\nseed = 3\n\n[time]\nt_end = 10\n")

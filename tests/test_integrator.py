@@ -9,11 +9,11 @@ from corrosim.integrator import (
     RTOL,
     DivergedError,
     TimeSpec,
+    _box_faces,
     _node_block,
     _perron_bound,
     _rkc_coefficients,
     _rkc_stages,
-    acid_bound,
     integrate,
     stability_dt,
 )
@@ -227,7 +227,7 @@ class TestStageRadius:
                                     "time": {"t_end": "400"}})
         p, g = cfg.params, cfg.grid
         st = project_initial(cfg.initial, p, g)
-        acid = acid_bound(p, st, 400.0)
+        acid = _box_faces(p, st, 400.0)[2]
         st.u3[:, -1] = acid
         st.u4[...] = 1e-6
 
@@ -251,7 +251,7 @@ class TestStageRadius:
         g = GridSpec(1.0, 1.0, 8, 8)
         p = params(bi_m=0.5, u1_d=1.0, k=1.0, alpha=0.3, beta=1e-236,
                    q_kind="linear_cutoff", m4=0.5)
-        acid = acid_bound(p, random_state(g, 5, p.u1_d), 1.0)
+        acid = _box_faces(p, random_state(g, 5, p.u1_d), 1.0)[2]
         assert acid > 1e235
         block = _node_block(p, g, acid)
         radius = _perron_bound(*block)
@@ -277,7 +277,7 @@ class TestStageRadius:
                                     "grid": {"nx": str(n), "ny": str(n)},
                                     "params": overrides, "time": {"t_end": "400"}})
         p, g = cfg.params, cfg.grid
-        acid = acid_bound(p, project_initial(cfg.initial, p, g), 400.0)
+        acid = _box_faces(p, project_initial(cfg.initial, p, g), 400.0)[2]
         bound = _perron_bound(*_node_block(p, g, acid))
         assert bound == pytest.approx(radius, rel=1e-3)
         assert _rkc_stages(cfg.time.dt, bound) == stages
@@ -320,7 +320,7 @@ class TestStageRadius:
         cfg = scenario_config("fig1")
         p, g = cfg.params, cfg.grid
         st = project_initial(cfg.initial, p, g)
-        block = _node_block(p, g, acid_bound(p, st, timespec.t_end))
+        block = _node_block(p, g, _box_faces(p, st, timespec.t_end)[2])
         stats = integrate(st, p, g, timespec).stats
         assert stats.method == method
         assert (stats.rho, stats.delta) == block[1:]
@@ -335,7 +335,7 @@ class TestAcidBound:
 
         cfg = scenario_config("fig1")
         st = project_initial(cfg.initial, cfg.params, cfg.grid)
-        assert acid_bound(cfg.params, st, 400.0) == pytest.approx(30.0, rel=1e-14)
+        assert _box_faces(cfg.params, st, 400.0)[2] == pytest.approx(30.0, rel=1e-14)
 
     @pytest.mark.parametrize("start", [ACID, 2.0 * ACID, 3.0 * ACID])
     def test_gypsum_checkerboard_follows_its_start(self, start):
@@ -351,7 +351,7 @@ class TestAcidBound:
         st.u2[...] = 1.0 - board
         st.u3[...] = start * board
         st.u4[...] = p.m4 * (1.0 - board[:, -1])
-        acid = acid_bound(p, st, 1.0)
+        acid = _box_faces(p, st, 1.0)[2]
         assert acid == start
         slope = p.k * acid / p.m4   # the gypsum diagonal
         assert _node_block(p, g, acid)[1] == pytest.approx(
@@ -371,7 +371,7 @@ class TestAcidBound:
         st.u3[...] *= 2.0
         G = max(p.henry * p.u1_d, p.henry * st.u1.max(), st.u2.max())
         for horizon in (0.0, 2.5, 40.0):
-            assert acid_bound(p, st, horizon) == pytest.approx(
+            assert _box_faces(p, st, horizon)[2] == pytest.approx(
                 st.u3.max() + p.alpha * G * horizon, rel=1e-14)
 
 
@@ -462,7 +462,7 @@ class TestFixedStep:
     @pytest.mark.parametrize("case", ["fixed", "adaptive", "rkc"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_start_state_must_be_finite(self, case, bad):
-        # the step bounds read the start state's maxima through acid_bound;
+        # the step bounds read the start state's maxima through _box_faces;
         # an infinite acid would plan infinitely many RKC stages
         g = GridSpec(1.0, 1.0, 4, 4)
         p = params(alpha=0.3, k=1.0, q_kind="linear_cutoff")
@@ -743,6 +743,37 @@ class TestDivergence:
                            r"at node \(0, 0\) at t=1$") as err:
             integrate(state0, cfg.params, cfg.grid, cfg.time)
         assert err.value.last_state.t == 0.0
+
+    @pytest.mark.parametrize("params,time,message", [
+        # the acid face 3e189 puts the stage radius at 6e188: one step of
+        # dt = 1 would take 1e95 RKC stages
+        ({"beta": "1e-190"}, {"dt": "1"},
+         r"^an RKC step h = 1 at stage radius 6e\+188 needs more than 10000 stages at t=0$"),
+        # alpha G/beta overflows to inf, and so does the gypsum coupling k A/m4
+        ({"beta": "1e-309"}, {"dt": "1"},
+         r"^the acid face inf leaves the step bounds non-finite: rho = inf, delta = inf$"),
+        # with k = 0 the gypsum coupling k A/m4 is 0 * inf = NaN
+        ({"bi_m": "0", "k": "0", "alpha": "1", "beta": "2.2e-309"}, {"mode": "adaptive"},
+         r"^the acid face inf leaves the step bounds non-finite: rho = nan, delta = 0\.6144$"),
+        # beta = 1e-7: the gypsum coupling k A/m4 = 1.2e7 puts RK4's reach at
+        # 1.6e-7, and fixed mode without a dt would take 1.2e7 steps
+        ({"bi_m": "0.12", "k": "0.81", "alpha": "0.76", "beta": "1e-7"}, {"mode": "fixed"},
+         r"^RK4's reach 1\.6\d+e-07 needs more than 1000000 steps to t=1; "
+         r"a dt beyond it runs RKC instead$"),
+    ], ids=["stage-cap", "infinite-bounds", "nan-bounds", "step-cap"])
+    def test_tiny_beta_stops_the_run(self, params, time, message):
+        # fig1 with a tiny positive beta, which A2 accepts: the run stops
+        # before it plans a step, its start state the last good one
+        from corrosim.config import config_from_sections
+        from corrosim.model import project_initial
+
+        cfg = config_from_sections({"run": {"scenario": "fig1"}, "params": params,
+                                    "time": {"t_end": "1.0", **time}})
+        state0 = project_initial(cfg.initial, cfg.params, cfg.grid)
+        with pytest.raises(DivergedError, match=message) as err:
+            integrate(state0, cfg.params, cfg.grid, cfg.time)
+        last = err.value.last_state
+        assert last.t == 0.0 and np.array_equal(last.y, state0.y)
 
     def test_forced_runs_skip_the_faces(self):
         # a source fills u2 from 0, above the unforced box's face G = 0

@@ -1,6 +1,7 @@
 """Property: over a box of fig1 configurations, a run either stays finite and
-inside the invariant box at every snapshot, or stops with DivergedError
-whose last state is inside it.  It never returns finite garbage."""
+inside the invariant box at every snapshot, with its gypsum growing, or
+stops with DivergedError whose last state is inside the box.  It never
+returns finite garbage."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from corrosim.config import config_from_sections  # noqa: E402
 from corrosim.integrator import (  # noqa: E402
     POSITIVITY_SLACK,
     DivergedError,
-    acid_bound,
+    _box_faces,
     integrate,
 )
 from corrosim.model import project_initial  # noqa: E402
@@ -20,8 +21,9 @@ from corrosim.model import project_initial  # noqa: E402
 
 # Bounded so that dt times the spectral radius bound, and with it the rkc
 # stage count of a fixed step beyond RK4's reach, stays small: at most about
-# 140 stages at 16^2 with bi_m = 50.  A fixed run without a dt is RK4 at its
-# reach.
+# 140 stages at 16^2 with bi_m = 50, unless a tiny beta lifts the acid face,
+# where the stage and step caps stop the run.  A fixed run without a dt is
+# RK4 at its reach.
 @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
                      database=None)
 @hypothesis.given(
@@ -38,6 +40,19 @@ from corrosim.model import project_initial  # noqa: E402
 # node; the derandomized draws miss it
 @hypothesis.example(n=4, bi_m=2.0, k=0.0, alpha=1.0, beta=1.0, mode="fixed",
                     dt=1.0, t_end=1.0)
+# a tiny beta puts the acid face alpha G/beta out of reach: at 1e-190 the
+# stage radius is 6e188 and one step would take 1e95 RKC stages; at 1e-309
+# the face is inf, and with k = 0 the gypsum coupling k A/m4 is NaN
+@hypothesis.example(n=16, bi_m=0.15, k=0.1, alpha=0.3, beta=1e-190, mode="fixed",
+                    dt=1.0, t_end=1.0)
+@hypothesis.example(n=16, bi_m=0.15, k=0.1, alpha=0.3, beta=1e-309, mode="fixed",
+                    dt=1.0, t_end=1.0)
+@hypothesis.example(n=4, bi_m=0.0, k=0.0, alpha=1.0, beta=2.2e-309, mode="adaptive",
+                    dt=None, t_end=1.0)
+# beta = 1e-7 puts the gypsum coupling k A/m4 at 1.2e7: RK4's reach would
+# take 1.2e7 steps
+@hypothesis.example(n=16, bi_m=0.12, k=0.81, alpha=0.76, beta=1e-7, mode="fixed",
+                    dt=None, t_end=1.9)
 def test_run_is_nonnegative_or_raises(n, bi_m, k, alpha, beta, mode, dt, t_end):
     time = {"t_end": repr(t_end), "mode": mode}
     if mode == "fixed" and dt is not None:
@@ -50,9 +65,11 @@ def test_run_is_nonnegative_or_raises(n, bi_m, k, alpha, beta, mode, dt, t_end):
         "time": time})
     p = cfg.params
     state0 = project_initial(cfg.initial, p, cfg.grid)
-    # the upper faces: u1 <= G/H, u2 <= G and the acid bound
+    # the upper faces: u1 <= G/H, u2 <= G, the acid face and, under fig1's
+    # linear cutoff, the gypsum's max(m4, max u4(0))
     G = max(p.henry * p.u1_d, p.henry * state0.u1.max(), state0.u2.max())
-    acid = acid_bound(p, state0, t_end)
+    acid = _box_faces(p, state0, t_end)[2]
+    gypsum = max(p.m4, state0.u4.max())
     try:
         states = integrate(state0, p, cfg.grid, cfg.time).snapshots
     except DivergedError as err:
@@ -63,3 +80,6 @@ def test_run_is_nonnegative_or_raises(n, bi_m, k, alpha, beta, mode, dt, t_end):
         assert s.u1.max() <= G / p.henry + POSITIVITY_SLACK
         assert s.u2.max() <= G + POSITIVITY_SLACK
         assert s.u3.max() <= acid + POSITIVITY_SLACK
+        assert s.u4.max() <= gypsum + POSITIVITY_SLACK
+    for before, after in zip(states, states[1:]):
+        assert (after.u4 >= before.u4 - 1e-9).all()
